@@ -9,11 +9,9 @@
  * The counters to watch: sim_cycles_per_sec on BM_AttackRound (how
  * fast the simulator burns simulated time on the paper's main
  * workload) and trials_per_sec on the fan-out benches — fresh Cores
- * vs the pooled runner vs BM_BatchedTrials/W (the lock-step batch
- * kernel, the end-to-end figure --batch exists to raise). The fan-out
- * trial is deliberately light (short attack round) so per-trial setup
- * cost — what pooling and batching eliminate — dominates the
- * measurement instead of drowning in simulation compute.
+ * vs the pooled runner. The fan-out trial is deliberately light (short
+ * attack round) so per-trial setup cost — what pooling eliminates —
+ * dominates the measurement instead of drowning in simulation compute.
  */
 
 #include <benchmark/benchmark.h>
@@ -86,8 +84,8 @@ BM_CacheInstall(benchmark::State &state)
 }
 BENCHMARK(BM_CacheInstall);
 
-// CEASER-indexed, random-replacement install: the devirtualized slow
-// flavor (keyed permutation inlined, rng draw per victim).
+// CEASER-indexed, random-replacement install: the slow flavor (keyed
+// permutation inlined, rng draw per victim).
 static void
 BM_CacheInstallCeaser(benchmark::State &state)
 {
@@ -222,7 +220,7 @@ namespace {
 /**
  * A deliberately light fig03-style trial: one short attack round.
  * With heavy trials, per-trial setup (Machine + attack construction —
- * the cost pooling and batching exist to remove) is a rounding error
+ * the cost pooling exists to remove) is a rounding error
  * and fresh-vs-pooled measures nothing; a short round keeps the
  * setup-to-compute ratio representative of campaign sweeps with many
  * small points.
@@ -253,7 +251,7 @@ fanoutSweep()
 }
 
 void
-runFanout(benchmark::State &state, bool reuse, unsigned batch)
+runFanout(benchmark::State &state, bool reuse)
 {
     const auto specs = fanoutSweep();
     const unsigned reps = static_cast<unsigned>(state.range(0));
@@ -262,7 +260,6 @@ runFanout(benchmark::State &state, bool reuse, unsigned batch)
     // width anyway.
     TrialRunner runner(/*threads=*/1);
     runner.reuseCores(reuse);
-    runner.setBatch(batch);
     std::uint64_t trials = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
@@ -277,13 +274,13 @@ runFanout(benchmark::State &state, bool reuse, unsigned batch)
 } // namespace
 
 /** Baseline: the pre-pool behavior, one fresh Core per trial. The rep
- *  count (32 per spec) is campaign-scale so the pooled/batched runs
- *  below amortize their one-time Machine constructions the way a real
- *  sweep does. */
+ *  count (32 per spec) is campaign-scale so the pooled run below
+ *  amortizes its one-time Machine constructions the way a real sweep
+ *  does. */
 static void
 BM_TrialRunnerFreshCores(benchmark::State &state)
 {
-    runFanout(state, /*reuse=*/false, /*batch=*/1);
+    runFanout(state, /*reuse=*/false);
 }
 BENCHMARK(BM_TrialRunnerFreshCores)
     ->Arg(32)
@@ -294,30 +291,10 @@ BENCHMARK(BM_TrialRunnerFreshCores)
 static void
 BM_TrialRunnerPooled(benchmark::State &state)
 {
-    runFanout(state, /*reuse=*/true, /*batch=*/1);
+    runFanout(state, /*reuse=*/true);
 }
 BENCHMARK(BM_TrialRunnerPooled)
     ->Arg(32)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-/**
- * The lock-step batch kernel at width W (--batch W): pooled Machines,
- * cached attacks, fiber-interleaved trial groups. Bit-identical
- * results to the serial benches above; trials_per_sec is the headline
- * campaign-throughput figure.
- */
-static void
-BM_BatchedTrials(benchmark::State &state)
-{
-    // range(0) = reps (read by runFanout), range(1) = batch width.
-    runFanout(state, /*reuse=*/true,
-              static_cast<unsigned>(state.range(1)));
-}
-BENCHMARK(BM_BatchedTrials)
-    ->Args({32, 1})
-    ->Args({32, 4})
-    ->Args({32, 16})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

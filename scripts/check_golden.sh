@@ -14,14 +14,18 @@
 #   $ scripts/check_golden.sh --regen
 #
 # Environment:
-#   BUILD_DIR  build tree with compiled benches (default: build)
+#   BUILD_DIR  build tree with compiled benches: absolute, or relative
+#              to the repo root (default: build)
 
 set -euo pipefail
 
 BUILD_DIR=${BUILD_DIR:-build}
 HERE=$(cd "$(dirname "$0")/.." && pwd)
 GOLDEN="$HERE/tests/golden"
-BENCH="$HERE/$BUILD_DIR/bench"
+case "$BUILD_DIR" in
+    /*) BENCH="$BUILD_DIR/bench" ;;
+    *) BENCH="$HERE/$BUILD_DIR/bench" ;;
+esac
 REGEN=0
 [ "${1:-}" = "--regen" ] && REGEN=1
 

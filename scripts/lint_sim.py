@@ -37,7 +37,7 @@ exists to reproduce. This lint enforces, over ``src/`` by default:
                         files (core, ROB, LSQ, caches, MSHRs, memory,
                         coherence, cleanup) — steady-state simulation
                         must not touch the heap (DESIGN.md §13; the
-                        zero-alloc invariant batch throughput rests
+                        zero-alloc invariant pooled throughput rests
                         on). Every growth site there must either move
                         to arena/reserved storage or carry a
                         ``lint-ok(steady-alloc)`` justification saying
@@ -61,8 +61,8 @@ the determinism rules (unordered-iteration, unseeded-randomness,
 wall-clock, float-cycle) on real parse trees — immune to the comment/
 string false positives and typedef'd-container false negatives a regex
 cannot avoid — and replaces the hard-coded STEADY_ALLOC_FILES list
-with call-graph reachability from Core::runStep / BatchRunner::run.
-Where the two disagree, speccheck is authoritative; the rules below
+with call-graph reachability from Core::runStep. Where the two
+disagree, speccheck is authoritative; the rules below
 marked "(pre-pass)" are kept here only for fast local feedback. Both
 tools honor the same ``lint-ok(rule): why`` suppression syntax, so a
 justification written once covers both.

@@ -182,7 +182,7 @@ def hot_functions(graph: CallGraph, model: Model,
         if entry in model.functions:
             roots.add(entry)
         else:
-            # Allow short names ("BatchRunner::run") against the
+            # Allow short names ("Core::runStep") against the
             # namespace-qualified table.
             for qual in model.functions:
                 if qual.endswith("::" + entry) or qual == entry:

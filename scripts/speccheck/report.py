@@ -40,7 +40,7 @@ def render_text(res: Results, verbose: bool = False) -> str:
     if res.hot_functions and verbose:
         lines.append(
             f"== hot path ({len(res.hot_functions)} functions "
-            "reachable from Core::runStep / BatchRunner::run) =="
+            "reachable from Core::runStep) =="
         )
         for fn in res.hot_functions:
             lines.append(f"      {fn}")

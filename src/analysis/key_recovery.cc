@@ -36,7 +36,7 @@ rankKeyByte(const std::vector<ProbeEvidence> &evidence, double min_margin)
     ranking.ranked.resize(256);
     std::iota(ranking.ranked.begin(), ranking.ranked.end(), 0);
     // Ties break on candidate value: identical latencies rank
-    // identically regardless of thread count or batch width.
+    // identically regardless of thread or shard count.
     std::sort(ranking.ranked.begin(), ranking.ranked.end(),
               [&score](std::uint8_t a, std::uint8_t b) {
                   if (score[a] != score[b])

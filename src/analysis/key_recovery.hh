@@ -22,8 +22,8 @@
  *    noise into confident-looking bits.
  *
  * Everything here is deterministic: ties break on candidate value, so
- * identical latencies give identical rankings on any thread count or
- * batch width.
+ * identical latencies give identical rankings on any thread or shard
+ * count.
  */
 
 #ifndef UNXPEC_ANALYSIS_KEY_RECOVERY_HH

@@ -75,7 +75,6 @@ Core::reset(std::uint64_t seed)
     budgetRemaining_ = 0;
     budgetWarned_ = false;
     limitTripped_ = false;
-    runYield_ = nullptr;
     trace_ = nullptr;
     setEventTrace(nullptr);
 }
@@ -112,13 +111,7 @@ RunResult
 Core::run(const Program &program, const RunOptions &options)
 {
     runBegin(program, options);
-    if (runYield_ != nullptr) {
-        // Batched execution: the driver steps this core, interleaving
-        // its cycles with other trials' cores (see RunYield).
-        runYield_->driveRun(*this);
-    } else {
-        while (runStep()) {
-        }
+    while (runStep()) {
     }
     return runFinish();
 }

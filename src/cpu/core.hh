@@ -36,27 +36,7 @@
 
 namespace unxpec {
 
-class Core;
 class Tracer;
-
-/**
- * Hook that takes over the stepping of a run (BatchRunner's lock-step
- * batching). When installed via Core::setRunYield, Core::run latches
- * the run with runBegin() and then calls driveRun() instead of its own
- * step loop; the driver must call core.runStep() until it returns
- * false (interleaving steps of other cores as it pleases) and then
- * return, after which run() produces the RunResult via runFinish().
- * Because trials are fully independent, any interleaving yields
- * results bit-identical to the inline loop.
- */
-class RunYield
-{
-  public:
-    virtual ~RunYield() = default;
-
-    /** Step `core` (runStep until false), yielding between steps. */
-    virtual void driveRun(Core &core) = 0;
-};
 
 /** Options for one program execution. */
 struct RunOptions
@@ -194,15 +174,6 @@ class Core
     void setEventTrace(Tracer *tracer);
     Tracer *eventTrace() const { return eventTrace_; }
 
-    /**
-     * Install a run driver (BatchRunner lane): run() yields its step
-     * loop to `yield->driveRun(*this)` so a scheduler can interleave
-     * this core's cycles with other trials. nullptr restores the
-     * inline loop; Core::reset also clears it.
-     */
-    void setRunYield(RunYield *yield) { runYield_ = yield; }
-    RunYield *runYield() const { return runYield_; }
-
     /** Arena backing this core's per-trial hot state (stats/tests). */
     const Arena &arena() const { return arena_; }
 
@@ -309,9 +280,6 @@ class Core
     // after warm-up so the squash path stays allocation-free).
     std::vector<MemAccessRecord> squashRecords_;
     CleanupJob squashJob_;
-
-    // Batched-execution driver (setRunYield).
-    RunYield *runYield_ = nullptr;
 
     // Commit tracing.
     std::ostream *trace_ = nullptr;

@@ -420,11 +420,21 @@ parseHeaderLine(const JsonValue &obj, const std::string &path,
         requireField(obj, "specs", path, lineno), "specs", path, lineno));
     header.reps = static_cast<unsigned>(asU64(
         requireField(obj, "reps", path, lineno), "reps", path, lineno));
-    // Optional provenance fields: manifests written before they existed
-    // simply lack them, and 0 means "not recorded, not checked".
-    if (const JsonValue *batch = obj.field("batch"))
-        header.batch = static_cast<unsigned>(
-            asU64(*batch, "batch", path, lineno));
+    // Journals from builds with the lock-step batch kernel carry a
+    // "batch" width. Width 1 ran serially and resumes as-is; wider
+    // groups were censored under a host watchdog that timed each trial's
+    // share of its lock-step group, which this build cannot reproduce.
+    if (const JsonValue *batch = obj.field("batch")) {
+        const std::uint64_t width = asU64(*batch, "batch", path, lineno);
+        if (width > 1) {
+            fatal("cannot resume from '", path, "': the manifest was "
+                  "journaled under lock-step batch width ", width,
+                  ", whose host-watchdog censoring this build cannot "
+                  "reproduce; start a fresh campaign");
+        }
+    }
+    // Optional provenance field: manifests written before it existed
+    // simply lack it, and 0 means "not recorded, not checked".
     if (const JsonValue *digest = obj.field("spec_digest"))
         header.specDigest = asU64(*digest, "spec_digest", path, lineno);
     return header;
@@ -493,10 +503,6 @@ campaignHeaderLine(const CampaignHeader &header)
     line += std::to_string(header.specs);
     line += ",\"reps\":";
     line += std::to_string(header.reps);
-    if (header.batch != 0) {
-        line += ",\"batch\":";
-        line += std::to_string(header.batch);
-    }
     if (header.specDigest != 0) {
         line += ",\"spec_digest\":";
         line += std::to_string(header.specDigest);
@@ -622,15 +628,6 @@ requireCompatibleManifest(const CampaignManifest &manifest,
         fatal("cannot resume from '", path, "': manifest experiment '",
               have.experiment, "' != campaign experiment '",
               expected.experiment, "'");
-    }
-    if (have.batch != 0 && expected.batch != 0 &&
-        have.batch != expected.batch) {
-        fatal("cannot resume from '", path, "': manifest batch width ",
-              have.batch, " != campaign batch width ", expected.batch,
-              " (journaled trials ran lock-step under --batch ",
-              have.batch, " and host-watchdog censoring depends on the "
-              "group width; rerun with --batch ", have.batch,
-              " or start a fresh campaign)");
     }
     if (have.specDigest != 0 && expected.specDigest != 0 &&
         have.specDigest != expected.specDigest) {

@@ -74,15 +74,6 @@ struct CampaignHeader
     std::size_t specs = 0;
     unsigned reps = 0;
     /**
-     * Lock-step batch width the journaled trials ran under (--batch).
-     * Resume refuses a width mismatch: host-watchdog censoring times a
-     * trial's share of its lock-step group, so trials journaled under
-     * a different width are not interchangeable with the trials a
-     * fresh run would produce. 0 = a legacy manifest that predates the
-     * field; not checked.
-     */
-    unsigned batch = 0;
-    /**
      * Digest of the spec labels in sweep order (campaignSpecDigest).
      * Job indices are spec_index * reps + rep, so resuming against a
      * permuted or edited spec list would silently splice journaled

@@ -154,9 +154,6 @@ HarnessCli::usage(std::ostream &os) const
           "crashed shards (default 0)\n"
        << "  --shards K     fork K crash-isolated subprocess workers "
           "(requires --campaign)\n"
-       << "  --batch W      run W trials lock-step per worker through "
-          "the fiber batch kernel (default 1; results are "
-          "bit-identical to serial)\n"
        << "  --matrix       matrix campaigns only: sweep every "
           "registered defense instead of the default subset\n"
        << "  --list-modes   list registered defenses, noise profiles, "
@@ -238,10 +235,6 @@ HarnessCli::parse(int argc, char **argv) const
             options.shards = static_cast<unsigned>(parseU64(arg, value()));
             if (options.shards == 0)
                 fatal("--shards must be >= 1");
-        } else if (arg == "--batch") {
-            options.batch = static_cast<unsigned>(parseU64(arg, value()));
-            if (options.batch == 0 || options.batch > 64)
-                fatal("--batch must be in [1, 64]");
         } else if (arg == "--matrix") {
             options.matrix = true;
         } else if (hasScale_ && !sawPositionalInt && isInteger(arg)) {
@@ -292,7 +285,6 @@ runExperiment(const HarnessCli &cli, const HarnessOptions &options,
     campaign.retries = options.retries;
     campaign.shards = options.shards;
     runner.setCampaign(std::move(campaign));
-    runner.setBatch(options.batch);
     return runner.runAll(cli.name(), cli.description(), specs, options.reps,
                          options.seed, fn);
 }

@@ -26,7 +26,6 @@
  *                  milliseconds (wall-clock, outside the core)
  *   --retries N    retry budget for censored trials / crashed shards
  *   --shards K     fork K crash-isolated subprocess workers
- *   --batch W      run W trials lock-step on one worker (fiber batch)
  *   --list-modes   print registered defenses/noises/attacks and exit
  *   --help         usage
  *
@@ -71,8 +70,6 @@ struct HarnessOptions
     std::uint64_t trialTimeoutMs = 0;     //!< 0 = no host budget
     unsigned retries = 0;
     unsigned shards = 1;
-    /** Lock-step trials per worker (BatchRunner width); 1 = serial. */
-    unsigned batch = 1;
     /** Matrix campaign: sweep every registered defense x receiver
      *  family instead of the curated default subset. */
     bool matrix = false;

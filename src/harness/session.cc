@@ -6,10 +6,9 @@
 namespace unxpec {
 
 Machine &
-CorePool::acquire(std::size_t spec_index, unsigned lane,
-                  const SystemConfig &cfg)
+CorePool::acquire(std::size_t spec_index, const SystemConfig &cfg)
 {
-    Slot &slot = slots_[{spec_index, lane}];
+    Slot &slot = slots_[spec_index];
     if (slot.machine != nullptr && equalIgnoringSeed(slot.cfg, cfg)) {
         slot.machine->reset(cfg.seed);
     } else {
@@ -23,10 +22,10 @@ CorePool::acquire(std::size_t spec_index, unsigned lane,
 }
 
 UnxpecAttack &
-CorePool::unxpecFor(std::size_t spec_index, unsigned lane,
-                    Machine &machine, const UnxpecConfig &cfg)
+CorePool::unxpecFor(std::size_t spec_index, Machine &machine,
+                    const UnxpecConfig &cfg)
 {
-    const auto it = slots_.find({spec_index, lane});
+    const auto it = slots_.find(spec_index);
     if (it == slots_.end() || it->second.machine.get() != &machine)
         fatal("CorePool::unxpecFor: machine is not this slot's machine");
     Slot &slot = it->second;
@@ -79,16 +78,14 @@ Session::Session(const TrialContext &ctx)
                                  : nullptr),
       machine_(ctx.pool == nullptr
                    ? owned_.get()
-                   : &ctx.pool->acquire(ctx.specIndex, ctx.lane, cfg_)),
-      pool_(ctx.pool), specIndex_(ctx.specIndex), lane_(ctx.lane)
+                   : &ctx.pool->acquire(ctx.specIndex, cfg_)),
+      pool_(ctx.pool), specIndex_(ctx.specIndex)
 {
     applyInterruptNoise(spec_, *machine_);
     // After acquire: Machine::reset detaches any previous trial's
-    // tracer (and run driver) before this trial's are installed.
+    // tracer before this trial's is installed.
     if (ctx.tracer != nullptr)
         machine_->setEventTrace(ctx.tracer);
-    if (ctx.yield != nullptr)
-        machine_->setRunYield(ctx.yield);
     control_ = ctx.control;
     if (control_ != nullptr && control_->timeoutCycles > 0)
         machine_->setCycleBudget(control_->timeoutCycles);
@@ -114,7 +111,7 @@ Session::unxpec()
     if (pool_ != nullptr) {
         // Pooled Machine: the attack is cached alongside it, so steady
         // state skips program assembly and layout derivation entirely.
-        return pool_->unxpecFor(specIndex_, lane_, *machine_, cfg);
+        return pool_->unxpecFor(specIndex_, *machine_, cfg);
     }
     if (!unxpec_)
         unxpec_ = std::make_unique<UnxpecAttack>(machine_->core(), cfg);

@@ -32,14 +32,12 @@ namespace unxpec {
 class CrossCoreAttack;
 
 /**
- * Per-worker-thread cache of Machines keyed by (spec index, batch
- * lane). Not thread-safe — every TrialRunner worker owns its own pool,
- * so there is no sharing to synchronize. A cached Machine is reused
- * via Machine::reset(seed) when the requested config matches the
- * cached one in everything but the seed; a genuinely different machine
- * (a spec tweak that depends on the seed, say) is rebuilt. The lane
- * key exists for lock-step batching, where the W concurrent trials of
- * a batch may all want the same spec's Machine at once.
+ * Per-worker-thread cache of Machines keyed by spec index. Not
+ * thread-safe — every TrialRunner worker owns its own pool, so there
+ * is no sharing to synchronize. A cached Machine is reused via
+ * Machine::reset(seed) when the requested config matches the cached
+ * one in everything but the seed; a genuinely different machine (a
+ * spec tweak that depends on the seed, say) is rebuilt.
  *
  * Each slot also caches the spec's UnxpecAttack (unxpecFor): attack
  * construction — program assembly, data layout, eviction-set
@@ -52,24 +50,16 @@ class CorePool
 {
   public:
     /** The spec's Machine, reset to cfg.seed (built on first use). */
-    Machine &acquire(std::size_t spec_index, unsigned lane,
-                     const SystemConfig &cfg);
-
-    /** Lane-0 shorthand (unbatched callers). */
-    Machine &
-    acquire(std::size_t spec_index, const SystemConfig &cfg)
-    {
-        return acquire(spec_index, 0, cfg);
-    }
+    Machine &acquire(std::size_t spec_index, const SystemConfig &cfg);
 
     /**
      * The slot's cached UnxpecAttack on `machine`, reset for a new
      * trial — rebuilt when the attack config (or the Machine itself)
      * changed. `machine` must be the Machine acquire() returned for
-     * this (spec_index, lane).
+     * this spec_index.
      */
-    UnxpecAttack &unxpecFor(std::size_t spec_index, unsigned lane,
-                            Machine &machine, const UnxpecConfig &cfg);
+    UnxpecAttack &unxpecFor(std::size_t spec_index, Machine &machine,
+                            const UnxpecConfig &cfg);
 
     /** Machines currently cached (tests). */
     std::size_t size() const { return slots_.size(); }
@@ -88,7 +78,7 @@ class CorePool
     // trial, so lookup cost is irrelevant — and an ordered container
     // can never grow a nondeterministic walk (lint_sim.py forbids
     // unordered iteration across src/).
-    std::map<std::pair<std::size_t, unsigned>, Slot> slots_;
+    std::map<std::size_t, Slot> slots_;
 };
 
 /** A fully built simulation instance for one trial. */
@@ -143,7 +133,6 @@ class Session
     TrialControl *control_ = nullptr; //!< runner watchdog, may be null
     CorePool *pool_ = nullptr;        //!< set when the Machine is pooled
     std::size_t specIndex_ = 0;
-    unsigned lane_ = 0;
     std::unique_ptr<UnxpecAttack> unxpec_; //!< owned-Machine path only
     std::unique_ptr<SpectreV1> spectre_;
     std::unique_ptr<CrossCoreAttack> crossCore_;

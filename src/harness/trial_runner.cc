@@ -8,7 +8,6 @@
 #include <map>
 #include <thread>
 
-#include "harness/batch_runner.hh"
 #include "harness/session.hh"
 #include "sim/log.hh"
 #include "sim/rng.hh"
@@ -103,7 +102,6 @@ TrialRunner::run(const std::vector<ExperimentSpec> &specs, unsigned reps,
                                 master_seed,
                                 specs.size(),
                                 reps,
-                                std::max(1u, batch_),
                                 campaignSpecDigest(labels)};
 
     std::map<std::size_t, CampaignEntry> resumed;
@@ -171,34 +169,6 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
             pending.push_back(job);
     }
 
-    // Batched runs claim consecutive slices of `pending` as lock-step
-    // groups. Reorder it round-robin across specs so each group draws
-    // from as many distinct specs as possible: group mates on the same
-    // spec each need their own pooled Machine (see workBatch's lanes),
-    // so spec-major order would widen the pool to W Machines of one
-    // spec with almost no reuse. The permutation is a deterministic
-    // function of the job list, and outputs are indexed by job, so
-    // results (and the serial path, which never reorders) are
-    // unaffected; only the journal's append order changes, which
-    // resume does not care about (it splices by job index).
-    if (batch_ > 1 && !pending.empty()) {
-        std::vector<std::vector<std::size_t>> by_spec(specs.size());
-        for (const std::size_t job : pending)
-            by_spec[job / reps].push_back(job);
-        pending.clear();
-        for (std::size_t round = 0;; ++round) {
-            bool any = false;
-            for (const auto &bucket : by_spec) {
-                if (round < bucket.size()) {
-                    pending.push_back(bucket[round]);
-                    any = true;
-                }
-            }
-            if (!any)
-                break;
-        }
-    }
-
     // With tracing on, every trial owns a private Tracer (indexed by
     // job, so results stay thread-count independent); the files are
     // written serially after the pool drains.
@@ -214,22 +184,11 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
 
     CrashInjector injector;
     const bool host_watchdog = campaign_.trialTimeoutMs > 0;
-    const unsigned batch_width = std::max(1u, batch_);
-    if (batch_width > 1 && host_watchdog) {
-        warn("--batch ", batch_width, " with --trial-timeout-ms: the "
-             "host watchdog times each trial's share of a lock-step "
-             "batch, which includes cycles spent stepping its batch "
-             "mates; expect earlier host-timeout censoring than a "
-             "serial run (simulated-cycle budgets are unaffected)");
-    }
 
-    // One attempt of one trial. `yield` non-null means the attempt is
-    // a lane of a lock-step batch (Session installs it on the cores);
-    // retries always pass nullptr and run serially. Returns whether
-    // the attempt overran the host wall-clock watchdog.
+    // One attempt of one trial. Returns whether the attempt overran
+    // the host wall-clock watchdog.
     auto attemptOnce = [&](std::size_t job, CorePool *core_pool,
-                           unsigned lane, unsigned attempt, RunYield *yield,
-                           TrialOutput &output) -> bool {
+                           unsigned attempt, TrialOutput &output) -> bool {
         const std::size_t spec_index = job / reps;
         const unsigned rep = static_cast<unsigned>(job % reps);
         TrialControl control;
@@ -238,8 +197,6 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
                          Rng::deriveRetrySeed(master_seed, job, attempt),
                          master_seed, core_pool};
         ctx.control = &control;
-        ctx.lane = lane;
-        ctx.yield = yield;
         if (tracing) {
             // A fresh ring per attempt: the exported trace belongs
             // to the attempt whose numbers made it into the row.
@@ -273,14 +230,13 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
         return host_overrun;
     };
 
-    // Serial retry loop (attempts 1..retries) plus the journal append:
-    // semantics identical to the historical single work() loop —
-    // censored attempts retry under fresh derived seeds, host-level
-    // overruns back off exponentially first, and the journal records
-    // the surviving attempt.
-    auto finishJob = [&](std::size_t job, CorePool *core_pool,
-                         unsigned lane, TrialOutput &output,
-                         bool host_overrun) {
+    // One trial end to end: the first attempt, then serial retries
+    // (attempts 1..retries) while censored — each under a fresh derived
+    // seed, host-level overruns backing off exponentially first — and
+    // the journal append of the surviving attempt.
+    auto work = [&](std::size_t job, CorePool *core_pool) {
+        TrialOutput output;
+        bool host_overrun = attemptOnce(job, core_pool, 0, output);
         for (unsigned attempt = 1;
              output.censored && attempt <= campaign_.retries; ++attempt) {
             // Host-level overruns get exponential backoff before the
@@ -288,8 +244,7 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
             // simulated-cycle trip re-runs immediately.
             if (host_overrun)
                 backoffBeforeRetry(attempt);
-            host_overrun = attemptOnce(job, core_pool, lane, attempt,
-                                       nullptr, output);
+            host_overrun = attemptOnce(job, core_pool, attempt, output);
         }
         outputs[job / reps][job % reps] = output;
         if (journal != nullptr)
@@ -299,50 +254,6 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
         injector.onTrialComplete();
     };
 
-    auto work = [&](std::size_t job, CorePool *core_pool) {
-        TrialOutput output;
-        const bool host_overrun =
-            attemptOnce(job, core_pool, 0, 0, nullptr, output);
-        finishJob(job, core_pool, 0, output, host_overrun);
-    };
-
-    // Lock-step batch over one group of jobs: first attempts run
-    // batched; finishJob (retries + journal) then runs per lane in
-    // group order. A trial's pool lane is its spec's occurrence index
-    // *within the group* — two group mates on the same spec need
-    // distinct Machines at once, but across groups lane k of a spec is
-    // always the same pool slot, so a width-W batch over diverse specs
-    // keeps the pool at ~ceil(W/specs) Machines per spec instead of
-    // widening to W.
-    auto workBatch = [&](const std::vector<std::size_t> &jobs_slice,
-                         CorePool *core_pool, BatchRunner &batch) {
-        const std::size_t count = jobs_slice.size();
-        std::vector<unsigned> lanes(count, 0);
-        for (std::size_t k = 0; k < count; ++k) {
-            for (std::size_t j = 0; j < k; ++j) {
-                if (jobs_slice[j] / reps == jobs_slice[k] / reps)
-                    ++lanes[k];
-            }
-        }
-        std::vector<TrialOutput> batch_outputs(count);
-        std::vector<char> overruns(count, 0);
-        std::vector<BatchRunner::TrialBody> bodies;
-        bodies.reserve(count);
-        for (std::size_t k = 0; k < count; ++k) {
-            bodies.push_back([&, k](RunYield *yield) {
-                overruns[k] = attemptOnce(jobs_slice[k], core_pool,
-                                          lanes[k], 0,
-                                          yield, batch_outputs[k])
-                    ? 1 : 0;
-            });
-        }
-        batch.run(bodies);
-        for (std::size_t k = 0; k < count; ++k) {
-            finishJob(jobs_slice[k], core_pool, lanes[k],
-                      batch_outputs[k], overruns[k] != 0);
-        }
-    };
-
     const unsigned pool = static_cast<unsigned>(
         std::min<std::size_t>(threads_, std::max<std::size_t>(
                                             pending.size(), 1)));
@@ -350,21 +261,8 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
         {
             CorePool cores;
             CorePool *core_pool = reuse_ ? &cores : nullptr;
-            if (batch_width <= 1) {
-                for (const std::size_t job : pending)
-                    work(job, core_pool);
-            } else {
-                BatchRunner batch(batch_width);
-                std::vector<std::size_t> slice;
-                for (std::size_t base = 0; base < pending.size();
-                     base += batch_width) {
-                    const std::size_t end = std::min<std::size_t>(
-                        base + batch_width, pending.size());
-                    slice.assign(pending.begin() + base,
-                                 pending.begin() + end);
-                    workBatch(slice, core_pool, batch);
-                }
-            }
+            for (const std::size_t job : pending)
+                work(job, core_pool);
         }
         if (tracing)
             writeTraces(specs, reps, outputs, tracers);
@@ -377,8 +275,6 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
     // scheduling order. Each worker owns a private CorePool: a reused
     // Core is reset to the trial's derived seed, so which worker runs
     // which trial (and in what order) still cannot affect results.
-    // Under batching each worker claims `batch_width` jobs at a time
-    // and runs them through its own BatchRunner.
     std::atomic<std::size_t> next{0};
     std::vector<std::thread> workers;
     workers.reserve(pool);
@@ -386,26 +282,12 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
         workers.emplace_back([&] {
             CorePool cores;
             CorePool *core_pool = reuse_ ? &cores : nullptr;
-            if (batch_width <= 1) {
-                for (;;) {
-                    const std::size_t slot =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (slot >= pending.size())
-                        return;
-                    work(pending[slot], core_pool);
-                }
-            }
-            BatchRunner batch(batch_width);
-            std::vector<std::size_t> slice;
             for (;;) {
-                const std::size_t base = next.fetch_add(
-                    batch_width, std::memory_order_relaxed);
-                if (base >= pending.size())
+                const std::size_t slot =
+                    next.fetch_add(1, std::memory_order_relaxed);
+                if (slot >= pending.size())
                     return;
-                const std::size_t end = std::min<std::size_t>(
-                    base + batch_width, pending.size());
-                slice.assign(pending.begin() + base, pending.begin() + end);
-                workBatch(slice, core_pool, batch);
+                work(pending[slot], core_pool);
             }
         });
     }
@@ -474,7 +356,6 @@ TrialRunner::runSharded(const std::vector<ExperimentSpec> &specs,
             }
             TrialRunner worker(threads_);
             worker.reuse_ = reuse_;
-            worker.batch_ = batch_;
             worker.trace_ = child_trace;
             worker.campaign_ = campaign_;
             worker.runJobs(specs, reps, master_seed, fn, header, known,

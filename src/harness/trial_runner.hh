@@ -36,7 +36,6 @@
 namespace unxpec {
 
 class CorePool;
-class RunYield;
 
 /**
  * Watchdog channel between the runner and one trial's simulation.
@@ -81,19 +80,6 @@ struct TrialContext
      * to the Core's cycle budget.
      */
     TrialControl *control = nullptr;
-    /**
-     * Batch lane this trial occupies (0 when unbatched). Distinguishes
-     * the W concurrent trials of one batch in the CorePool, which may
-     * all want the same spec's Machine at once.
-     */
-    unsigned lane = 0;
-    /**
-     * Lock-step driver for batched execution, nullptr when the trial
-     * runs serially. Session(ctx) installs it on every Core it builds
-     * (Machine::setRunYield) so Core::run yields its step loop to the
-     * BatchRunner scheduler.
-     */
-    RunYield *yield = nullptr;
 };
 
 /** Event-trace capture settings for a run (TrialRunner::setTrace). */
@@ -163,19 +149,6 @@ class TrialRunner
      * to force a fresh Core per trial (the perf baseline).
      */
     void reuseCores(bool reuse) { reuse_ = reuse; }
-
-    /**
-     * Batched lock-step execution width (--batch). Each worker runs W
-     * trials at a time through one BatchRunner: the trials' cores are
-     * advanced cycle-by-cycle in an interleaved sweep, W compact
-     * arena-backed working sets at once. Trials stay fully independent
-     * (per-trial derived seeds), so batched output is bit-identical to
-     * serial — the batch only changes the execution schedule. Retries
-     * of censored trials run serially after their batch completes,
-     * preserving the campaign retry semantics exactly. 0 or 1 disables.
-     */
-    void setBatch(unsigned batch) { batch_ = batch == 0 ? 1 : batch; }
-    unsigned batch() const { return batch_; }
 
     /**
      * Capture event traces: every trial gets its own Tracer (with
@@ -253,7 +226,6 @@ class TrialRunner
 
     unsigned threads_;
     bool reuse_ = true;
-    unsigned batch_ = 1;
     TraceConfig trace_;
     CampaignConfig campaign_;
 };

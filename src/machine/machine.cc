@@ -138,13 +138,6 @@ Machine::limitTripped() const
 }
 
 void
-Machine::setRunYield(RunYield *yield)
-{
-    for (auto &core : cores_)
-        core->setRunYield(yield);
-}
-
-void
 Machine::setEventTrace(Tracer *tracer)
 {
     for (auto &core : cores_)

@@ -97,14 +97,6 @@ class Machine
     void setEventTrace(Tracer *tracer);
 
     /**
-     * Install a run driver on every core (BatchRunner lock-step
-     * batching; see RunYield in cpu/core.hh). runInterleaved is
-     * unaffected — it steps cores directly and never enters
-     * Core::run's yield point.
-     */
-    void setRunYield(RunYield *yield);
-
-    /**
      * Whole-machine invariant audit: every core's structures plus the
      * cross-core coherence invariants. Throws AuditError.
      */

@@ -5,17 +5,15 @@
  * address with a keyed permutation before indexing, which CleanupSpec
  * adopts on lower-level caches in lieu of restoration.
  *
- * The hot path (Cache::probe and friends) goes through SetIndexer, a
- * concrete enum-dispatched indexer that inlines the common modulo case
- * into the caller; the virtual IndexFunction hierarchy remains for the
- * cold create path and for tests that exercise the mappings directly.
+ * SetIndexer is the one implementation: a concrete enum-dispatched
+ * indexer that inlines the common modulo case into Cache::probe and
+ * friends.
  */
 
 #ifndef UNXPEC_MEMORY_ADDRESS_MAP_HH
 #define UNXPEC_MEMORY_ADDRESS_MAP_HH
 
 #include <cstdint>
-#include <memory>
 
 #include "sim/config.hh"
 #include "sim/types.hh"
@@ -64,10 +62,12 @@ ceaserPermute(std::uint64_t line_number, const std::uint64_t (&keys)[4])
 } // namespace detail
 
 /**
- * Devirtualized set indexer used on the cache hot path. Dispatch is a
- * predictable branch on a two-value enum instead of a virtual call, and
- * the common case (modulo indexing over a power-of-two set count) is a
- * single AND that the compiler inlines into probe()/install().
+ * Set indexer used on the cache hot path. Dispatch is a predictable
+ * branch on a two-value enum, and the common case (modulo indexing over
+ * a power-of-two set count) is a single AND that the compiler inlines
+ * into probe()/install(). The CEASER policy (a 4-round Feistel network
+ * over the 64-bit line number under a secret key) is bijective, so
+ * distinct lines never alias more than the modulo itself introduces.
  * rekey() supports Core::reset re-deriving seed-dependent CEASER keys
  * without reallocating the owning cache.
  */
@@ -112,54 +112,6 @@ class SetIndexer
     unsigned numSets_;
     bool powerOfTwo_;
     std::uint64_t setMask_;
-    std::uint64_t roundKeys_[4];
-};
-
-/** Maps a line address to a set index (cold/virtual interface). */
-class IndexFunction
-{
-  public:
-    explicit IndexFunction(unsigned num_sets) : numSets_(num_sets) {}
-    virtual ~IndexFunction() = default;
-
-    /** Set index for a line address (offset bits already stripped). */
-    virtual unsigned set(Addr line_addr) const = 0;
-
-    unsigned numSets() const { return numSets_; }
-
-    /** Factory for the function named in a CacheConfig. */
-    static std::unique_ptr<IndexFunction>
-    create(IndexPolicy policy, unsigned num_sets, std::uint64_t key);
-
-  protected:
-    unsigned numSets_;
-};
-
-/** Conventional modulo indexing on the line number. */
-class ModuloIndex : public IndexFunction
-{
-  public:
-    explicit ModuloIndex(unsigned num_sets) : IndexFunction(num_sets) {}
-    unsigned set(Addr line_addr) const override;
-};
-
-/**
- * CEASER-style keyed index: a 4-round Feistel network permutes the
- * 64-bit line number under a secret key; the permuted value is then
- * indexed modulo the set count. Bijective, so distinct lines never
- * alias more than the modulo itself introduces.
- */
-class CeaserIndex : public IndexFunction
-{
-  public:
-    CeaserIndex(unsigned num_sets, std::uint64_t key);
-
-    unsigned set(Addr line_addr) const override;
-
-    /** The keyed permutation itself (exposed for tests). */
-    std::uint64_t permute(std::uint64_t line_number) const;
-
-  private:
     std::uint64_t roundKeys_[4];
 };
 

@@ -11,8 +11,9 @@
  * probe() scans one cache line of simulator memory per set instead of
  * striding across full CacheLine records; per-way metadata stays in
  * the CacheLine array that probe() returns pointers into. Index and
- * replacement dispatch are devirtualized (SetIndexer /
- * ReplacementState) so the common modulo+LRU case inlines.
+ * replacement dispatch are enum branches (SetIndexer /
+ * ReplacementState), not virtual calls, so the common modulo+LRU case
+ * inlines.
  */
 
 #ifndef UNXPEC_MEMORY_CACHE_HH

@@ -138,7 +138,7 @@ CoherenceEngine::remoteRead(unsigned requester, Addr addr, Cycle now)
 {
     const Addr line = lineAlign(addr);
     // Drawn up front — hit or miss — so the jitter stream advances
-    // identically on every probe, exactly like the retired fake.
+    // identically on every probe.
     const Cycle miss_latency = cfg_.l1d.hitLatency + cfg_.l2.hitLatency +
                                cores_[0]->mem().accessLatency();
     const Cycle transfer_latency =
@@ -369,48 +369,6 @@ CoherenceEngine::auditInvariants(Cycle now) const
             }
         }
     }
-}
-
-CrossCoreProbe
-probeHierarchy(MemoryHierarchy &hier, Addr addr, Cycle now)
-{
-    const SystemConfig &cfg = hier.config();
-    const Addr line = lineAlign(addr);
-    const bool protections =
-        cfg.cleanupMode != CleanupMode::UnsafeBaseline;
-    const Cycle miss_latency = cfg.l1d.hitLatency + cfg.l2.hitLatency +
-                               hier.mem().accessLatency();
-
-    CrossCoreProbe probe;
-    auto serve_from = [&](Cache &cache, Cycle hit_latency) -> bool {
-        CacheLine *hit = cache.probeMutable(line);
-        if (hit == nullptr || hit->fillCycle > now)
-            return false;
-        if (protections && hit->speculative) {
-            // Dummy cache miss + delayed downgrade (§II-B).
-            coh::onDelayedDowngrade(*hit);
-            probe.hit = false;
-            probe.dummyMiss = true;
-            probe.ready = now + miss_latency;
-            probe.observed = CohState::Invalid;
-            return true;
-        }
-        coh::onRemoteRead(*hit);
-        probe.hit = true;
-        probe.ready = now + hit_latency;
-        probe.observed = hit->coh;
-        return true;
-    };
-
-    if (serve_from(hier.l1d(), cfg.l1d.hitLatency))
-        return probe;
-    if (serve_from(hier.l2(), cfg.l1d.hitLatency + cfg.l2.hitLatency))
-        return probe;
-
-    probe.hit = false;
-    probe.ready = now + miss_latency;
-    probe.observed = CohState::Invalid;
-    return probe;
 }
 
 } // namespace unxpec

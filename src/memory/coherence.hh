@@ -15,8 +15,7 @@
  *                   request that hits a speculatively installed line as
  *                   a *dummy miss*, and *delaying* the M/E->S downgrade
  *                   until the installing load commits — live on this
- *                   path (moved out of MemoryHierarchy::crossCoreRead,
- *                   which survives only as a compat shim).
+ *                   path.
  *
  * Determinism: the engine holds no clock and draws no randomness; every
  * transaction is applied synchronously inside the requesting core's
@@ -132,8 +131,8 @@ onDowngradeUndo(CacheLine &slot, CohState previous)
 
 } // namespace coh
 
-/** What a cross-core read request observes (the crossCoreRead shim's
- *  result; kept at namespace scope so the engine can produce it). */
+/** What a cross-core read request observes (CoherenceEngine::
+ *  remoteRead). */
 struct CrossCoreProbe
 {
     bool hit = false;        //!< served from the probed core's caches
@@ -190,8 +189,11 @@ class CoherenceEngine
 
     /**
      * Defense-aware read probe issued *by* core `requester` against the
-     * rest of the machine — the real implementation behind the
-     * MemoryHierarchy::crossCoreRead compat shim.
+     * rest of the machine (paper §II-B): with protections on, a hit on
+     * a speculatively installed line is served as a *dummy miss* and
+     * the M/E->S downgrade is *delayed* until the installer commits;
+     * on the unsafe baseline the hit (and the downgrade) happen
+     * immediately. A line no core holds is an honest miss.
      */
     CrossCoreProbe remoteRead(unsigned requester, Addr addr, Cycle now);
 
@@ -280,14 +282,6 @@ class CoherenceEngine
     Counter &backInvalidations_;
     Counter &downgradeUndos_;
 };
-
-/**
- * Single-hierarchy compat probe: the pre-Machine crossCoreRead
- * semantics over one MemoryHierarchy's own L1D/L2 (no engine, no
- * second core). Bit-compatible with the retired fake — the 1-core
- * golden gate and tests/coherence_test.cc pin it.
- */
-CrossCoreProbe probeHierarchy(MemoryHierarchy &hier, Addr addr, Cycle now);
 
 } // namespace unxpec
 

@@ -578,19 +578,6 @@ MemoryHierarchy::cleanupRestoreL1(const MemAccessRecord &record, Cycle now)
         coh_->ensureInclusion(record.l1Victim, now);
 }
 
-MemoryHierarchy::CrossCoreProbe
-MemoryHierarchy::crossCoreRead(Addr addr, Cycle now)
-{
-    // In a Machine the probe is a real request from a receiver core;
-    // standalone hierarchies keep the historical single-hierarchy
-    // semantics bit-for-bit (probeHierarchy).
-    if (coh_ != nullptr && coh_->numCores() > 1) {
-        return coh_->remoteRead((coreId_ + 1) % coh_->numCores(), addr,
-                                now);
-    }
-    return probeHierarchy(*this, addr, now);
-}
-
 void
 MemoryHierarchy::undoSnoopDowngrade(const MemAccessRecord &record)
 {

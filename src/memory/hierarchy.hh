@@ -223,24 +223,6 @@ class MemoryHierarchy
     void dropSpeculativeMark(const MemAccessRecord &record, bool l1,
                              bool l2);
 
-    /** What a cross-core (or SMT sibling) read request observes.
-     *  The struct itself lives in memory/coherence.hh now; this alias
-     *  keeps the historical `MemoryHierarchy::CrossCoreProbe` name. */
-    using CrossCoreProbe = unxpec::CrossCoreProbe;
-
-    /**
-     * Compat shim over the coherence path for a read request from
-     * another core (paper §II-B): with protections on, a hit on a
-     * speculatively installed line is served as a *dummy miss* and the
-     * M/E->S downgrade is *delayed* until the installer commits; on
-     * the unsafe baseline the hit (and the downgrade) happen
-     * immediately. When this hierarchy belongs to a multi-core Machine
-     * the probe is issued through the CoherenceEngine as a real
-     * receiver-core request; standalone hierarchies keep the original
-     * single-hierarchy semantics (probeHierarchy in coherence.cc).
-     */
-    CrossCoreProbe crossCoreRead(Addr addr, Cycle now);
-
     /** Cold-start every cache (backing store is preserved). */
     UNXPEC_TRANSITION("reset")
     void resetCaches();

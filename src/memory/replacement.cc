@@ -27,8 +27,8 @@ ReplacementState::victim(unsigned set, std::uint64_t allowed_mask)
         return best;
     }
 
-    // Random: identical candidate collection and draw order as the
-    // seed RandomPolicy so seeded runs stay bit-reproducible.
+    // Random: collect the allowed ways in index order and draw one;
+    // the draw order is part of every seeded run's reproducibility.
     unsigned candidates[64];
     unsigned count = 0;
     for (unsigned way = 0; way < ways_; ++way) {
@@ -37,74 +37,6 @@ ReplacementState::victim(unsigned set, std::uint64_t allowed_mask)
     }
     if (count == 0)
         panic("ReplacementState::victim: empty allowed mask");
-    return candidates[rng_.range(count)];
-}
-
-std::unique_ptr<ReplacementPolicy>
-ReplacementPolicy::create(ReplPolicy policy, unsigned num_sets,
-                          unsigned ways, Rng &rng)
-{
-    switch (policy) {
-      case ReplPolicy::LRU:
-        return std::make_unique<LruPolicy>(num_sets, ways);
-      case ReplPolicy::Random:
-        return std::make_unique<RandomPolicy>(num_sets, ways, rng);
-    }
-    panic("unknown replacement policy");
-}
-
-LruPolicy::LruPolicy(unsigned num_sets, unsigned ways)
-    : ReplacementPolicy(num_sets, ways),
-      stamps_(static_cast<std::size_t>(num_sets) * ways, 0)
-{
-}
-
-void
-LruPolicy::touch(unsigned set, unsigned way)
-{
-    stamps_[static_cast<std::size_t>(set) * ways_ + way] = ++tick_;
-}
-
-void
-LruPolicy::fill(unsigned set, unsigned way)
-{
-    touch(set, way);
-}
-
-unsigned
-LruPolicy::victim(unsigned set, std::uint64_t allowed_mask)
-{
-    unsigned best = 0;
-    std::uint64_t best_stamp = ~0ull;
-    bool found = false;
-    for (unsigned way = 0; way < ways_; ++way) {
-        if (!(allowed_mask & (1ull << way)))
-            continue;
-        const auto stamp =
-            stamps_[static_cast<std::size_t>(set) * ways_ + way];
-        if (!found || stamp < best_stamp) {
-            best = way;
-            best_stamp = stamp;
-            found = true;
-        }
-    }
-    if (!found)
-        panic("LruPolicy::victim: empty allowed mask");
-    return best;
-}
-
-unsigned
-RandomPolicy::victim(unsigned set, std::uint64_t allowed_mask)
-{
-    (void)set;
-    unsigned candidates[64];
-    unsigned count = 0;
-    for (unsigned way = 0; way < ways_; ++way) {
-        if (allowed_mask & (1ull << way))
-            candidates[count++] = way;
-    }
-    if (count == 0)
-        panic("RandomPolicy::victim: empty allowed mask");
     return candidates[rng_.range(count)];
 }
 

@@ -6,11 +6,9 @@
  * NoMo-style way partitioning is expressed through an allowed-way mask
  * supplied by the cache.
  *
- * The hot path (Cache::touch on every hit, install on every fill) goes
- * through ReplacementState, a concrete enum-dispatched implementation
- * whose touch/fill inline to a branch plus a store; the virtual
- * ReplacementPolicy hierarchy remains for the cold create path and for
- * tests that exercise the policies directly.
+ * ReplacementState is the one implementation: a concrete
+ * enum-dispatched class whose touch/fill (Cache::touch on every hit,
+ * install on every fill) inline to a branch plus a store.
  */
 
 #ifndef UNXPEC_MEMORY_REPLACEMENT_HH
@@ -18,8 +16,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "sim/arena.hh"
 #include "sim/config.hh"
@@ -29,8 +25,8 @@
 namespace unxpec {
 
 /**
- * Devirtualized replacement metadata for one cache: LRU timestamps or
- * the shared Rng for random victims, selected by a two-value enum.
+ * Replacement metadata for one cache: LRU timestamps or the shared Rng
+ * for uniformly random victims, selected by a two-value enum.
  * Invalid ways are always preferred as victims by the cache itself;
  * victim() is consulted only when every allowed way is valid.
  */
@@ -95,71 +91,6 @@ class ReplacementState
 
     /** Test-only corruption hook for proving the auditor fires. */
     friend struct AuditTap;
-};
-
-/**
- * Abstract replacement policy over a (numSets x ways) array — the
- * cold/virtual interface kept for direct tests and extensions.
- */
-class ReplacementPolicy
-{
-  public:
-    ReplacementPolicy(unsigned num_sets, unsigned ways)
-        : numSets_(num_sets), ways_(ways) {}
-    virtual ~ReplacementPolicy() = default;
-
-    /** Record a hit on (set, way). */
-    virtual void touch(unsigned set, unsigned way) = 0;
-
-    /** Record a fill into (set, way). */
-    virtual void fill(unsigned set, unsigned way) = 0;
-
-    /**
-     * Choose a victim way within `set` among ways whose bit is set in
-     * `allowed_mask` (never zero).
-     */
-    virtual unsigned victim(unsigned set, std::uint64_t allowed_mask) = 0;
-
-    unsigned numSets() const { return numSets_; }
-    unsigned ways() const { return ways_; }
-
-    /** Factory for the policy named in a CacheConfig. */
-    static std::unique_ptr<ReplacementPolicy>
-    create(ReplPolicy policy, unsigned num_sets, unsigned ways, Rng &rng);
-
-  protected:
-    unsigned numSets_;
-    unsigned ways_;
-};
-
-/** Least-recently-used via per-way timestamps. */
-class LruPolicy : public ReplacementPolicy
-{
-  public:
-    LruPolicy(unsigned num_sets, unsigned ways);
-
-    void touch(unsigned set, unsigned way) override;
-    void fill(unsigned set, unsigned way) override;
-    unsigned victim(unsigned set, std::uint64_t allowed_mask) override;
-
-  private:
-    std::uint64_t tick_ = 0;
-    std::vector<std::uint64_t> stamps_; // numSets * ways
-};
-
-/** Uniformly random victim among allowed ways (CleanupSpec L1). */
-class RandomPolicy : public ReplacementPolicy
-{
-  public:
-    RandomPolicy(unsigned num_sets, unsigned ways, Rng &rng)
-        : ReplacementPolicy(num_sets, ways), rng_(rng) {}
-
-    void touch(unsigned, unsigned) override {}
-    void fill(unsigned, unsigned) override {}
-    unsigned victim(unsigned set, std::uint64_t allowed_mask) override;
-
-  private:
-    Rng &rng_;
 };
 
 } // namespace unxpec

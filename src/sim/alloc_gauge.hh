@@ -8,7 +8,7 @@
  * binaries and benchmarks never link it, so the hook cannot perturb
  * measured throughput.
  *
- * Usage (tests/batch_runner_test.cc):
+ * Usage (tests/core_reset_test.cc):
  *
  *   const AllocStats before = allocGaugeRead();
  *   ... steady-state window under test ...

@@ -7,7 +7,7 @@
  * contiguous chunks ("trial-major" layout) instead of dozens of
  * scattered heap blocks, and steady-state execution performs zero
  * heap allocations after warm-up (DESIGN.md §13 defines the
- * allocation envelope; tests/batch_runner_test.cc asserts it with the
+ * allocation envelope; tests/core_reset_test.cc asserts it with the
  * sim/alloc_gauge.hh counting hook).
  *
  * The arena is bump-pointer and monotonic: allocate() never frees,

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for modulo and CEASER-style set indexing.
+ * Unit tests for SetIndexer: modulo and CEASER-style set indexing.
  */
 
 #include <gtest/gtest.h>
@@ -13,34 +13,42 @@
 namespace unxpec {
 namespace {
 
-TEST(ModuloIndexTest, UsesLineNumberModSets)
+TEST(SetIndexerTest, ModuloUsesLineNumberModSets)
 {
-    ModuloIndex index(64);
+    SetIndexer index(IndexPolicy::Modulo, 64, 0);
     EXPECT_EQ(index.set(0), 0u);
     EXPECT_EQ(index.set(64), 1u);
     EXPECT_EQ(index.set(64 * 64), 0u);
     EXPECT_EQ(index.set(64 * 65), 1u);
 }
 
-TEST(ModuloIndexTest, OffsetBitsIrrelevant)
+TEST(SetIndexerTest, ModuloHandlesNonPowerOfTwoSetCount)
 {
-    ModuloIndex index(64);
+    SetIndexer index(IndexPolicy::Modulo, 48, 0);
+    EXPECT_EQ(index.set(47 << kLineShift), 47u);
+    EXPECT_EQ(index.set(48 << kLineShift), 0u);
+    EXPECT_EQ(index.set(100 << kLineShift), 4u);
+}
+
+TEST(SetIndexerTest, OffsetBitsIrrelevant)
+{
+    SetIndexer index(IndexPolicy::Modulo, 64, 0);
     EXPECT_EQ(index.set(lineAlign(0x12345)), index.set(lineAlign(0x1237f)));
 }
 
-TEST(CeaserIndexTest, PermutationIsBijective)
+TEST(SetIndexerTest, CeaserPermutationIsBijective)
 {
-    CeaserIndex index(2048, 0x1234);
+    SetIndexer index(IndexPolicy::Ceaser, 2048, 0x1234);
     std::set<std::uint64_t> images;
     for (std::uint64_t line = 0; line < 4096; ++line)
         images.insert(index.permute(line));
     EXPECT_EQ(images.size(), 4096u);
 }
 
-TEST(CeaserIndexTest, KeyChangesMapping)
+TEST(SetIndexerTest, CeaserKeyChangesMapping)
 {
-    CeaserIndex a(2048, 1);
-    CeaserIndex b(2048, 2);
+    SetIndexer a(IndexPolicy::Ceaser, 2048, 1);
+    SetIndexer b(IndexPolicy::Ceaser, 2048, 2);
     unsigned differing = 0;
     for (Addr line = 0; line < 512; ++line) {
         if (a.set(line << kLineShift) != b.set(line << kLineShift))
@@ -49,11 +57,11 @@ TEST(CeaserIndexTest, KeyChangesMapping)
     EXPECT_GT(differing, 400u);
 }
 
-TEST(CeaserIndexTest, BreaksContiguousSetPattern)
+TEST(SetIndexerTest, CeaserBreaksContiguousSetPattern)
 {
     // Consecutive lines map to consecutive sets under modulo but
     // should scatter under CEASER.
-    CeaserIndex ceaser(2048, 0xabcd);
+    SetIndexer ceaser(IndexPolicy::Ceaser, 2048, 0xabcd);
     unsigned consecutive = 0;
     for (Addr line = 0; line + 1 < 256; ++line) {
         const unsigned a = ceaser.set(line << kLineShift);
@@ -64,9 +72,9 @@ TEST(CeaserIndexTest, BreaksContiguousSetPattern)
     EXPECT_LT(consecutive, 8u);
 }
 
-TEST(CeaserIndexTest, SetsRoughlyBalanced)
+TEST(SetIndexerTest, CeaserSetsRoughlyBalanced)
 {
-    CeaserIndex ceaser(64, 0x5555);
+    SetIndexer ceaser(IndexPolicy::Ceaser, 64, 0x5555);
     std::map<unsigned, unsigned> counts;
     const unsigned lines = 64 * 64;
     for (Addr line = 0; line < lines; ++line)
@@ -77,20 +85,25 @@ TEST(CeaserIndexTest, SetsRoughlyBalanced)
     }
 }
 
-TEST(FactoryTest, CreatesRequestedIndex)
+TEST(SetIndexerTest, CeaserDeterministicForSameKey)
 {
-    auto modulo = IndexFunction::create(IndexPolicy::Modulo, 64, 0);
-    auto ceaser = IndexFunction::create(IndexPolicy::Ceaser, 64, 1);
-    EXPECT_NE(dynamic_cast<ModuloIndex *>(modulo.get()), nullptr);
-    EXPECT_NE(dynamic_cast<CeaserIndex *>(ceaser.get()), nullptr);
-}
-
-TEST(CeaserIndexTest, DeterministicForSameKey)
-{
-    CeaserIndex a(2048, 77);
-    CeaserIndex b(2048, 77);
+    SetIndexer a(IndexPolicy::Ceaser, 2048, 77);
+    SetIndexer b(IndexPolicy::Ceaser, 2048, 77);
     for (Addr line = 0; line < 256; ++line)
         EXPECT_EQ(a.set(line << kLineShift), b.set(line << kLineShift));
+}
+
+TEST(SetIndexerTest, RekeyMatchesFreshConstruction)
+{
+    // Core::reset re-derives the seed-dependent key in place; the
+    // mapping must equal an indexer built with that key.
+    SetIndexer rekeyed(IndexPolicy::Ceaser, 2048, 1);
+    rekeyed.rekey(77);
+    const SetIndexer fresh(IndexPolicy::Ceaser, 2048, 77);
+    for (Addr line = 0; line < 256; ++line) {
+        EXPECT_EQ(rekeyed.set(line << kLineShift),
+                  fresh.set(line << kLineShift));
+    }
 }
 
 } // namespace

@@ -12,6 +12,8 @@
 
 #include "attack/unxpec.hh"
 #include "cpu/core.hh"
+#include "memory/coherence.hh"
+#include "memory/hierarchy.hh"
 #include "memory/mshr.hh"
 
 namespace unxpec {
@@ -120,17 +122,25 @@ TEST(CacheSquashTest, UnxpecChannelClosed)
 TEST(SpecBoxTest, SpeculativeLineHiddenFromCrossCoreProbe)
 {
     // Label isolation: a speculatively installed line must read as a
-    // dummy miss to another core until the installer commits.
-    SystemConfig cfg = SystemConfig::makeSpecBox();
-    Rng rng(1);
-    MemoryHierarchy hier(cfg, rng);
-    const auto record = hier.access(0x10000, 100, false, true, 5);
-    const auto probe = hier.crossCoreRead(0x10000, record.ready + 1);
+    // dummy miss to another core until the installer commits. Two
+    // hierarchies share one L2 and one engine, wired as Machine does.
+    const SystemConfig cfg = SystemConfig::makeSpecBox();
+    Rng rng0(1);
+    Rng rng1(2);
+    MemoryHierarchy installer(cfg, rng0);
+    MemoryHierarchy prober(cfg, rng1);
+    CoherenceEngine engine(cfg);
+    prober.bindShared(&installer.l2(), &installer.mem());
+    installer.setCoherence(&engine, 0);
+    prober.setCoherence(&engine, 1);
+
+    const auto record = installer.access(0x10000, 100, false, true, 5);
+    const auto probe = engine.remoteRead(1, 0x10000, record.ready + 1);
     EXPECT_TRUE(probe.dummyMiss);
 
     // Once committed, the label clears and the line is visible.
-    hier.commitInstall(record);
-    const auto after = hier.crossCoreRead(0x10000, record.ready + 2);
+    installer.commitInstall(record);
+    const auto after = engine.remoteRead(1, 0x10000, record.ready + 2);
     EXPECT_TRUE(after.hit);
     EXPECT_FALSE(after.dummyMiss);
 }

@@ -3,8 +3,9 @@
  * The fault-tolerant campaign layer: manifest round-trips (including
  * non-finite values), checkpoint/resume bit-identity, watchdog
  * censoring with deterministic retry seeds, crash-isolated shard
- * workers, and the injected-crash → resume → identical-result loop the
- * CI smoke job exercises end to end.
+ * workers, resume provenance guards (spec order, legacy headers), and
+ * the injected-crash → resume → identical-result loop the CI smoke job
+ * exercises end to end.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/result_sink.hh"
@@ -249,6 +251,135 @@ TEST(CampaignResumeTest, ResumeSkipsJournaledTrialsAndMatchesByteForByte)
         }));
     EXPECT_EQ(executed, 0u);
     EXPECT_EQ(twice, reference);
+    std::remove(manifest.c_str());
+}
+
+// --- resume provenance guards -------------------------------------------
+
+/** Journal a full twoSpecs() campaign (2 reps, seed 42) to `manifest`. */
+void
+journalCampaign(const std::string &manifest)
+{
+    std::remove(manifest.c_str());
+    TrialRunner first(1);
+    CampaignConfig config;
+    config.manifestPath = manifest;
+    config.experiment = "fig_test";
+    first.setCampaign(config);
+    first.run(twoSpecs(), 2, 42, pureTrial);
+}
+
+/** The manifest's lines, header first. */
+std::vector<std::string>
+manifestLines(const std::string &manifest)
+{
+    std::vector<std::string> lines;
+    std::ifstream in(manifest);
+    std::string line;
+    while (std::getline(in, line))
+        lines.push_back(line);
+    return lines;
+}
+
+/**
+ * Replace the manifest's header line with `header` and keep only its
+ * first two entries, so a resume has journaled trials to splice and
+ * fresh ones to compute.
+ */
+void
+rewriteManifest(const std::string &manifest, const std::string &header)
+{
+    const std::vector<std::string> lines = manifestLines(manifest);
+    ASSERT_EQ(lines.size(), 5u); // header + 4 trials
+    std::ofstream out(manifest, std::ios::trunc);
+    out << header << "\n" << lines[1] << "\n" << lines[2] << "\n";
+}
+
+/** Resume `manifest` over `specs` with a plain runner. */
+std::string
+resumeJson(const std::string &manifest,
+           const std::vector<ExperimentSpec> &specs)
+{
+    TrialRunner runner(1);
+    CampaignConfig config;
+    config.manifestPath = manifest;
+    config.resumePath = manifest;
+    config.experiment = "fig_test";
+    runner.setCampaign(config);
+    return resultJson(runner.runAll("fig_test", "d", specs, 2, 42, pureTrial));
+}
+
+/** The journaled header line with `field` spliced in before its '}'. */
+std::string
+headerWith(const std::string &manifest, const std::string &field)
+{
+    std::string header = manifestLines(manifest).at(0);
+    header.insert(header.size() - 1, field);
+    return header;
+}
+
+TEST(CampaignResumeTest, ResumeRefusesPermutedSpecs)
+{
+    // Job indices are spec_index * reps + rep: a permuted spec list
+    // passes the shape check (same counts) but would splice every
+    // journaled trial into the wrong row.
+    const std::string manifest = tmpPath("permuted.jsonl");
+    journalCampaign(manifest);
+    std::vector<ExperimentSpec> permuted = twoSpecs();
+    std::swap(permuted[0], permuted[1]);
+    EXPECT_EXIT(resumeJson(manifest, permuted), testing::ExitedWithCode(1),
+                "spec digest");
+    std::remove(manifest.c_str());
+}
+
+TEST(CampaignResumeTest, LegacyManifestWithoutProvenanceStillResumes)
+{
+    // Manifests written before the spec_digest field existed lack it;
+    // resume treats that as "not recorded" and only the
+    // seed/shape/experiment checks apply.
+    const std::string manifest = tmpPath("legacy.jsonl");
+    journalCampaign(manifest);
+    const std::string header = manifestLines(manifest).at(0);
+    EXPECT_NE(header.find("\"spec_digest\""), std::string::npos);
+    EXPECT_EQ(header.find("\"batch\""), std::string::npos);
+    rewriteManifest(manifest,
+                    "{\"schema\":\"unxpec-campaign-v1\","
+                    "\"experiment\":\"fig_test\",\"master_seed\":42,"
+                    "\"specs\":2,\"reps\":2}");
+
+    TrialRunner plain(1);
+    const std::string reference = resultJson(
+        plain.runAll("fig_test", "d", twoSpecs(), 2, 42, pureTrial));
+    EXPECT_EQ(resumeJson(manifest, twoSpecs()), reference);
+    std::remove(manifest.c_str());
+}
+
+TEST(CampaignResumeTest, SerialBatchHeaderResumesBitIdentically)
+{
+    // Journals from builds with the lock-step batch kernel recorded
+    // "batch":1 for serial runs; those trials are interchangeable with
+    // this build's.
+    const std::string manifest = tmpPath("batch1.jsonl");
+    journalCampaign(manifest);
+    rewriteManifest(manifest, headerWith(manifest, ",\"batch\":1"));
+
+    TrialRunner plain(1);
+    const std::string reference = resultJson(
+        plain.runAll("fig_test", "d", twoSpecs(), 2, 42, pureTrial));
+    EXPECT_EQ(resumeJson(manifest, twoSpecs()), reference);
+    std::remove(manifest.c_str());
+}
+
+TEST(CampaignResumeTest, LockStepBatchHeaderIsRefused)
+{
+    // A wider batch censored trials under a host watchdog that timed
+    // each trial's share of its lock-step group; splicing them in
+    // would mix censoring regimes, so resume must die loudly.
+    const std::string manifest = tmpPath("batch4.jsonl");
+    journalCampaign(manifest);
+    rewriteManifest(manifest, headerWith(manifest, ",\"batch\":4"));
+    EXPECT_EXIT(resumeJson(manifest, twoSpecs()),
+                testing::ExitedWithCode(1), "lock-step batch width 4");
     std::remove(manifest.c_str());
 }
 

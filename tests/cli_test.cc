@@ -159,31 +159,6 @@ TEST(CliErrorTest, OversizedCoresIsFatal)
                 "fatal: --cores must be in \\[1, 16\\]");
 }
 
-// --- lock-step batching -------------------------------------------------
-
-TEST(CliErrorTest, BatchParses)
-{
-    const HarnessCli cli = makeCli();
-    EXPECT_EQ(parseArgs(cli, {"cli_test"}).batch, 1u);
-    EXPECT_EQ(parseArgs(cli, {"cli_test", "--batch", "8"}).batch, 8u);
-}
-
-TEST(CliErrorTest, ZeroBatchIsFatal)
-{
-    const HarnessCli cli = makeCli();
-    EXPECT_EXIT(parseArgs(cli, {"cli_test", "--batch", "0"}),
-                ::testing::ExitedWithCode(1),
-                "fatal: --batch must be in \\[1, 64\\]");
-}
-
-TEST(CliErrorTest, OversizedBatchIsFatal)
-{
-    const HarnessCli cli = makeCli();
-    EXPECT_EXIT(parseArgs(cli, {"cli_test", "--batch", "65"}),
-                ::testing::ExitedWithCode(1),
-                "fatal: --batch must be in \\[1, 64\\]");
-}
-
 // --- crash-isolated shards ----------------------------------------------
 
 TEST(CliErrorTest, ShardsParse)

@@ -2,8 +2,7 @@
  * @file
  * Tests for the §II-B in-window protections: MESI-ish state tracking,
  * dummy-miss service for cross-core hits on speculative lines, and
- * delayed M/E->S downgrades — first over the single-hierarchy compat
- * shim (probeHierarchy), then over the real CoherenceEngine with two
+ * delayed M/E->S downgrades, over the real CoherenceEngine with two
  * hierarchies sharing one L2 (the full MESI transition table).
  */
 
@@ -41,73 +40,6 @@ TEST_F(CoherenceTest, WriteUpgradesToModified)
     const auto record = hier_.access(0x10000, 100, true, false, 1);
     EXPECT_EQ(hier_.l1d().probe(record.lineAddr)->coh,
               CohState::Modified);
-}
-
-TEST_F(CoherenceTest, CrossCoreReadDowngradesCommittedLine)
-{
-    const auto record = hier_.access(0x10000, 100, true, false, 1);
-    const auto probe = hier_.crossCoreRead(0x10000, record.ready + 1);
-    EXPECT_TRUE(probe.hit);
-    EXPECT_FALSE(probe.dummyMiss);
-    EXPECT_EQ(probe.observed, CohState::Shared);
-    EXPECT_EQ(hier_.l1d().probe(record.lineAddr)->coh, CohState::Shared);
-}
-
-TEST_F(CoherenceTest, SpeculativeLineServedAsDummyMiss)
-{
-    const auto record = hier_.access(0x10000, 100, true, true, 7);
-    const auto probe = hier_.crossCoreRead(0x10000, record.ready + 1);
-    EXPECT_FALSE(probe.hit);
-    EXPECT_TRUE(probe.dummyMiss);
-    // Miss latency: the prober cannot tell the line is present.
-    EXPECT_EQ(probe.ready - (record.ready + 1),
-              cfg_.l1d.hitLatency + cfg_.l2.hitLatency +
-                  cfg_.memory.accessLatency);
-    // And the downgrade was NOT applied.
-    EXPECT_EQ(hier_.l1d().probe(record.lineAddr)->coh,
-              CohState::Modified);
-}
-
-TEST_F(CoherenceTest, DelayedDowngradeAppliedAtCommit)
-{
-    const auto record = hier_.access(0x10000, 100, true, true, 7);
-    hier_.crossCoreRead(0x10000, record.ready + 1);
-    EXPECT_TRUE(hier_.l1d().probe(record.lineAddr)->pendingDowngrade);
-    hier_.commitInstall(record);
-    const CacheLine *line = hier_.l1d().probe(record.lineAddr);
-    EXPECT_EQ(line->coh, CohState::Shared);
-    EXPECT_FALSE(line->pendingDowngrade);
-}
-
-TEST_F(CoherenceTest, UnsafeBaselineLeaksSpeculativeHit)
-{
-    SystemConfig cfg = SystemConfig::makeUnsafeBaseline();
-    Rng rng(2);
-    MemoryHierarchy unsafe(cfg, rng);
-    const auto record = unsafe.access(0x10000, 100, false, true, 7);
-    const auto probe = unsafe.crossCoreRead(0x10000, record.ready + 1);
-    // No protection: the speculative line is visible immediately.
-    EXPECT_TRUE(probe.hit);
-    EXPECT_FALSE(probe.dummyMiss);
-}
-
-TEST_F(CoherenceTest, AbsentLineIsAnHonestMiss)
-{
-    const auto probe = hier_.crossCoreRead(0x77000, 100);
-    EXPECT_FALSE(probe.hit);
-    EXPECT_FALSE(probe.dummyMiss);
-    EXPECT_EQ(probe.observed, CohState::Invalid);
-}
-
-TEST_F(CoherenceTest, ProbeTimingHidesSpeculativePresence)
-{
-    // The attacker-facing property: probing a speculative line and
-    // probing an absent line take exactly the same time.
-    const auto record = hier_.access(0x10000, 100, false, true, 7);
-    const Cycle when = record.ready + 1;
-    const auto spec_probe = hier_.crossCoreRead(0x10000, when);
-    const auto absent_probe = hier_.crossCoreRead(0x99000, when);
-    EXPECT_EQ(spec_probe.ready - when, absent_probe.ready - when);
 }
 
 // --- CoherenceEngine: two hierarchies sharing one L2 --------------------
@@ -358,14 +290,30 @@ TEST_F(EngineTest, SquashedSpeculativeReadUndoesDowngrade)
     EXPECT_EQ(stateIn(h0_, kLine), CohState::Modified);
 }
 
-TEST_F(EngineTest, CrossCoreReadShimGoesThroughEngine)
+TEST_F(EngineTest, RemoteReadHidesSpeculativeCopies)
 {
     spec(h0_, kLine);
-    // The shim on core 1 issues a probe *from* core 0, which sees only
-    // the shared L2's speculative copy: still hidden.
-    const auto probe = h1_.crossCoreRead(kLine, now_);
+    // From core 1 the probe finds core 0's speculative L1 copy; from
+    // core 0 itself it sees only the shared L2's speculative copy.
+    // Both stay hidden.
+    for (const unsigned requester : {1u, 0u}) {
+        const auto probe = engine_.remoteRead(requester, kLine, now_);
+        EXPECT_FALSE(probe.hit);
+        EXPECT_TRUE(probe.dummyMiss);
+    }
+}
+
+TEST_F(EngineTest, AbsentLineIsAnHonestMiss)
+{
+    // No core holds the line: a plain miss at memory latency, not a
+    // dummy miss (there is nothing to hide).
+    const auto probe = engine_.remoteRead(1, 0x77000, now_);
     EXPECT_FALSE(probe.hit);
-    EXPECT_TRUE(probe.dummyMiss);
+    EXPECT_FALSE(probe.dummyMiss);
+    EXPECT_EQ(probe.observed, CohState::Invalid);
+    EXPECT_EQ(probe.ready - now_, cfg_.l1d.hitLatency +
+                                      cfg_.l2.hitLatency +
+                                      cfg_.memory.accessLatency);
 }
 
 TEST_F(EngineTest, EngineAuditAcceptsLegitimateSharing)

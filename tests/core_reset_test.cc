@@ -6,7 +6,9 @@
  * seed, on both the attack workload (which exercises the rng-driven
  * Random L1 replacement and keyed CEASER L2 index of the default
  * defense) and the SPEC-synth workloads (which exercise the predictor,
- * ROB, LSQ, and the backing store).
+ * ROB, LSQ, and the backing store). Also covers the zero-alloc steady
+ * state: warm pooled trials must not touch the heap (this binary links
+ * unxpec_alloc_gauge, which hooks global operator new/delete).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include "cpu/core.hh"
 #include "harness/session.hh"
 #include "harness/trial_runner.hh"
+#include "sim/alloc_gauge.hh"
 #include "sim/config.hh"
 #include "workload/synth_spec.hh"
 
@@ -195,6 +198,61 @@ TEST(CorePoolTest, PoolKeepsOneCorePerSpec)
 
     pool.acquire(1, a);
     EXPECT_EQ(pool.size(), 2u);
+}
+
+// --- zero-alloc steady state --------------------------------------------
+
+TEST(CorePoolTest, SteadyStateTrialsAreHeapAllocFree)
+{
+    // After warm-up, a pooled trial's simulation — mistraining, the
+    // transient window, squash + rollback, the measured round — must
+    // not touch the heap: every per-cycle structure lives in the
+    // Core's arena or reserved buffers. The envelope measured here is
+    // the attack execution on a warm pooled Machine; per-trial
+    // bookkeeping outside it (spec copies, result slots, journals) is
+    // the runner's and is bounded per trial, not per cycle.
+    ExperimentSpec spec;
+    spec.noise = "evaluation";
+    CorePool pool;
+    TrialControl control;
+
+    auto runTrial = [&](std::uint64_t seed) {
+        TrialContext ctx{spec};
+        ctx.seed = seed;
+        ctx.pool = &pool;
+        ctx.control = &control;
+        Session session(ctx);
+        UnxpecAttack &attack = session.unxpec();
+        attack.setSecret(1);
+        return attack.measureOnce();
+    };
+
+    runTrial(1); // cold: builds Machine + attack, first-touch pages
+    runTrial(2); // warm-up rep: remaining lazy init settles
+
+    const AllocStats before = allocGaugeRead();
+    double sink = 0.0;
+    for (std::uint64_t seed = 3; seed < 8; ++seed)
+        sink += runTrial(seed);
+    const AllocStats after = allocGaugeRead();
+    EXPECT_GT(sink, 0.0);
+    EXPECT_EQ(after.allocs - before.allocs, 0u)
+        << "steady-state trials allocated "
+        << (after.allocs - before.allocs) << " times ("
+        << (after.bytes - before.bytes) << " bytes)";
+}
+
+TEST(AllocGaugeTest, GaugeCountsAllocations)
+{
+    // Sanity-check the hook itself so the zero above is meaningful. A
+    // direct ::operator new call cannot be elided the way an unused
+    // new-expression can (N3664).
+    const AllocStats before = allocGaugeRead();
+    void *p = ::operator new(64);
+    const AllocStats after = allocGaugeRead();
+    ::operator delete(p);
+    EXPECT_GE(after.allocs - before.allocs, 1u);
+    EXPECT_GE(after.bytes - before.bytes, 64u);
 }
 
 } // namespace

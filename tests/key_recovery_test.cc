@@ -5,7 +5,7 @@
  * must intersect, the bit-splitter must refuse to amplify a closed
  * channel into confident bits, and everything must be deterministic
  * (value-identical across repeated calls — the property the harness
- * relies on for thread- and batch-invariant results).
+ * relies on for thread- and shard-invariant results).
  */
 
 #include <gtest/gtest.h>
@@ -106,7 +106,7 @@ TEST(RankKeyByteTest, SmallerTablesFoldCandidates)
 
 TEST(RankKeyByteTest, DeterministicAcrossCalls)
 {
-    // The exact property the harness leans on for thread/batch
+    // The exact property the harness leans on for thread/shard
     // invariance: identical latencies -> identical rankings. (Threads
     // never share a ranking call; this pins the value-determinism.)
     const std::vector<ProbeEvidence> evidence = {
