@@ -26,7 +26,6 @@
 #include "harness/spec.hh"
 #include "harness/trial_runner.hh"
 #include "memory/hierarchy.hh"
-#include "sim/arena.hh"
 #include "sim/config.hh"
 #include "sim/rng.hh"
 
@@ -297,27 +296,3 @@ BENCHMARK(BM_TrialRunnerPooled)
     ->Arg(32)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-/**
- * Raw arena throughput: the bump-allocate + reset cycle every pooled
- * trial leans on. Mixed sizes/alignments model the ROB/cache/MSHR
- * carve-up at Core construction.
- */
-static void
-BM_ArenaAlloc(benchmark::State &state)
-{
-    Arena arena;
-    std::uint64_t allocs = 0;
-    for (auto _ : state) {
-        arena.reset();
-        for (unsigned i = 0; i < 64; ++i) {
-            benchmark::DoNotOptimize(arena.allocate(24 + 8 * (i % 7), 8));
-            benchmark::DoNotOptimize(arena.allocate(256, 64));
-        }
-        allocs += 128;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(allocs));
-    state.counters["allocs_per_sec"] = benchmark::Counter(
-        static_cast<double>(allocs), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ArenaAlloc);

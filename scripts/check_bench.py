@@ -12,8 +12,9 @@ beyond the tolerance prints a WARN line but still exits 0 — treat the
 output as a trend. Pass --strict to turn warnings into a non-zero exit
 (for a quiet dedicated box). --per-bench NAME=TOL overrides the global
 tolerance for one benchmark (repeatable; NAME may be a prefix, longest
-match wins), so the hot kernel can be held to a tight bound while the
-long-tail figures keep a generous one.
+match wins; a NAME that matches no baseline benchmark is an error), so
+the hot kernel can be held to a tight bound while the long-tail figures
+keep a generous one.
 
   $ python3 scripts/check_bench.py BENCH_kernel.json fresh.json
   $ python3 scripts/check_bench.py --tolerance 0.10 --strict a.json b.json
@@ -275,6 +276,12 @@ def main():
     overrides = parse_overrides(args.per_bench, parser)
     baseline = load(args.baseline)
     fresh = load(args.fresh)
+    # A gate whose prefix names no baseline benchmark guards nothing —
+    # typically one left behind when its benchmark was deleted.
+    for prefix in overrides:
+        if not any(name.startswith(prefix) for name in baseline):
+            parser.error(f"--per-bench {prefix}: no benchmark in "
+                         f"{args.baseline} matches")
     warnings = 0
 
     for name in sorted(set(baseline) | set(fresh)):

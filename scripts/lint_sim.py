@@ -39,7 +39,7 @@ exists to reproduce. This lint enforces, over ``src/`` by default:
                         must not touch the heap (DESIGN.md §13; the
                         zero-alloc invariant pooled throughput rests
                         on). Every growth site there must either move
-                        to arena/reserved storage or carry a
+                        to reserved storage or carry a
                         ``lint-ok(steady-alloc)`` justification saying
                         why it is cold (one-time construction, error
                         path, ring assignment, ...).
@@ -105,7 +105,7 @@ RULES = {
         "transition helpers (src/memory/coherence.hh) so every MESI "
         "transition stays auditable in one place",
     "steady-alloc":
-        "per-cycle hot paths must not allocate: use arena/reserved "
+        "per-cycle hot paths must not allocate: use reserved "
         "storage, or justify a cold site with lint-ok(steady-alloc) "
         "(pre-pass over a fixed file list; scripts/speccheck enforces "
         "the same rule over the real call graph)",

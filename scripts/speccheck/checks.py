@@ -197,7 +197,7 @@ def _check_hotpath(model, graph, baseline, res: Results) -> None:
                     f"{fn.file}:{line}",
                     f"{short(qual)} is on the per-cycle hot path "
                     f"(reachable from {'/'.join(HOT_ENTRIES)}) and "
-                    f"calls {what}() — use arena/reserved storage or "
+                    f"calls {what}() — use reserved storage or "
                     "justify with lint-ok(steady-alloc)",
                 )
             )

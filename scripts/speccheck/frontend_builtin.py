@@ -227,7 +227,7 @@ class _Parser:
     def base_type(self, words: List[str]) -> Optional[str]:
         """Class-ish head of a type token sequence with alias
         resolution: ['const','MemAccessRecord','&'] ->
-        'MemAccessRecord'; ArenaVector<RobEntry> stays ArenaVector
+        'MemAccessRecord'; RingQueue<RobEntry> stays RingQueue
         (element types are handled separately)."""
         cands = [
             w

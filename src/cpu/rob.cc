@@ -182,7 +182,7 @@ ReorderBuffer::wakeSlot(std::size_t slot, const RobEntry &producer)
     }
 }
 
-const ArenaVector<RobEntry> &
+const std::vector<RobEntry> &
 ReorderBuffer::squashYoungerThan(SeqNum seq)
 {
     // Reuse the scratch buffer (reserved to ROB capacity at

@@ -54,7 +54,6 @@
 #include "cpu/isa.hh"
 #include "memory/hierarchy.hh"
 #include "sim/annotate.hh"
-#include "sim/arena.hh"
 #include "sim/ring_queue.hh"
 #include "sim/types.hh"
 
@@ -108,22 +107,12 @@ class ReorderBuffer
 {
   public:
     /**
-     * `arena` (optional) backs the fixed-capacity entry ring, the side
-     * lists, and the squash scratch buffer; null falls back to the
-     * heap. Every container is sized to `capacity` at construction —
-     * a warm ROB performs no steady-state heap traffic.
+     * Every container is sized to `capacity` at construction — a warm
+     * ROB performs no steady-state heap traffic.
      */
-    explicit ReorderBuffer(unsigned capacity, Arena *arena = nullptr)
+    explicit ReorderBuffer(unsigned capacity)
         : capacity_(capacity),
-          entries_(capacity, arena),
-          unissued_(ArenaAllocator<SeqNum>(arena)),
-          outstanding_(ArenaAllocator<SeqNum>(arena)),
-          storeFences_(ArenaAllocator<SeqNum>(arena)),
-          pendingMem_(ArenaAllocator<SeqNum>(arena)),
-          unresolvedBranches_(ArenaAllocator<SeqNum>(arena)),
-          squashScratch_(ArenaAllocator<RobEntry>(arena)),
-          readyUnissued_(ArenaAllocator<SeqNum>(arena)),
-          depMask_(ArenaAllocator<std::uint64_t>(arena)),
+          entries_(capacity),
           maskWords_((capacity + 63) / 64)
     {
         // One-time construction sizing; the side lists are bounded by
@@ -180,7 +169,7 @@ class ReorderBuffer
      * caller must finish with it before squashing again.
      */
     UNXPEC_ROLLBACK("*")
-    const ArenaVector<RobEntry> &squashYoungerThan(SeqNum seq);
+    const std::vector<RobEntry> &squashYoungerThan(SeqNum seq);
 
     /**
      * Mark an entry issued. Must be used instead of writing
@@ -222,7 +211,7 @@ class ReorderBuffer
     unsigned memCount() const { return memCount_; }
 
     /** Seqs of entries not yet issued, ascending (the issue window). */
-    const ArenaVector<SeqNum> &unissued() const { return unissued_; }
+    const std::vector<SeqNum> &unissued() const { return unissued_; }
 
     /**
      * Seqs of unissued entries whose operands are both ready and that
@@ -232,20 +221,24 @@ class ReorderBuffer
      * on an older one, markDone for entries whose last producer or
      * blocker just completed.
      */
-    const ArenaVector<SeqNum> &readyUnissued() const { return readyUnissued_; }
+    const std::vector<SeqNum> &
+    readyUnissued() const
+    {
+        return readyUnissued_;
+    }
 
     /** Seqs of issued-but-not-done entries, ascending (writeback). */
-    const ArenaVector<SeqNum> &outstanding() const { return outstanding_; }
+    const std::vector<SeqNum> &outstanding() const { return outstanding_; }
 
     /** Seqs of every in-flight store and fence, ascending (load
      *  gating / forwarding walks these instead of the whole ROB). */
-    const ArenaVector<SeqNum> &storeFences() const { return storeFences_; }
+    const std::vector<SeqNum> &storeFences() const { return storeFences_; }
 
     /** Seqs of not-yet-done memory ops, ascending (fence checks). */
-    const ArenaVector<SeqNum> &pendingMem() const { return pendingMem_; }
+    const std::vector<SeqNum> &pendingMem() const { return pendingMem_; }
 
     /** Seqs of not-yet-done conditional branches, ascending. */
-    const ArenaVector<SeqNum> &
+    const std::vector<SeqNum> &
     unresolvedBranches() const
     {
         return unresolvedBranches_;
@@ -278,7 +271,7 @@ class ReorderBuffer
 
   private:
     static void
-    eraseSeq(ArenaVector<SeqNum> &list, SeqNum seq)
+    eraseSeq(std::vector<SeqNum> &list, SeqNum seq)
     {
         const auto it = std::lower_bound(list.begin(), list.end(), seq);
         if (it != list.end() && *it == seq)
@@ -286,7 +279,7 @@ class ReorderBuffer
     }
 
     static void
-    trimYoungerThan(ArenaVector<SeqNum> &list, SeqNum seq)
+    trimYoungerThan(std::vector<SeqNum> &list, SeqNum seq)
     {
         while (!list.empty() && list.back() > seq)
             list.pop_back();
@@ -323,24 +316,24 @@ class ReorderBuffer
     // (hence possibly speculative) instructions that squashYoungerThan
     // must trim exactly — speculative state under the speccheck
     // contract, cross-checked dynamically by auditInvariants.
-    UNXPEC_SPEC_STATE ArenaVector<SeqNum> unissued_;
-    UNXPEC_SPEC_STATE ArenaVector<SeqNum> outstanding_;
-    UNXPEC_SPEC_STATE ArenaVector<SeqNum> storeFences_;
-    UNXPEC_SPEC_STATE ArenaVector<SeqNum> pendingMem_;
-    UNXPEC_SPEC_STATE ArenaVector<SeqNum> unresolvedBranches_;
+    UNXPEC_SPEC_STATE std::vector<SeqNum> unissued_;
+    UNXPEC_SPEC_STATE std::vector<SeqNum> outstanding_;
+    UNXPEC_SPEC_STATE std::vector<SeqNum> storeFences_;
+    UNXPEC_SPEC_STATE std::vector<SeqNum> pendingMem_;
+    UNXPEC_SPEC_STATE std::vector<SeqNum> unresolvedBranches_;
     /** Reused return buffer of squashYoungerThan (oldest-first). */
-    ArenaVector<RobEntry> squashScratch_;
+    std::vector<RobEntry> squashScratch_;
     /** Unissued entries with both operands ready and not parked (see
      *  readyUnissued()). */
-    UNXPEC_SPEC_STATE ArenaVector<SeqNum> readyUnissued_;
+    UNXPEC_SPEC_STATE std::vector<SeqNum> readyUnissued_;
     /**
      * Dependent bitmaps: row `seq % capacity` holds one bit per ring
      * slot whose occupant waits on that entry (for an operand, or
      * parked on it). maskWords_ 64-bit words per row; the whole table
-     * is capacity * maskWords_ words, arena-backed, zeroed row-by-row
-     * as slots are reclaimed.
+     * is capacity * maskWords_ words, zeroed row-by-row as slots are
+     * reclaimed.
      */
-    UNXPEC_SPEC_STATE ArenaVector<std::uint64_t> depMask_;
+    UNXPEC_SPEC_STATE std::vector<std::uint64_t> depMask_;
     std::size_t maskWords_;
     UNXPEC_SPEC_STATE unsigned memCount_ = 0;
     Tracer *tracer_ = nullptr;

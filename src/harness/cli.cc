@@ -1,8 +1,10 @@
 #include "harness/cli.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "sim/log.hh"
 
@@ -22,12 +24,26 @@ isInteger(const std::string &s)
     return true;
 }
 
+/** `value` as a decimal integer no larger than `max`; non-digits and
+ *  out-of-range values are fatal, never wrapped or clamped. */
 std::uint64_t
-parseU64(const std::string &flag, const std::string &value)
+parseU64(const std::string &flag, const std::string &value,
+         std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     if (!isInteger(value))
         fatal(flag, " expects a non-negative integer, got '", value, "'");
-    return std::strtoull(value.c_str(), nullptr, 10);
+    errno = 0;
+    const std::uint64_t parsed = std::strtoull(value.c_str(), nullptr, 10);
+    if (errno == ERANGE || parsed > max)
+        fatal(flag, " value '", value, "' is out of range (max ", max, ")");
+    return parsed;
+}
+
+unsigned
+parseUnsigned(const std::string &flag, const std::string &value)
+{
+    return static_cast<unsigned>(
+        parseU64(flag, value, std::numeric_limits<unsigned>::max()));
 }
 
 void
@@ -185,15 +201,15 @@ HarnessCli::parse(int argc, char **argv) const
             printRegistries(std::cout);
             std::exit(0);
         } else if (arg == "--reps") {
-            options.reps = static_cast<unsigned>(parseU64(arg, value()));
+            options.reps = parseUnsigned(arg, value());
             if (options.reps == 0)
                 fatal("--reps must be >= 1");
         } else if (arg == "--seed") {
             options.seed = parseU64(arg, value());
         } else if (arg == "--threads") {
-            options.threads = static_cast<unsigned>(parseU64(arg, value()));
+            options.threads = parseUnsigned(arg, value());
         } else if (arg == "--cores") {
-            options.cores = static_cast<unsigned>(parseU64(arg, value()));
+            options.cores = parseUnsigned(arg, value());
             if (options.cores == 0 || options.cores > 16)
                 fatal("--cores must be in [1, 16]");
         } else if (arg == "--mode") {
@@ -230,9 +246,9 @@ HarnessCli::parse(int argc, char **argv) const
         } else if (arg == "--trial-timeout-ms") {
             options.trialTimeoutMs = parseU64(arg, value());
         } else if (arg == "--retries") {
-            options.retries = static_cast<unsigned>(parseU64(arg, value()));
+            options.retries = parseUnsigned(arg, value());
         } else if (arg == "--shards") {
-            options.shards = static_cast<unsigned>(parseU64(arg, value()));
+            options.shards = parseUnsigned(arg, value());
             if (options.shards == 0)
                 fatal("--shards must be >= 1");
         } else if (arg == "--matrix") {

@@ -28,17 +28,16 @@ computeAllowedMask(const CacheConfig &cfg, unsigned domain)
 
 } // namespace
 
-Cache::Cache(const CacheConfig &cfg, Rng &rng, std::uint64_t index_key,
-             Arena *arena)
+Cache::Cache(const CacheConfig &cfg, Rng &rng, std::uint64_t index_key)
     : cfg_(cfg),
       numSets_(cfg.numSets()),
       tags_(static_cast<std::size_t>(cfg.numSets()) * cfg.ways,
-            kAddrInvalid, ArenaAllocator<Addr>(arena)),
+            kAddrInvalid),
       lines_(static_cast<std::size_t>(cfg.numSets()) * cfg.ways,
-             CacheLine{}, ArenaAllocator<CacheLine>(arena)),
-      repl_(cfg.repl, cfg.numSets(), cfg.ways, rng, arena),
+             CacheLine{}),
+      repl_(cfg.repl, cfg.numSets(), cfg.ways, rng),
       index_(cfg.index, cfg.numSets(), index_key),
-      mshr_(cfg.mshrs, arena),
+      mshr_(cfg.mshrs),
       allowedMask_{computeAllowedMask(cfg, 0), computeAllowedMask(cfg, 1)},
       stats_(cfg.name),
       hits_(stats_.counter("hits", "demand hits")),

@@ -27,7 +27,6 @@
 #include "memory/mshr.hh"
 #include "memory/replacement.hh"
 #include "sim/annotate.hh"
-#include "sim/arena.hh"
 #include "sim/config.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -52,13 +51,7 @@ struct FillResult
 class Cache
 {
   public:
-    /**
-     * `arena` (optional) backs the tag/metadata arrays and the MSHR
-     * file, laying one trial's hot state contiguously; null falls back
-     * to the heap (standalone caches in tests and benches).
-     */
-    Cache(const CacheConfig &cfg, Rng &rng, std::uint64_t index_key,
-          Arena *arena = nullptr);
+    Cache(const CacheConfig &cfg, Rng &rng, std::uint64_t index_key);
 
     /** Line lookup without side effects (nullptr on miss). */
     const CacheLine *
@@ -248,8 +241,8 @@ class Cache
     /** Transient installs land in both arrays; the tags are what a
      *  Flush+Reload receiver times, so they are speculative state the
      *  undo must restore exactly. */
-    UNXPEC_SPEC_STATE ArenaVector<Addr> tags_; //!< SoA tags (probe scan)
-    UNXPEC_SPEC_STATE ArenaVector<CacheLine> lines_; //!< per-way metadata
+    UNXPEC_SPEC_STATE std::vector<Addr> tags_; //!< SoA tags (probe scan)
+    UNXPEC_SPEC_STATE std::vector<CacheLine> lines_; //!< per-way metadata
     ReplacementState repl_;
     SetIndexer index_;
     MshrFile mshr_;

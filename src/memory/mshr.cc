@@ -42,6 +42,7 @@ MshrFile::allocate(Addr line_addr, Cycle ready, bool speculative,
     entry.speculative = speculative;
     entry.installer = installer;
     entry.targets = 1;
+    // lint-ok(steady-alloc): reserved to capacity, full() checked above
     entries_.push_back(entry);
     return entries_.back();
 }

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "sim/annotate.hh"
-#include "sim/arena.hh"
 #include "sim/types.hh"
 
 namespace unxpec {
@@ -42,8 +41,7 @@ struct MshrEntry
 class MshrFile
 {
   public:
-    explicit MshrFile(unsigned capacity, Arena *arena = nullptr)
-        : capacity_(capacity), entries_(ArenaAllocator<MshrEntry>(arena))
+    explicit MshrFile(unsigned capacity) : capacity_(capacity)
     {
         // Fixed capacity reserved up front: allocate() never regrows,
         // so a warm MSHR file performs no steady-state heap traffic.
@@ -88,7 +86,7 @@ class MshrFile
     /** Earliest completion among outstanding entries (kCycleNever if none). */
     Cycle earliestReady() const;
 
-    const ArenaVector<MshrEntry> &entries() const { return entries_; }
+    const std::vector<MshrEntry> &entries() const { return entries_; }
 
     UNXPEC_TRANSITION("reset")
     void clear() { entries_.clear(); }
@@ -98,7 +96,7 @@ class MshrFile
     /** The outstanding-miss set itself is speculative state: CacheSquash
      *  parks cancellable speculative fills here and its squash path
      *  must leave no entry behind (auditRollbackComplete). */
-    UNXPEC_SPEC_STATE ArenaVector<MshrEntry> entries_;
+    UNXPEC_SPEC_STATE std::vector<MshrEntry> entries_;
 };
 
 } // namespace unxpec

@@ -16,8 +16,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
-#include "sim/arena.hh"
 #include "sim/config.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
@@ -34,12 +34,11 @@ class ReplacementState
 {
   public:
     ReplacementState(ReplPolicy policy, unsigned num_sets, unsigned ways,
-                     Rng &rng, Arena *arena = nullptr)
+                     Rng &rng)
         : policy_(policy), ways_(ways), rng_(rng),
           stamps_(policy == ReplPolicy::LRU
                       ? static_cast<std::size_t>(num_sets) * ways
-                      : 0,
-                  0, ArenaAllocator<std::uint64_t>(arena))
+                      : 0)
     {
     }
 
@@ -87,7 +86,7 @@ class ReplacementState
     unsigned ways_;
     Rng &rng_;
     std::uint64_t tick_ = 0;
-    ArenaVector<std::uint64_t> stamps_; // numSets * ways (LRU only)
+    std::vector<std::uint64_t> stamps_; // numSets * ways (LRU only)
 
     /** Test-only corruption hook for proving the auditor fires. */
     friend struct AuditTap;

@@ -1,12 +1,11 @@
 /**
  * @file
- * Fixed-capacity circular queue over arena-backed storage. The ROB's
- * entry buffer and the core's decode queue were std::deques, whose
- * libstdc++ implementation allocates and frees 512-byte node blocks
- * as the queue breathes — the dominant steady-state heap churn in the
- * per-cycle tick paths. RingQueue allocates its full capacity once at
- * construction (from the owning Core's Arena) and never touches the
- * heap again: push/pop are an index bump and an assignment.
+ * Fixed-capacity circular queue. The ROB's entry buffer and the
+ * core's decode queue were std::deques, whose libstdc++ implementation
+ * allocates and frees 512-byte node blocks as the queue breathes — the
+ * dominant steady-state heap churn in the per-cycle tick paths.
+ * RingQueue allocates its full capacity once at construction and never
+ * touches the heap again: push/pop are an index bump and an assignment.
  *
  * Deque-compatible surface used by the adopters: push_back, pop_front,
  * pop_back, front, back, operator[], size/empty/full, clear, and
@@ -21,8 +20,8 @@
 #include <cstddef>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
-#include "sim/arena.hh"
 #include "sim/log.hh"
 
 namespace unxpec {
@@ -31,8 +30,7 @@ template <typename T>
 class RingQueue
 {
   public:
-    explicit RingQueue(std::size_t capacity, Arena *arena = nullptr)
-        : buf_(ArenaAllocator<T>(arena))
+    explicit RingQueue(std::size_t capacity)
     {
         if (capacity == 0)
             panic("RingQueue: capacity must be positive");
@@ -154,7 +152,7 @@ class RingQueue
         return i % buf_.size();
     }
 
-    ArenaVector<T> buf_;
+    std::vector<T> buf_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
 };

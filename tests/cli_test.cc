@@ -86,6 +86,39 @@ TEST(CliErrorTest, NonNumericScaleIsFatal)
                 "fatal: --scale expects a non-negative integer, got 'big'");
 }
 
+TEST(CliErrorTest, UnsignedFlagAboveUintMaxIsFatal)
+{
+    // 2^32 + 1 must not wrap to 1 on its way into an unsigned option.
+    const HarnessCli cli = makeCli();
+    EXPECT_EXIT(parseArgs(cli, {"cli_test", "--reps", "4294967297"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --reps value '4294967297' is out of range");
+    EXPECT_EXIT(parseArgs(cli, {"cli_test", "--threads", "4294967296"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --threads value '4294967296' is out of range");
+}
+
+TEST(CliErrorTest, SeedAboveUint64MaxIsFatal)
+{
+    // strtoull saturates with ERANGE; the seed must not silently
+    // become 2^64 - 1.
+    const HarnessCli cli = makeCli();
+    EXPECT_EXIT(
+        parseArgs(cli, {"cli_test", "--seed", "99999999999999999999999"}),
+        ::testing::ExitedWithCode(1),
+        "fatal: --seed value '99999999999999999999999' is out of range");
+}
+
+TEST(CliErrorTest, UnsignedFlagAcceptsUintMax)
+{
+    const HarnessCli cli = makeCli();
+    const HarnessOptions options = parseArgs(
+        cli, {"cli_test", "--retries", "4294967295", "--seed",
+              "18446744073709551615"});
+    EXPECT_EQ(options.retries, 4294967295u);
+    EXPECT_EQ(options.seed, 18446744073709551615ull);
+}
+
 // --- registry lookups ---------------------------------------------------
 
 TEST(CliErrorTest, UnknownModeIsFatal)

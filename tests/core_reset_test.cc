@@ -21,6 +21,7 @@
 #include "harness/trial_runner.hh"
 #include "sim/alloc_gauge.hh"
 #include "sim/config.hh"
+#include "sim/ring_queue.hh"
 #include "workload/synth_spec.hh"
 
 namespace unxpec {
@@ -206,8 +207,8 @@ TEST(CorePoolTest, SteadyStateTrialsAreHeapAllocFree)
 {
     // After warm-up, a pooled trial's simulation — mistraining, the
     // transient window, squash + rollback, the measured round — must
-    // not touch the heap: every per-cycle structure lives in the
-    // Core's arena or reserved buffers. The envelope measured here is
+    // not touch the heap: every per-cycle structure lives in storage
+    // reserved when the Core was built. The envelope measured here is
     // the attack execution on a warm pooled Machine; per-trial
     // bookkeeping outside it (spec copies, result slots, journals) is
     // the runner's and is bounded per trial, not per cycle.
@@ -240,6 +241,19 @@ TEST(CorePoolTest, SteadyStateTrialsAreHeapAllocFree)
         << "steady-state trials allocated "
         << (after.allocs - before.allocs) << " times ("
         << (after.bytes - before.bytes) << " bytes)";
+}
+
+TEST(RingQueueAllocTest, NoHeapTouchAfterConstruction)
+{
+    RingQueue<int> q(16);
+    const AllocStats before = allocGaugeRead();
+    for (int round = 0; round < 10; ++round) {
+        for (int i = 0; i < 16; ++i)
+            q.push_back(i);
+        q.clear();
+    }
+    const AllocStats after = allocGaugeRead();
+    EXPECT_EQ(after.allocs - before.allocs, 0u);
 }
 
 TEST(AllocGaugeTest, GaugeCountsAllocations)
