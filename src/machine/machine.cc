@@ -34,12 +34,10 @@ Machine::Machine(const SystemConfig &cfg) : cfg_((cfg.validate(), cfg))
     for (unsigned i = 0; i < cfg_.numCores; ++i) {
         SystemConfig core_cfg = cfg_;
         core_cfg.seed = coreSeed(cfg_.seed, i);
-        cores_.push_back(std::make_unique<Core>(core_cfg));
+        MemoryHierarchy *shared =
+            i > 0 ? &cores_[0]->hierarchy() : nullptr;
+        cores_.push_back(std::make_unique<Core>(core_cfg, shared));
         MemoryHierarchy &hier = cores_[i]->hierarchy();
-        if (i > 0) {
-            hier.bindShared(&cores_[0]->hierarchy().l2(),
-                            &cores_[0]->hierarchy().mem());
-        }
         if (engine_ != nullptr)
             hier.setCoherence(engine_.get(), i);
     }

@@ -338,9 +338,8 @@ class CoherenceAuditTest : public ::testing::Test
   protected:
     CoherenceAuditTest()
         : cfg_(SystemConfig::makeDefault()), rng0_(1), rng1_(2),
-          h0_(cfg_, rng0_), h1_(cfg_, rng1_), engine_(cfg_)
+          h0_(cfg_, rng0_), h1_(cfg_, rng1_, &h0_), engine_(cfg_)
     {
-        h1_.bindShared(&h0_.l2(), &h0_.mem());
         h0_.setCoherence(&engine_, 0);
         h1_.setCoherence(&engine_, 1);
     }

@@ -128,9 +128,8 @@ TEST(SpecBoxTest, SpeculativeLineHiddenFromCrossCoreProbe)
     Rng rng0(1);
     Rng rng1(2);
     MemoryHierarchy installer(cfg, rng0);
-    MemoryHierarchy prober(cfg, rng1);
+    MemoryHierarchy prober(cfg, rng1, &installer);
     CoherenceEngine engine(cfg);
-    prober.bindShared(&installer.l2(), &installer.mem());
     installer.setCoherence(&engine, 0);
     prober.setCoherence(&engine, 1);
 

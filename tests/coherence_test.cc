@@ -46,7 +46,7 @@ TEST_F(CoherenceTest, WriteUpgradesToModified)
 
 /**
  * Two MemoryHierarchy instances wired the way Machine wires them:
- * core 1 binds core 0's L2/memory and both attach one engine. Drives
+ * core 1 shares core 0's L2/memory and both attach one engine. Drives
  * the real snoop path through MemoryHierarchy::access.
  */
 class EngineTest : public ::testing::Test
@@ -54,9 +54,8 @@ class EngineTest : public ::testing::Test
   protected:
     explicit EngineTest(SystemConfig cfg = SystemConfig::makeDefault())
         : cfg_(cfg), rng0_(1), rng1_(2), h0_(cfg_, rng0_),
-          h1_(cfg_, rng1_), engine_(cfg_)
+          h1_(cfg_, rng1_, &h0_), engine_(cfg_)
     {
-        h1_.bindShared(&h0_.l2(), &h0_.mem());
         h0_.setCoherence(&engine_, 0);
         h1_.setCoherence(&engine_, 1);
     }
