@@ -76,6 +76,14 @@ Core::reset(std::uint64_t seed)
     limitTripped_ = false;
     trace_ = nullptr;
     setEventTrace(nullptr);
+
+    // Reset-completeness audit: every cache this core resets must be
+    // indistinguishable from a freshly constructed one, although the
+    // reset only cleared the sets written since the last one.
+    if constexpr (kAuditEnabled) {
+        const audit::HookScope scope;
+        hier_.auditFresh(now_);
+    }
 }
 
 void
@@ -290,201 +298,189 @@ Core::executeEntry(RobEntry &entry)
 void
 Core::tickIssue()
 {
+    // Walk the ready unissued set oldest first (the same relative order
+    // as the historical full-window scan). Entries whose operands are
+    // not ready, or that are parked behind an older not-done entry,
+    // could not issue, so leaving them out of the set changes no
+    // decision; the ROB's eager wakeup puts them back at the markDone
+    // that unblocks them (rob.hh).
     unsigned issued = 0;
-    // Walk the ready unissued list (ascending seq, the same relative
-    // order as the historical full-window scan). Entries whose
-    // operands are not ready, or that are parked behind an older
-    // not-done entry, could not issue, so leaving them off the list
-    // changes no decision; the ROB's eager wakeup puts them back at
-    // the markDone that unblocks them (rob.hh). An entry found blocked
-    // here is parked on its blocker. rob_.markIssued and rob_.park
-    // erase the current element, so the index only advances on the
-    // two waits that end on a time or a commit, not on a markDone.
-    const auto &window = rob_.readyUnissued();
-    for (std::size_t i = 0; i < window.size();) {
+    rob_.forEachReadyUnissued([&](RobEntry &entry) {
         if (issued >= cfg_.core.issueWidth)
-            break;
-        RobEntry &entry = *rob_.find(window[i]);
-
-        const Opcode op = entry.inst.op;
-
-        if (op == Opcode::LOAD) {
-            const Addr addr =
-                entry.srcValue[0] + static_cast<Addr>(entry.inst.imm);
-            const auto gate = LoadStoreQueue::gateLoad(
-                rob_, entry.seq, addr, entry.inst.size);
-            if (gate.gate == LoadGate::Blocked) {
-                if (gate.blocker != kSeqNone)
-                    rob_.park(entry, gate.blocker);
-                else
-                    ++i; // partial overlap: waits for the store to commit
-                continue;
-            }
-            const bool speculative =
-                gate.gate == LoadGate::Proceed &&
-                rob_.olderUnresolvedBranch(entry.seq);
-            if (speculative &&
-                cfg_.cleanupMode == CleanupMode::DelayOnMiss &&
-                !hier_.l1d().present(lineAlign(addr), now_)) {
-                // Delay-on-miss: a speculative L1 miss simply waits
-                // until the speculation resolves; L1 hits are served
-                // (they change no cache state).
-                ++i;
-                continue;
-            }
-            entry.effAddr = addr;
-            rob_.markIssued(entry);
-            entry.issueCycle = now_;
-            ++loads_;
-            if (gate.gate == LoadGate::Forward) {
-                entry.result = gate.forwardValue;
-                entry.readyCycle = now_ + 1;
-            } else {
-                entry.speculative = speculative;
-                if (speculative &&
-                    cfg_.cleanupMode == CleanupMode::InvisiSpec) {
-                    // Invisible scheme: serve from the shadow buffer;
-                    // no cache state changes until commit.
-                    entry.memRecord =
-                        hier_.accessInvisible(addr, now_, entry.seq);
-                } else if (speculative &&
-                           cfg_.cleanupMode == CleanupMode::SafeSpec) {
-                    // Shadow L1: the fill lands next to the caches, not
-                    // in them; promoted at commit, discarded on squash.
-                    entry.memRecord =
-                        hier_.accessSafeSpec(addr, now_, entry.seq);
-                } else if (speculative &&
-                           cfg_.cleanupMode == CleanupMode::CacheSquash) {
-                    // The fill parks in a cancellable MSHR entry;
-                    // squash propagates into the MSHR and cancels it.
-                    entry.memRecord =
-                        hier_.accessCacheSquash(addr, now_, entry.seq);
-                } else {
-                    entry.memRecord = hier_.access(addr, now_, false,
-                                                   speculative,
-                                                   entry.seq);
-                }
-                entry.hasMemRecord = true;
-                entry.readyCycle = entry.memRecord.ready;
-                entry.result = hier_.mem().read(addr, entry.inst.size);
-            }
+            return false;
+        if (tryIssue(entry))
             ++issued;
-            continue;
-        }
+        return true;
+    });
+}
 
-        if (op == Opcode::STORE) {
-            entry.effAddr =
-                entry.srcValue[0] + static_cast<Addr>(entry.inst.imm);
-            entry.storeValue = entry.srcValue[1];
-            rob_.markIssued(entry);
-            entry.issueCycle = now_;
-            entry.readyCycle = now_ + 1;
-            ++issued;
-            continue;
-        }
+bool
+Core::tryIssue(RobEntry &entry)
+{
+    // An entry found blocked here is parked on its blocker; the two
+    // waits that end on a time or a commit, not on a markDone, leave
+    // it in the ready set to be re-checked next cycle.
+    const Opcode op = entry.inst.op;
 
-        if (op == Opcode::CLFLUSH) {
-            // clflush is ordered: it only executes non-speculatively,
-            // after all older memory operations have completed.
-            if (rob_.olderUnresolvedBranch(entry.seq)) {
-                rob_.park(entry, rob_.unresolvedBranches().front());
-                continue;
-            }
-            if (!LoadStoreQueue::fenceReady(rob_, entry.seq)) {
-                rob_.park(entry, rob_.pendingMem().front());
-                continue;
-            }
-            const Addr addr =
-                entry.srcValue[0] + static_cast<Addr>(entry.inst.imm);
-            entry.effAddr = addr;
-            hier_.flushLine(addr);
-            rob_.markIssued(entry);
-            entry.issueCycle = now_;
-            entry.readyCycle = now_ + cfg_.core.clflushLatency;
-            ++issued;
-            continue;
+    if (op == Opcode::LOAD) {
+        const Addr addr =
+            entry.srcValue[0] + static_cast<Addr>(entry.inst.imm);
+        const auto gate = LoadStoreQueue::gateLoad(
+            rob_, entry.seq, addr, entry.inst.size);
+        if (gate.gate == LoadGate::Blocked) {
+            // A partial overlap (no blocker) waits for the store to
+            // commit.
+            if (gate.blocker != kSeqNone)
+                rob_.park(entry, gate.blocker);
+            return false;
         }
-
-        if (op == Opcode::FENCE) {
-            if (!LoadStoreQueue::fenceReady(rob_, entry.seq)) {
-                rob_.park(entry, rob_.pendingMem().front());
-                continue;
-            }
-            rob_.markIssued(entry);
-            entry.issueCycle = now_;
-            entry.readyCycle = now_ + 1;
-            ++issued;
-            continue;
+        const bool speculative =
+            gate.gate == LoadGate::Proceed &&
+            rob_.olderUnresolvedBranch(entry.seq);
+        if (speculative &&
+            cfg_.cleanupMode == CleanupMode::DelayOnMiss &&
+            !hier_.l1d().present(lineAlign(addr), now_)) {
+            // Delay-on-miss: a speculative L1 miss simply waits
+            // until the speculation resolves; L1 hits are served
+            // (they change no cache state).
+            return false;
         }
-
-        if (op == Opcode::RDTSCP) {
-            // Serializing: waits for every older instruction. An older
-            // not-done entry is either still unissued (then the full
-            // unissued list's head is older than us) or
-            // issued-but-outstanding.
-            const SeqNum oldest_unissued = rob_.unissued().front();
-            const auto &outst = rob_.outstanding();
-            if (oldest_unissued != entry.seq) {
-                rob_.park(entry, oldest_unissued);
-                continue;
-            }
-            if (!outst.empty() && outst.front() < entry.seq) {
-                rob_.park(entry, outst.front());
-                continue;
-            }
-            entry.result = now_;
-            rob_.markIssued(entry);
-            entry.issueCycle = now_;
-            entry.readyCycle = now_ + 1;
-            ++issued;
-            continue;
-        }
-
-        // ALU ops and conditional branches.
-        executeEntry(entry);
+        entry.effAddr = addr;
         rob_.markIssued(entry);
         entry.issueCycle = now_;
-        const unsigned latency = op == Opcode::MUL
-            ? cfg_.core.mulLatency : cfg_.core.intAluLatency;
-        if (op == Opcode::MUL && !cfg_.core.mulPipelined) {
-            // Non-pipelined multiplier: one op occupies the unit end to
-            // end. The busy window deliberately survives squashes —
-            // transient MULs keep the FU busy past their own squash,
-            // which is the SpectreRewind contention channel the
-            // contention receiver measures.
-            const Cycle start = std::max(now_, mulBusyUntil_);
-            entry.readyCycle = start + latency;
-            mulBusyUntil_ = entry.readyCycle;
-        } else {
-            entry.readyCycle = now_ + latency;
+        ++loads_;
+        if (gate.gate == LoadGate::Forward) {
+            entry.result = gate.forwardValue;
+            entry.readyCycle = now_ + 1;
+            return true;
         }
-        ++issued;
+        entry.speculative = speculative;
+        if (speculative && cfg_.cleanupMode == CleanupMode::InvisiSpec) {
+            // Invisible scheme: serve from the shadow buffer; no cache
+            // state changes until commit.
+            entry.memRecord = hier_.accessInvisible(addr, now_, entry.seq);
+        } else if (speculative &&
+                   cfg_.cleanupMode == CleanupMode::SafeSpec) {
+            // Shadow L1: the fill lands next to the caches, not in
+            // them; promoted at commit, discarded on squash.
+            entry.memRecord = hier_.accessSafeSpec(addr, now_, entry.seq);
+        } else if (speculative &&
+                   cfg_.cleanupMode == CleanupMode::CacheSquash) {
+            // The fill parks in a cancellable MSHR entry; squash
+            // propagates into the MSHR and cancels it.
+            entry.memRecord =
+                hier_.accessCacheSquash(addr, now_, entry.seq);
+        } else {
+            entry.memRecord =
+                hier_.access(addr, now_, false, speculative, entry.seq);
+        }
+        entry.hasMemRecord = true;
+        entry.readyCycle = entry.memRecord.ready;
+        entry.result = hier_.mem().read(addr, entry.inst.size);
+        return true;
     }
+
+    if (op == Opcode::STORE) {
+        entry.effAddr =
+            entry.srcValue[0] + static_cast<Addr>(entry.inst.imm);
+        entry.storeValue = entry.srcValue[1];
+        rob_.markIssued(entry);
+        entry.issueCycle = now_;
+        entry.readyCycle = now_ + 1;
+        return true;
+    }
+
+    if (op == Opcode::CLFLUSH) {
+        // clflush is ordered: it only executes non-speculatively,
+        // after all older memory operations have completed.
+        if (rob_.olderUnresolvedBranch(entry.seq)) {
+            rob_.park(entry, rob_.oldestUnresolvedBranch());
+            return false;
+        }
+        if (!LoadStoreQueue::fenceReady(rob_, entry.seq)) {
+            rob_.park(entry, rob_.oldestPendingMem());
+            return false;
+        }
+        const Addr addr =
+            entry.srcValue[0] + static_cast<Addr>(entry.inst.imm);
+        entry.effAddr = addr;
+        hier_.flushLine(addr);
+        rob_.markIssued(entry);
+        entry.issueCycle = now_;
+        entry.readyCycle = now_ + cfg_.core.clflushLatency;
+        return true;
+    }
+
+    if (op == Opcode::FENCE) {
+        if (!LoadStoreQueue::fenceReady(rob_, entry.seq)) {
+            rob_.park(entry, rob_.oldestPendingMem());
+            return false;
+        }
+        rob_.markIssued(entry);
+        entry.issueCycle = now_;
+        entry.readyCycle = now_ + 1;
+        return true;
+    }
+
+    if (op == Opcode::RDTSCP) {
+        // Serializing: waits for every older instruction. An older
+        // not-done entry is either still unissued (then the oldest
+        // unissued entry is older than us) or issued-but-outstanding.
+        const SeqNum oldest_unissued = rob_.oldestUnissued();
+        if (oldest_unissued != entry.seq) {
+            rob_.park(entry, oldest_unissued);
+            return false;
+        }
+        if (const SeqNum outst = rob_.oldestOutstanding();
+            outst < entry.seq) {
+            rob_.park(entry, outst);
+            return false;
+        }
+        entry.result = now_;
+        rob_.markIssued(entry);
+        entry.issueCycle = now_;
+        entry.readyCycle = now_ + 1;
+        return true;
+    }
+
+    // ALU ops and conditional branches.
+    executeEntry(entry);
+    rob_.markIssued(entry);
+    entry.issueCycle = now_;
+    const unsigned latency = op == Opcode::MUL
+        ? cfg_.core.mulLatency : cfg_.core.intAluLatency;
+    if (op == Opcode::MUL && !cfg_.core.mulPipelined) {
+        // Non-pipelined multiplier: one op occupies the unit end to
+        // end. The busy window deliberately survives squashes —
+        // transient MULs keep the FU busy past their own squash,
+        // which is the SpectreRewind contention channel the
+        // contention receiver measures.
+        const Cycle start = std::max(now_, mulBusyUntil_);
+        entry.readyCycle = start + latency;
+        mulBusyUntil_ = entry.readyCycle;
+    } else {
+        entry.readyCycle = now_ + latency;
+    }
+    return true;
 }
 
 void
 Core::tickWriteback()
 {
-    // Walk the issued-but-not-done side list (ascending seq, same
-    // order as a full ROB scan). rob_.markDone erases the current
-    // element, so the index only advances on skip.
-    const auto &outstanding = rob_.outstanding();
-    for (std::size_t i = 0; i < outstanding.size();) {
-        RobEntry &entry = *rob_.find(outstanding[i]);
-        if (entry.readyCycle > now_) {
-            ++i;
-            continue;
-        }
+    // Walk the issued-but-not-done set oldest first (the order of a
+    // full ROB scan).
+    rob_.forEachOutstanding([&](RobEntry &entry) {
+        if (entry.readyCycle > now_)
+            return true;
         rob_.markDone(entry);
         if (isCondBranch(entry.inst.op)) {
             resolveBranch(entry);
-            if (entry.mispredicted) {
-                // Younger entries are gone (and trimmed off the side
-                // lists); nothing left to complete this cycle.
-                break;
-            }
+            // A mispredict squashed every younger entry: nothing is
+            // left to complete this cycle.
+            return !entry.mispredicted;
         }
-    }
+        return true;
+    });
 }
 
 void
@@ -519,7 +515,7 @@ Core::resolveBranch(RobEntry &branch)
 void
 Core::squashAfter(RobEntry &branch)
 {
-    const auto &squashed = rob_.squashYoungerThan(branch.seq);
+    const auto squashed = rob_.squashYoungerThan(branch.seq);
 
     // Scratch buffers reserved to ROB capacity at construction: the
     // squash path reuses them so a warm core never allocates here.
@@ -662,8 +658,9 @@ Core::tickDispatch()
             break;
         }
 
-        RobEntry entry;
-        entry.seq = nextSeq_++;
+        // In-place dispatch: fill the entry in its ROB slot, then
+        // admit it (rob.hh).
+        RobEntry &entry = rob_.claim(nextSeq_++);
         entry.pc = fetched.pc;
         entry.inst = fetched.inst;
         entry.predictedTaken = fetched.predictedTaken;
@@ -686,7 +683,7 @@ Core::tickDispatch()
             } else if (prod->done) {
                 entry.srcValue[slot] = prod->result;
             } else {
-                // Pending producer: ReorderBuffer::push registers this
+                // Pending producer: ReorderBuffer::admit registers this
                 // entry for an eager wakeup at the producer's markDone.
                 entry.producer[slot] = producer;
                 entry.srcReady[slot] = false;
@@ -708,7 +705,7 @@ Core::tickDispatch()
             }
         }
 
-        rob_.push(std::move(entry));
+        rob_.admit();
         decodeQueue_.pop_front();
         ++dispatched;
     }

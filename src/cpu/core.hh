@@ -176,7 +176,7 @@ class Core
     Tracer *eventTrace() const { return eventTrace_; }
 
     /**
-     * Whole-machine invariant audit (sim/audit.hh): ROB side lists vs
+     * Whole-machine invariant audit (sim/audit.hh): ROB slot sets vs
      * a full scan, cache/MSHR layout coherence, and the LSQ occupancy
      * model. Throws AuditError on violation. The run loop calls this
      * every audit::period() cycles in UNXPEC_AUDIT builds; tests call
@@ -201,6 +201,9 @@ class Core
      *  speculative memory accesses the defenses must later undo. */
     UNXPEC_TRANSITION("spec")
     void tickIssue();
+    /** Issue `entry` if nothing holds it back (true when it issued);
+     *  otherwise park it on its blocker or leave it ready. */
+    bool tryIssue(RobEntry &entry);
     UNXPEC_TRANSITION("spec")
     void tickDispatch();
     void tickFetch(const Program &program);

@@ -33,22 +33,20 @@ LoadStoreQueue::gateLoad(const ReorderBuffer &rob, SeqNum seq, Addr addr,
                          unsigned size)
 {
     LoadGateResult result;
-    // Walk only the in-flight stores and fences (ascending seq, same
-    // order as a full ROB scan).
-    for (const SeqNum older_seq : rob.storeFences()) {
-        if (older_seq >= seq)
-            break;
-        const RobEntry &entry = *rob.find(older_seq);
+    // Walk only the in-flight stores and fences, oldest first (the
+    // order of a full ROB scan).
+    rob.forEachStoreFence([&](const RobEntry &entry) {
+        if (entry.seq >= seq)
+            return false;
         if (!entry.done) {
             // A pending fence, or a store whose address (or data) is
             // not resolved yet: be conservative until it is done.
             result.gate = LoadGate::Blocked;
-            result.blocker = older_seq;
-            traceGate(rob, TraceKind::LoadBlocked, seq, addr);
-            return result;
+            result.blocker = entry.seq;
+            return false;
         }
         if (entry.inst.op == Opcode::FENCE)
-            continue;
+            return true;
         const Addr store_begin = entry.effAddr;
         const Addr store_end = store_begin + entry.inst.size;
         const Addr load_begin = addr;
@@ -56,7 +54,7 @@ LoadStoreQueue::gateLoad(const ReorderBuffer &rob, SeqNum seq, Addr addr,
         const bool overlap =
             store_begin < load_end && load_begin < store_end;
         if (!overlap)
-            continue;
+            return true;
         if (store_begin <= load_begin && load_end <= store_end) {
             // Fully covered: forward (latest older store wins, so keep
             // scanning and overwrite).
@@ -67,14 +65,15 @@ LoadStoreQueue::gateLoad(const ReorderBuffer &rob, SeqNum seq, Addr addr,
                 value &= (1ull << (size * 8)) - 1;
             result.gate = LoadGate::Forward;
             result.forwardValue = value;
-        } else {
-            // Partial overlap: wait for the store to drain.
-            result.gate = LoadGate::Blocked;
-            traceGate(rob, TraceKind::LoadBlocked, seq, addr);
-            return result;
+            return true;
         }
-    }
-    if (result.gate == LoadGate::Forward)
+        // Partial overlap: wait for the store to drain.
+        result.gate = LoadGate::Blocked;
+        return false;
+    });
+    if (result.gate == LoadGate::Blocked)
+        traceGate(rob, TraceKind::LoadBlocked, seq, addr);
+    else if (result.gate == LoadGate::Forward)
         traceGate(rob, TraceKind::LoadForward, seq, addr);
     return result;
 }
@@ -88,13 +87,15 @@ LoadStoreQueue::fenceReady(const ReorderBuffer &rob, SeqNum seq)
 Cycle
 LoadStoreQueue::olderLoadsDrainCycle(const ReorderBuffer &rob, SeqNum seq)
 {
+    // The outstanding set is exactly the issued-but-not-done entries.
     Cycle drain = 0;
-    for (const auto &entry : rob) {
+    rob.forEachOutstanding([&](const RobEntry &entry) {
         if (entry.seq >= seq)
-            break;
-        if (isLoad(entry.inst.op) && entry.issued && !entry.done)
+            return false;
+        if (isLoad(entry.inst.op))
             drain = std::max(drain, entry.readyCycle);
-    }
+        return true;
+    });
     return drain;
 }
 

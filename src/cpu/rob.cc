@@ -21,90 +21,107 @@ traceLifecycle(Tracer *tracer, TraceKind kind, const RobEntry &entry)
 
 } // namespace
 
+ReorderBuffer::ReorderBuffer(unsigned capacity)
+    : capacity_(capacity),
+      maskWords_((capacity + 63) / 64),
+      slots_(capacity),
+      unissued_(maskWords_, 0),
+      readyUnissued_(maskWords_, 0),
+      outstanding_(maskWords_, 0),
+      storeFences_(maskWords_, 0),
+      pendingMem_(maskWords_, 0),
+      unresolvedBranches_(maskWords_, 0),
+      depMask_(static_cast<std::size_t>(capacity) * maskWords_, 0)
+{
+    if (capacity == 0)
+        panic("ReorderBuffer: capacity must be positive");
+}
+
 RobEntry &
-ReorderBuffer::push(RobEntry entry)
+ReorderBuffer::claim(SeqNum seq)
 {
     if (full())
-        panic("ReorderBuffer::push on full ROB");
-    if (!entries_.empty() && entry.seq != entries_.back().seq + 1)
-        panic("ReorderBuffer::push: non-consecutive sequence number");
+        panic("ReorderBuffer::claim on full ROB");
+    if (count_ == 0)
+        headSeq_ = seq;
+    else if (seq != headSeq_ + count_)
+        panic("ReorderBuffer::claim: non-consecutive sequence number");
+    RobEntry &entry = at(count_);
+    entry = RobEntry{};
+    entry.seq = seq;
+    return entry;
+}
 
-    // This entry now owns ring slot seq % capacity: clear whatever
-    // dependent bits a squashed or committed former occupant left in
-    // the slot's producer row.
-    std::fill_n(depMask_.begin() +
-                    (entry.seq % capacity_) * maskWords_,
-                maskWords_, 0);
+RobEntry &
+ReorderBuffer::admit()
+{
+    const std::size_t slot = slotAt(count_);
+    RobEntry &entry = slots_[slot];
+    ++count_;
 
-    // Entries arrive in ascending seq order, so plain appends keep
-    // every side list sorted. Instructions that complete at dispatch
-    // (NOP/HALT/JMP) arrive already issued+done and join no list.
-    // Every list is reserved to ROB capacity, which bounds its size.
+    // The entry now owns this slot: clear whatever dependent bits a
+    // squashed or committed former occupant left in its producer row.
+    std::fill_n(depMask_.begin() + slot * maskWords_, maskWords_, 0);
+
     if (!entry.issued) {
-        unissued_.push_back(entry.seq); // lint-ok(steady-alloc): reserved
+        setSlot(unissued_, slot);
         if (entry.srcReady[0] && entry.srcReady[1])
-            // lint-ok(steady-alloc): reserved
-            readyUnissued_.push_back(entry.seq);
+            setSlot(readyUnissued_, slot);
         else
             registerDependents(entry);
-    } else if (!entry.done)
-        outstanding_.push_back(entry.seq); // lint-ok(steady-alloc): reserved
+    } else if (!entry.done) {
+        setSlot(outstanding_, slot);
+    }
     const Opcode op = entry.inst.op;
     if (isMem(op)) {
         ++memCount_;
         if (!entry.done)
-            pendingMem_.push_back(entry.seq); // lint-ok(steady-alloc): reserved
+            setSlot(pendingMem_, slot);
     }
     if (isStore(op) || op == Opcode::FENCE)
-        storeFences_.push_back(entry.seq); // lint-ok(steady-alloc): reserved
+        setSlot(storeFences_, slot);
     if (isCondBranch(op) && !entry.done)
-        // lint-ok(steady-alloc): reserved
-        unresolvedBranches_.push_back(entry.seq);
+        setSlot(unresolvedBranches_, slot);
 
-    entries_.push_back(std::move(entry)); // lint-ok(steady-alloc): ring
-    traceLifecycle(tracer_, TraceKind::Dispatch, entries_.back());
-    return entries_.back();
+    traceLifecycle(tracer_, TraceKind::Dispatch, entry);
+    return entry;
 }
 
 void
 ReorderBuffer::popFront()
 {
-    const RobEntry &head = entries_.front();
-    const Opcode op = head.inst.op;
-    // Commit retires only done entries, so the pending/unissued/
-    // outstanding lists cannot contain the head; the all-stores list
-    // and the mem count can.
-    if (isMem(op))
+    const RobEntry &head = slots_[headSlot_];
+    // Commit retires only done entries, so of the slot sets only the
+    // stores/fences set can hold the head; the mem count can too.
+    if (isMem(head.inst.op))
         --memCount_;
-    if (!storeFences_.empty() && storeFences_.front() == head.seq)
-        storeFences_.erase(storeFences_.begin());
+    clearSlot(storeFences_, headSlot_);
     traceLifecycle(tracer_, TraceKind::Commit, head);
-    entries_.pop_front();
+    headSlot_ = slotAt(1);
+    ++headSeq_;
+    --count_;
 }
 
 void
 ReorderBuffer::markIssued(RobEntry &entry)
 {
+    const std::size_t slot = slotOf(entry);
     entry.issued = true;
-    eraseSeq(unissued_, entry.seq);
-    eraseSeq(readyUnissued_, entry.seq);
-    if (!entry.done) {
-        const auto it = std::lower_bound(outstanding_.begin(),
-                                         outstanding_.end(), entry.seq);
-        outstanding_.insert(it, entry.seq); // lint-ok(steady-alloc): reserved
-    }
+    clearSlot(unissued_, slot);
+    clearSlot(readyUnissued_, slot);
+    if (!entry.done)
+        setSlot(outstanding_, slot);
     traceLifecycle(tracer_, TraceKind::Issue, entry);
 }
 
 void
 ReorderBuffer::markDone(RobEntry &entry)
 {
+    const std::size_t slot = slotOf(entry);
     entry.done = true;
-    eraseSeq(outstanding_, entry.seq);
-    if (isMem(entry.inst.op))
-        eraseSeq(pendingMem_, entry.seq);
-    if (isCondBranch(entry.inst.op))
-        eraseSeq(unresolvedBranches_, entry.seq);
+    clearSlot(outstanding_, slot);
+    clearSlot(pendingMem_, slot);
+    clearSlot(unresolvedBranches_, slot);
     wakeDependents(entry);
     traceLifecycle(tracer_, TraceKind::Writeback, entry);
 }
@@ -112,26 +129,27 @@ ReorderBuffer::markDone(RobEntry &entry)
 void
 ReorderBuffer::park(RobEntry &entry, SeqNum blocker)
 {
+    const std::size_t slot = slotOf(entry);
     entry.orderBlocker = blocker;
-    eraseSeq(readyUnissued_, entry.seq);
-    addDependent(blocker, entry.seq);
+    clearSlot(readyUnissued_, slot);
+    addDependent(slotOf(*find(blocker)), slot);
 }
 
 void
 ReorderBuffer::registerDependents(const RobEntry &entry)
 {
-    for (unsigned slot = 0; slot < 2; ++slot) {
+    for (unsigned src = 0; src < 2; ++src) {
         // The producer is live and not done (dispatch captures done
         // producers' values directly), so its row is current.
-        if (!entry.srcReady[slot])
-            addDependent(entry.producer[slot], entry.seq);
+        if (!entry.srcReady[src])
+            addDependent(slotOf(*find(entry.producer[src])), slotOf(entry));
     }
 }
 
 void
 ReorderBuffer::wakeDependents(const RobEntry &producer)
 {
-    const std::size_t row = (producer.seq % capacity_) * maskWords_;
+    const std::size_t row = slotOf(producer) * maskWords_;
     for (std::size_t w = 0; w < maskWords_; ++w) {
         std::uint64_t bits = depMask_[row + w];
         if (bits == 0)
@@ -149,16 +167,11 @@ ReorderBuffer::wakeDependents(const RobEntry &producer)
 void
 ReorderBuffer::wakeSlot(std::size_t slot, const RobEntry &producer)
 {
-    if (entries_.empty())
+    // A squashed consumer leaves a stale bit pointing at a dead (or
+    // reused) slot.
+    if (offsetOf(slot) >= count_)
         return;
-    // Recover the live seq occupying this ring slot; a squashed
-    // consumer leaves a stale bit pointing at a dead (or reused) slot.
-    const SeqNum front = entries_.front().seq;
-    const std::size_t offset =
-        (slot + capacity_ - front % capacity_) % capacity_;
-    if (offset >= entries_.size())
-        return;
-    RobEntry &consumer = entries_[offset];
+    RobEntry &consumer = slots_[slot];
     bool woke = false;
     for (unsigned s = 0; s < 2; ++s) {
         if (!consumer.srcReady[s] &&
@@ -174,52 +187,53 @@ ReorderBuffer::wakeSlot(std::size_t slot, const RobEntry &producer)
     }
     if (woke && consumer.srcReady[0] && consumer.srcReady[1] &&
         !consumer.issued) {
-        const auto it = std::lower_bound(readyUnissued_.begin(),
-                                         readyUnissued_.end(),
-                                         consumer.seq);
-        // lint-ok(steady-alloc): reserved
-        readyUnissued_.insert(it, consumer.seq);
+        setSlot(readyUnissued_, slot);
     }
 }
 
-const std::vector<RobEntry> &
+void
+ReorderBuffer::dropSlot(std::size_t slot)
+{
+    clearSlot(unissued_, slot);
+    clearSlot(readyUnissued_, slot);
+    clearSlot(outstanding_, slot);
+    clearSlot(storeFences_, slot);
+    clearSlot(pendingMem_, slot);
+    clearSlot(unresolvedBranches_, slot);
+}
+
+ReorderBuffer::Range<true>
 ReorderBuffer::squashYoungerThan(SeqNum seq)
 {
-    // Reuse the scratch buffer (reserved to ROB capacity at
-    // construction): the squash path runs once per misprediction and
-    // must stay allocation-free.
-    squashScratch_.clear();
-    while (!entries_.empty() && entries_.back().seq > seq) {
-        if (isMem(entries_.back().inst.op))
+    // Entries up to and including `seq` survive.
+    const std::size_t keep =
+        seq < headSeq_ ? 0
+                       : static_cast<std::size_t>(std::min<SeqNum>(
+                             count_, seq - headSeq_ + 1));
+    for (std::size_t offset = keep; offset < count_; ++offset) {
+        if (isMem(at(offset).inst.op))
             --memCount_;
-        // lint-ok(steady-alloc): reserved
-        squashScratch_.push_back(std::move(entries_.back()));
-        entries_.pop_back();
+        dropSlot(slotAt(offset));
     }
-    trimYoungerThan(unissued_, seq);
-    trimYoungerThan(readyUnissued_, seq);
-    trimYoungerThan(outstanding_, seq);
-    trimYoungerThan(storeFences_, seq);
-    trimYoungerThan(pendingMem_, seq);
-    trimYoungerThan(unresolvedBranches_, seq);
-    // Return them oldest-first for readability downstream.
-    std::reverse(squashScratch_.begin(), squashScratch_.end());
-    for (const RobEntry &entry : squashScratch_)
+    const Range<true> squashed(this, keep, count_ - keep);
+    count_ = keep;
+    for (const RobEntry &entry : squashed)
         traceLifecycle(tracer_, TraceKind::Squash, entry);
-    return squashScratch_;
+    return squashed;
 }
 
 void
 ReorderBuffer::clear()
 {
-    entries_.clear();
-    unissued_.clear();
-    outstanding_.clear();
-    storeFences_.clear();
-    pendingMem_.clear();
-    unresolvedBranches_.clear();
-    squashScratch_.clear();
-    readyUnissued_.clear();
+    headSlot_ = 0;
+    count_ = 0;
+    headSeq_ = 0;
+    std::fill(unissued_.begin(), unissued_.end(), 0);
+    std::fill(readyUnissued_.begin(), readyUnissued_.end(), 0);
+    std::fill(outstanding_.begin(), outstanding_.end(), 0);
+    std::fill(storeFences_.begin(), storeFences_.end(), 0);
+    std::fill(pendingMem_.begin(), pendingMem_.end(), 0);
+    std::fill(unresolvedBranches_.begin(), unresolvedBranches_.end(), 0);
     std::fill(depMask_.begin(), depMask_.end(), 0);
     memCount_ = 0;
 }

@@ -1,37 +1,46 @@
 /**
  * @file
  * Reorder buffer. Entries are assigned consecutive sequence numbers at
- * dispatch, so lookup by sequence number is O(1) relative to the head.
- * Squash removes every entry younger than the mispredicted branch and
- * returns them so the cleanup engine can inspect their memory records.
+ * dispatch and live in a slot array the ROB owns: the entry `seq` sits
+ * in slot headSlot + (seq - headSeq), wrapped by one compare-and-
+ * subtract, and keeps that slot for its whole lifetime. Squash removes
+ * every entry younger than the mispredicted branch and hands them back
+ * (still in their slots) so the cleanup engine can inspect their
+ * memory records.
  *
- * Hot-path layout: alongside the entry deque the ROB maintains small
- * seq-ascending side lists — unissued entries, issued-but-not-done
- * entries, in-flight stores/fences, pending (not-done) memory ops, and
- * unresolved conditional branches. The per-cycle pipeline loops (issue,
- * writeback, load gating, fence checks) walk these lists instead of
- * scanning every fat RobEntry, which turns the dominant O(ROB)-per-
- * cycle scans into O(relevant-entries). The lists are maintained by
- * push/popFront/squash and the markIssued/markDone/park funnels; the
- * iteration order (ascending seq) matches the old full scans exactly,
- * so issue, forwarding, and squash decisions are bit-identical.
+ * Dispatch is in place: claim() resets the free slot after the
+ * youngest entry, the core fills the entry where it lies, and admit()
+ * puts it in flight. No RobEntry is built elsewhere and copied in.
+ *
+ * Hot-path layout: alongside the slots the ROB keeps six per-slot
+ * bitsets, one bit per slot (capacity / 64 words each): unissued
+ * entries, ready unissued entries, issued-but-not-done entries,
+ * in-flight stores/fences, pending (not-done) memory ops, and
+ * unresolved conditional branches. Insert and erase are one bit
+ * operation each. The per-cycle pipeline loops (issue, writeback,
+ * load gating) walk a bitset oldest-first: from the head slot's bit to
+ * the end of the array, then from slot 0 up to the head, reading each
+ * word once as they reach it. That is ascending seq, the order the old
+ * full ROB scans used, so issue, forwarding and squash decisions are
+ * bit-identical. The sets are maintained by admit/popFront/squash and
+ * the markIssued/markDone/park funnels; the auditor compares each one,
+ * in walk order, against a full scan of the entries.
  *
  * Wakeup is eager and dependency-driven, for operands and for memory
  * ordering alike. Every entry owns one row of a dependent bitmap (one
- * bit per ring slot; slot = seq mod capacity, which is stable for an
- * entry's lifetime). A consumer dispatched with a not-yet-done
- * producer sets its bit in the producer's row. An operand-ready entry
- * that tickIssue finds blocked by an older, not-yet-done entry (a load
- * behind a store or fence, a clflush behind a branch or memory op, a
- * fence behind a memory op, an rdtscp behind anything older) is
- * *parked*: park() records the blocker in RobEntry::orderBlocker,
- * takes the entry off readyUnissued_, and sets its bit in the
- * blocker's row. markDone walks only the finished entry's row, copies
- * its result into waiting consumers, clears matching orderBlockers,
- * and puts every entry with nothing left to wait for back on
- * readyUnissued_ in seq order. So tickIssue sees only entries that
- * may issue this cycle, plus the few whose wait ends on a time or a
- * commit rather than on a markDone (a partially overlapped load, a
+ * bit per slot, indexed by the entry's own slot). A consumer
+ * dispatched with a not-yet-done producer sets its bit in the
+ * producer's row. An operand-ready entry that tickIssue finds blocked
+ * by an older, not-yet-done entry (a load behind a store or fence, a
+ * clflush behind a branch or memory op, a fence behind a memory op, an
+ * rdtscp behind anything older) is *parked*: park() records the
+ * blocker in RobEntry::orderBlocker, clears the entry's ready bit, and
+ * sets its bit in the blocker's row. markDone walks only the finished
+ * entry's row, copies its result into waiting consumers, clears
+ * matching orderBlockers, and sets the ready bit of every entry with
+ * nothing left to wait for. So tickIssue sees only entries that may
+ * issue this cycle, plus the few whose wait ends on a time or a commit
+ * rather than on a markDone (a partially overlapped load, a
  * delay-on-miss speculative L1 miss), which it re-checks per cycle.
  * Skipping an entry while its blocker is not done changes no
  * decision: a blocker stays blocking until its markDone, and blocked
@@ -42,19 +51,20 @@
  * squashed consumers are harmless: a wake checks that the slot's
  * current occupant really names this producer (as an operand or as
  * its orderBlocker) before touching it, and a slot's row is zeroed
- * when a new entry claims the slot.
+ * when a new entry is admitted into the slot.
  */
 
 #ifndef UNXPEC_CPU_ROB_HH
 #define UNXPEC_CPU_ROB_HH
 
-#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "cpu/isa.hh"
 #include "memory/hierarchy.hh"
 #include "sim/annotate.hh"
-#include "sim/ring_queue.hh"
 #include "sim/types.hh"
 
 namespace unxpec {
@@ -107,39 +117,105 @@ class ReorderBuffer
 {
   public:
     /**
+     * Entries at consecutive positions (offsets from the head slot),
+     * oldest first. A range of squashed entries stays valid until the
+     * next claim() or clear().
+     */
+    template <bool Const>
+    class Range
+    {
+      public:
+        using Rob =
+            std::conditional_t<Const, const ReorderBuffer, ReorderBuffer>;
+        using Ref = std::conditional_t<Const, const RobEntry &, RobEntry &>;
+
+        class iterator
+        {
+          public:
+            iterator(Rob *rob, std::size_t offset)
+                : rob_(rob), offset_(offset)
+            {
+            }
+
+            Ref operator*() const { return rob_->at(offset_); }
+            auto *operator->() const { return &rob_->at(offset_); }
+
+            iterator &
+            operator++()
+            {
+                ++offset_;
+                return *this;
+            }
+
+            bool
+            operator==(const iterator &other) const
+            {
+                return offset_ == other.offset_;
+            }
+
+          private:
+            Rob *rob_;
+            std::size_t offset_;
+        };
+
+        Range(Rob *rob, std::size_t first, std::size_t count)
+            : rob_(rob), first_(first), count_(count)
+        {
+        }
+
+        iterator begin() const { return {rob_, first_}; }
+        iterator end() const { return {rob_, first_ + count_}; }
+        std::size_t size() const { return count_; }
+        bool empty() const { return count_ == 0; }
+        Ref operator[](std::size_t i) const { return rob_->at(first_ + i); }
+
+      private:
+        Rob *rob_;
+        std::size_t first_;
+        std::size_t count_;
+    };
+
+    /**
      * Every container is sized to `capacity` at construction — a warm
      * ROB performs no steady-state heap traffic.
      */
-    explicit ReorderBuffer(unsigned capacity)
-        : capacity_(capacity),
-          entries_(capacity),
-          maskWords_((capacity + 63) / 64)
-    {
-        // One-time construction sizing; the side lists are bounded by
-        // ROB occupancy and never regrow.
-        unissued_.reserve(capacity);           // lint-ok(steady-alloc): ctor
-        outstanding_.reserve(capacity);        // lint-ok(steady-alloc): ctor
-        storeFences_.reserve(capacity);        // lint-ok(steady-alloc): ctor
-        pendingMem_.reserve(capacity);         // lint-ok(steady-alloc): ctor
-        unresolvedBranches_.reserve(capacity); // lint-ok(steady-alloc): ctor
-        squashScratch_.reserve(capacity);      // lint-ok(steady-alloc): ctor
-        readyUnissued_.reserve(capacity);      // lint-ok(steady-alloc): ctor
-        // lint-ok(steady-alloc): ctor
-        depMask_.assign(static_cast<std::size_t>(capacity) * maskWords_, 0);
-    }
+    explicit ReorderBuffer(unsigned capacity);
 
-    bool full() const { return entries_.size() >= capacity_; }
-    bool empty() const { return entries_.empty(); }
-    std::size_t size() const { return entries_.size(); }
+    bool full() const { return count_ >= capacity_; }
+    bool empty() const { return count_ == 0; }
+    std::size_t size() const { return count_; }
     unsigned capacity() const { return capacity_; }
 
-    /** Append a new entry (must not be full). */
+    /**
+     * In-place dispatch, step one: reset the free slot after the
+     * youngest entry to a default RobEntry carrying `seq` and return
+     * it for the caller to fill. `seq` must follow the youngest
+     * entry's (any seq when the ROB is empty) and the ROB must not be
+     * full. The entry is not in flight — find() does not see it —
+     * until admit().
+     */
     UNXPEC_TRANSITION("spec")
-    RobEntry &push(RobEntry entry);
+    RobEntry &claim(SeqNum seq);
+
+    /**
+     * In-place dispatch, step two: put the claimed entry in flight and
+     * set its bits in the slot sets its flags call for. Instructions
+     * that complete at dispatch (NOP/HALT/JMP) arrive issued and done.
+     */
+    UNXPEC_TRANSITION("spec")
+    RobEntry &admit();
+
+    /** Append a ready-made entry: claim, copy, admit. */
+    RobEntry &
+    push(const RobEntry &entry)
+    {
+        claim(entry.seq) = entry;
+        return admit();
+    }
 
     /** Oldest entry. */
-    RobEntry &front() { return entries_.front(); }
-    const RobEntry &front() const { return entries_.front(); }
+    RobEntry &front() { return slots_[headSlot_]; }
+    const RobEntry &front() const { return slots_[headSlot_]; }
 
     /** Retire the oldest entry. */
     UNXPEC_TRANSITION("commit")
@@ -149,11 +225,9 @@ class ReorderBuffer
     RobEntry *
     find(SeqNum seq)
     {
-        if (entries_.empty() || seq < entries_.front().seq ||
-            seq > entries_.back().seq) {
-            return nullptr;
-        }
-        return &entries_[seq - entries_.front().seq];
+        // A seq older than the head wraps to a huge offset.
+        const SeqNum offset = seq - headSeq_;
+        return offset < count_ ? &at(offset) : nullptr;
     }
 
     const RobEntry *
@@ -164,16 +238,15 @@ class ReorderBuffer
 
     /**
      * Remove every entry younger than `seq` and return them
-     * oldest-first. The returned reference aliases an internal scratch
-     * buffer that is reused (and overwritten) by the next call — the
-     * caller must finish with it before squashing again.
+     * oldest-first. The entries stay in their slots, so the returned
+     * range is valid until the next claim() or clear().
      */
     UNXPEC_ROLLBACK("*")
-    const std::vector<RobEntry> &squashYoungerThan(SeqNum seq);
+    Range<true> squashYoungerThan(SeqNum seq);
 
     /**
      * Mark an entry issued. Must be used instead of writing
-     * entry.issued so the side lists stay coherent.
+     * entry.issued so the slot sets stay coherent.
      */
     UNXPEC_TRANSITION("spec")
     void markIssued(RobEntry &entry);
@@ -184,7 +257,7 @@ class ReorderBuffer
 
     /**
      * Park the operand-ready, unissued `entry` on `blocker`, an older
-     * entry that is not done: the entry leaves readyUnissued() and
+     * entry that is not done: the entry leaves the ready set and
      * returns to it when markDone(blocker) runs (see file comment).
      */
     UNXPEC_TRANSITION("spec")
@@ -195,66 +268,81 @@ class ReorderBuffer
     bool
     olderUnresolvedBranch(SeqNum seq) const
     {
-        return !unresolvedBranches_.empty() &&
-               unresolvedBranches_.front() < seq;
+        return oldestUnresolvedBranch() < seq;
     }
 
     /** True when a not-yet-done memory operation older than `seq`
      *  exists (the fence/clflush readiness check). */
-    bool
-    olderPendingMem(SeqNum seq) const
+    bool olderPendingMem(SeqNum seq) const { return oldestPendingMem() < seq; }
+
+    // Oldest member of a slot set, kSeqNone when the set is empty.
+    SeqNum oldestUnissued() const { return oldest(unissued_); }
+    SeqNum oldestOutstanding() const { return oldest(outstanding_); }
+    SeqNum oldestPendingMem() const { return oldest(pendingMem_); }
+    SeqNum
+    oldestUnresolvedBranch() const
     {
-        return !pendingMem_.empty() && pendingMem_.front() < seq;
+        return oldest(unresolvedBranches_);
     }
 
     /** In-flight memory operations (LSQ occupancy). */
     unsigned memCount() const { return memCount_; }
 
-    /** Seqs of entries not yet issued, ascending (the issue window). */
-    const std::vector<SeqNum> &unissued() const { return unissued_; }
-
     /**
-     * Seqs of unissued entries whose operands are both ready and that
-     * are not parked, ascending — the only entries tickIssue has to
-     * look at. Kept current by the eager wakeup (see file comment):
-     * push for entries ready at dispatch, park for entries that wait
-     * on an older one, markDone for entries whose last producer or
-     * blocker just completed.
+     * Visit, oldest first, the unissued entries whose operands are
+     * both ready and that are not parked — the only entries tickIssue
+     * has to look at. Kept current by the eager wakeup (see file
+     * comment). `visit(RobEntry &)` returns false to stop the walk; it
+     * may take the visited entry out of the set (markIssued, park).
      */
-    const std::vector<SeqNum> &
-    readyUnissued() const
+    template <typename Visit>
+    void
+    forEachReadyUnissued(Visit &&visit)
     {
-        return readyUnissued_;
+        walk(readyUnissued_,
+             [&](std::size_t slot) { return visit(slots_[slot]); });
     }
 
-    /** Seqs of issued-but-not-done entries, ascending (writeback). */
-    const std::vector<SeqNum> &outstanding() const { return outstanding_; }
-
-    /** Seqs of every in-flight store and fence, ascending (load
-     *  gating / forwarding walks these instead of the whole ROB). */
-    const std::vector<SeqNum> &storeFences() const { return storeFences_; }
-
-    /** Seqs of not-yet-done memory ops, ascending (fence checks). */
-    const std::vector<SeqNum> &pendingMem() const { return pendingMem_; }
-
-    /** Seqs of not-yet-done conditional branches, ascending. */
-    const std::vector<SeqNum> &
-    unresolvedBranches() const
+    /** Visit the issued-but-not-done entries oldest first (writeback;
+     *  same contract as forEachReadyUnissued, with markDone). A
+     *  visitor that squashes younger entries must stop the walk. */
+    template <typename Visit>
+    void
+    forEachOutstanding(Visit &&visit)
     {
-        return unresolvedBranches_;
+        walk(outstanding_,
+             [&](std::size_t slot) { return visit(slots_[slot]); });
+    }
+
+    template <typename Visit>
+    void
+    forEachOutstanding(Visit &&visit) const
+    {
+        walk(outstanding_,
+             [&](std::size_t slot) { return visit(slots_[slot]); });
+    }
+
+    /** Visit every in-flight store and fence oldest first (load gating
+     *  and forwarding walk these instead of the whole ROB). */
+    template <typename Visit>
+    void
+    forEachStoreFence(Visit &&visit) const
+    {
+        walk(storeFences_,
+             [&](std::size_t slot) { return visit(slots_[slot]); });
     }
 
     /**
-     * Cross-check every side list against a full scan of the entry
-     * deque (sim/audit.hh): the fast-path issue/writeback/gating
-     * candidate sets must be element-for-element identical to the
-     * reference model. Throws AuditError on divergence.
+     * Cross-check every slot set against a full scan of the entries
+     * (sim/audit.hh): no bit for a slot outside the live range, and
+     * each set, walked oldest first, element-for-element identical to
+     * the reference model. Throws AuditError on divergence.
      */
     void auditInvariants(Cycle now) const;
 
     /**
      * Event tracer for instruction-lifecycle events (nullptr = off).
-     * The push/markIssued/markDone/popFront/squash funnels stamp
+     * The admit/markIssued/markDone/popFront/squash funnels stamp
      * dispatch/issue/writeback/commit/squash events through it; the
      * owning Core keeps the tracer's cycle current.
      */
@@ -264,34 +352,118 @@ class ReorderBuffer
     UNXPEC_TRANSITION("reset")
     void clear();
 
-    auto begin() { return entries_.begin(); }
-    auto end() { return entries_.end(); }
-    auto begin() const { return entries_.begin(); }
-    auto end() const { return entries_.end(); }
+    // Range-for over the in-flight entries, oldest first.
+    Range<false>::iterator begin() { return {this, 0}; }
+    Range<false>::iterator end() { return {this, count_}; }
+    Range<true>::iterator begin() const { return {this, 0}; }
+    Range<true>::iterator end() const { return {this, count_}; }
 
   private:
-    static void
-    eraseSeq(std::vector<SeqNum> &list, SeqNum seq)
+    using SlotSet = std::vector<std::uint64_t>;
+
+    /** Slot `offset` positions after the head (offset < capacity). */
+    std::size_t
+    slotAt(std::size_t offset) const
     {
-        const auto it = std::lower_bound(list.begin(), list.end(), seq);
-        if (it != list.end() && *it == seq)
-            list.erase(it);
+        const std::size_t slot = headSlot_ + offset;
+        return slot >= capacity_ ? slot - capacity_ : slot;
+    }
+
+    /** Position of `slot` counted from the head slot. */
+    std::size_t
+    offsetOf(std::size_t slot) const
+    {
+        return slot >= headSlot_ ? slot - headSlot_
+                                 : slot + capacity_ - headSlot_;
+    }
+
+    RobEntry &at(std::size_t offset) { return slots_[slotAt(offset)]; }
+    const RobEntry &
+    at(std::size_t offset) const
+    {
+        return slots_[slotAt(offset)];
+    }
+
+    /** Slot an entry lives in (entries never move). */
+    std::size_t
+    slotOf(const RobEntry &entry) const
+    {
+        return static_cast<std::size_t>(&entry - slots_.data());
     }
 
     static void
-    trimYoungerThan(std::vector<SeqNum> &list, SeqNum seq)
+    setSlot(SlotSet &set, std::size_t slot)
     {
-        while (!list.empty() && list.back() > seq)
-            list.pop_back();
+        set[slot / 64] |= std::uint64_t{1} << (slot % 64);
     }
+
+    static void
+    clearSlot(SlotSet &set, std::size_t slot)
+    {
+        set[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+    }
+
+    static bool
+    testSlot(const SlotSet &set, std::size_t slot)
+    {
+        return (set[slot / 64] >> (slot % 64)) & 1;
+    }
+
+    /**
+     * Call `visit(slot)` for every slot in `set`, oldest first: the
+     * head word from the head slot up, the words after it, the words
+     * before it, then the head word below the head slot. Each word is
+     * read when the walk reaches it, so the visitor may clear the bit
+     * it is visiting (but no bit it has yet to visit). Stops when
+     * `visit` returns false.
+     */
+    template <typename Visit>
+    void
+    walk(const SlotSet &set, Visit &&visit) const
+    {
+        const std::size_t head_word = headSlot_ / 64;
+        const std::uint64_t head_mask = ~std::uint64_t{0}
+                                        << (headSlot_ % 64);
+        std::size_t w = head_word;
+        std::uint64_t word = set[w] & head_mask;
+        for (std::size_t step = 0;; ++step) {
+            while (word != 0) {
+                const unsigned bit =
+                    static_cast<unsigned>(__builtin_ctzll(word));
+                word &= word - 1;
+                if (!visit(w * 64 + bit))
+                    return;
+            }
+            if (step == maskWords_)
+                return;
+            w = w + 1 == maskWords_ ? 0 : w + 1;
+            word = set[w];
+            if (w == head_word)
+                word &= ~head_mask;
+        }
+    }
+
+    /** Seq of the oldest entry in `set`, kSeqNone when empty. */
+    SeqNum
+    oldest(const SlotSet &set) const
+    {
+        SeqNum seq = kSeqNone;
+        walk(set, [&](std::size_t slot) {
+            seq = slots_[slot].seq;
+            return false;
+        });
+        return seq;
+    }
+
+    /** Clear `slot` in every slot set (squash). */
+    void dropSlot(std::size_t slot);
 
     /** Set `consumer`'s bit in the dependent row of `producer`. */
     void
-    addDependent(SeqNum producer, SeqNum consumer)
+    addDependent(std::size_t producer_slot, std::size_t consumer_slot)
     {
-        const std::size_t slot = consumer % capacity_;
-        depMask_[(producer % capacity_) * maskWords_ + slot / 64] |=
-            std::uint64_t{1} << (slot % 64);
+        depMask_[producer_slot * maskWords_ + consumer_slot / 64] |=
+            std::uint64_t{1} << (consumer_slot % 64);
     }
 
     /** Register `entry` in the dependent bitmap of each not-ready
@@ -299,42 +471,42 @@ class ReorderBuffer
     void registerDependents(const RobEntry &entry);
 
     /** Deliver `producer`'s result to every registered dependent,
-     *  release entries parked on it, and promote those with nothing
-     *  left to wait for onto readyUnissued_. */
+     *  release entries parked on it, and set the ready bit of those
+     *  with nothing left to wait for. */
     void wakeDependents(const RobEntry &producer);
 
-    /** Wake the occupant of ring slot `slot`, if it is live and
-     *  actually names `producer` (stale bits are skipped). */
+    /** Wake the occupant of `slot`, if it is live and actually names
+     *  `producer` (stale bits are skipped). */
     void wakeSlot(std::size_t slot, const RobEntry &producer);
 
     unsigned capacity_;
-    RingQueue<RobEntry> entries_;
+    /** 64-bit words per slot set and per dependent row. */
+    std::size_t maskWords_;
+    std::vector<RobEntry> slots_;
+    std::size_t headSlot_ = 0;
+    std::size_t count_ = 0;
+    /** Seq of the entry in the head slot (meaningful when count_ > 0). */
+    SeqNum headSeq_ = 0;
 
-    // Seq-ascending side lists; see file comment. All are reserved to
-    // `capacity_` at construction, so the push_back/insert maintenance
-    // below never reallocates. Each list carries entries for in-flight
-    // (hence possibly speculative) instructions that squashYoungerThan
-    // must trim exactly — speculative state under the speccheck
-    // contract, cross-checked dynamically by auditInvariants.
-    UNXPEC_SPEC_STATE std::vector<SeqNum> unissued_;
-    UNXPEC_SPEC_STATE std::vector<SeqNum> outstanding_;
-    UNXPEC_SPEC_STATE std::vector<SeqNum> storeFences_;
-    UNXPEC_SPEC_STATE std::vector<SeqNum> pendingMem_;
-    UNXPEC_SPEC_STATE std::vector<SeqNum> unresolvedBranches_;
-    /** Reused return buffer of squashYoungerThan (oldest-first). */
-    std::vector<RobEntry> squashScratch_;
-    /** Unissued entries with both operands ready and not parked (see
-     *  readyUnissued()). */
-    UNXPEC_SPEC_STATE std::vector<SeqNum> readyUnissued_;
+    // Per-slot bitsets (see file comment), maskWords_ words each. Each
+    // marks in-flight (hence possibly speculative) entries that
+    // squashYoungerThan must drop exactly — speculative state under
+    // the speccheck contract, cross-checked dynamically by
+    // auditInvariants.
+    UNXPEC_SPEC_STATE SlotSet unissued_;
+    /** Unissued entries with both operands ready and not parked. */
+    UNXPEC_SPEC_STATE SlotSet readyUnissued_;
+    UNXPEC_SPEC_STATE SlotSet outstanding_;
+    UNXPEC_SPEC_STATE SlotSet storeFences_;
+    UNXPEC_SPEC_STATE SlotSet pendingMem_;
+    UNXPEC_SPEC_STATE SlotSet unresolvedBranches_;
     /**
-     * Dependent bitmaps: row `seq % capacity` holds one bit per ring
-     * slot whose occupant waits on that entry (for an operand, or
-     * parked on it). maskWords_ 64-bit words per row; the whole table
-     * is capacity * maskWords_ words, zeroed row-by-row as slots are
-     * reclaimed.
+     * Dependent bitmaps: row `slot` holds one bit per slot whose
+     * occupant waits on that slot's entry (for an operand, or parked
+     * on it). The whole table is capacity * maskWords_ words, a row
+     * zeroed when admit() gives its slot a new entry.
      */
     UNXPEC_SPEC_STATE std::vector<std::uint64_t> depMask_;
-    std::size_t maskWords_;
     UNXPEC_SPEC_STATE unsigned memCount_ = 0;
     Tracer *tracer_ = nullptr;
 

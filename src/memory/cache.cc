@@ -38,6 +38,7 @@ Cache::Cache(const CacheConfig &cfg, Rng &rng, std::uint64_t index_key)
       repl_(cfg.repl, cfg.numSets(), cfg.ways, rng),
       index_(cfg.index, cfg.numSets(), index_key),
       mshr_(cfg.mshrs),
+      touchedMask_((cfg.numSets() + 63) / 64, 0),
       allowedMask_{computeAllowedMask(cfg, 0), computeAllowedMask(cfg, 1)},
       stats_(cfg.name),
       hits_(stats_.counter("hits", "demand hits")),
@@ -51,6 +52,8 @@ Cache::Cache(const CacheConfig &cfg, Rng &rng, std::uint64_t index_key)
         fatal("cache ", cfg.name, ": ways must be in [1, 64]");
     if (cfg.nomoReservedWays >= cfg.ways)
         fatal("cache ", cfg.name, ": NoMo reservation leaves no usable way");
+    // lint-ok(steady-alloc): one-time construction sizing
+    touchedSets_.reserve(numSets_);
 }
 
 Addr &
@@ -120,6 +123,7 @@ Cache::install(Addr line_addr, Cycle fill_cycle, bool speculative,
     coh::onFill(slot);
     tag(set, chosen) = line_addr;
     repl_.fill(set, chosen);
+    markTouched(set);
 
     if (kTraceEnabled && tracer_ != nullptr &&
         tracer_->enabled(kTraceCatCache)) {
@@ -154,6 +158,7 @@ Cache::installAt(unsigned set, unsigned way, Addr line_addr, bool dirty,
     coh::onRestore(slot, dirty);
     tag(set, way) = line_addr;
     repl_.fill(set, way);
+    markTouched(set);
     if (kTraceEnabled && tracer_ != nullptr &&
         tracer_->enabled(kTraceCatCache)) {
         tracer_->instantAt(fill_cycle, TraceKind::CacheRestore, kSeqNone,
@@ -253,9 +258,15 @@ Cache::residentLines() const
 void
 Cache::reset()
 {
-    for (auto &slot : lines_)
-        slot.reset();
-    std::fill(tags_.begin(), tags_.end(), kAddrInvalid);
+    for (const unsigned set : touchedSets_) {
+        const std::size_t first = static_cast<std::size_t>(set) * cfg_.ways;
+        std::fill_n(tags_.begin() + first, cfg_.ways, kAddrInvalid);
+        for (unsigned way = 0; way < cfg_.ways; ++way)
+            lines_[first + way].reset();
+        repl_.clearSet(set);
+        touchedMask_[set / 64] = 0;
+    }
+    touchedSets_.clear();
     mshr_.clear();
 }
 
@@ -263,7 +274,7 @@ void
 Cache::reseed(std::uint64_t index_key)
 {
     reset();
-    repl_.reset();
+    repl_.restartClock();
     index_.rekey(index_key);
     stats_.resetAll();
 }

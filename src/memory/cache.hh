@@ -175,7 +175,20 @@ class Cache
      */
     void auditInvariants(Cycle now) const;
 
-    /** Drop all content and outstanding misses (cold cache). */
+    /**
+     * Check, by full scan, that the cache is in freshly constructed
+     * state: every tag invalid, every line default, every LRU stamp
+     * and the LRU tick zero, the MSHR file and the touched-set list
+     * empty (sim/audit.hh; run after each Core::reset). Throws
+     * AuditError.
+     */
+    void auditFresh(Cycle now) const;
+
+    /**
+     * Drop all content and outstanding misses (cold cache). Only the
+     * sets written since the last reset are cleared: their tags,
+     * lines and LRU stamps.
+     */
     UNXPEC_TRANSITION("reset")
     void reset();
 
@@ -232,6 +245,23 @@ class Cache
         return -1;
     }
 
+    /**
+     * Record that `set` was written, once per set between resets. Only
+     * install and installAt make a line valid (and stamp it), and every
+     * other write needs a valid line, so the recorded sets are all a
+     * reset has to clear.
+     */
+    void
+    markTouched(unsigned set)
+    {
+        std::uint64_t &word = touchedMask_[set / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (set % 64);
+        if ((word & bit) != 0)
+            return;
+        word |= bit;
+        touchedSets_.push_back(set); // lint-ok(steady-alloc): reserved
+    }
+
     Addr &tag(unsigned set, unsigned way);
     CacheLine &line(unsigned set, unsigned way);
     const CacheLine &line(unsigned set, unsigned way) const;
@@ -246,6 +276,11 @@ class Cache
     ReplacementState repl_;
     SetIndexer index_;
     MshrFile mshr_;
+    /** Sets written since the last reset, each listed once (reserved
+     *  to numSets_ at construction). */
+    std::vector<unsigned> touchedSets_;
+    /** One bit per set: already on touchedSets_. */
+    std::vector<std::uint64_t> touchedMask_;
     /** Allowed-way masks per security domain (depends only on config). */
     std::uint64_t allowedMask_[2];
     Tracer *tracer_ = nullptr;

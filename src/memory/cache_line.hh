@@ -52,6 +52,8 @@ struct CacheLine
      *  speculative; the M/E->S downgrade is applied at commit. */
     UNXPEC_SPEC_STATE bool pendingDowngrade = false;
 
+    bool operator==(const CacheLine &) const = default;
+
     UNXPEC_TRANSITION("reset")
     void
     reset()

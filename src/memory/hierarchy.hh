@@ -271,6 +271,10 @@ class MemoryHierarchy
     /** Audit all three caches (sim/audit.hh). Throws AuditError. */
     void auditInvariants(Cycle now) const;
 
+    /** Check every cache this hierarchy resets against freshly
+     *  constructed state (Cache::auditFresh), right after reseed(). */
+    void auditFresh(Cycle now) const;
+
     /**
      * Rollback-completeness audit, run immediately after a squash of
      * everything younger than `branch_seq` (sim/audit.hh): no cache

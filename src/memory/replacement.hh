@@ -15,6 +15,7 @@
 #define UNXPEC_MEMORY_REPLACEMENT_HH
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -59,13 +60,21 @@ class ReplacementState
      */
     unsigned victim(unsigned set, std::uint64_t allowed_mask);
 
-    /** Forget all history (freshly-constructed state; Core::reset). */
+    /** Forget the history of one set (a cache reset of a set it
+     *  wrote). */
     void
-    reset()
+    clearSet(unsigned set)
     {
-        tick_ = 0;
-        std::fill(stamps_.begin(), stamps_.end(), 0);
+        if (policy_ == ReplPolicy::LRU) {
+            std::fill_n(stamps_.begin() +
+                            static_cast<std::ptrdiff_t>(set) * ways_,
+                        ways_, 0);
+        }
     }
+
+    /** Restart the LRU clock: with every set cleared, this is
+     *  freshly-constructed state (Core::reset). */
+    void restartClock() { tick_ = 0; }
 
     ReplPolicy policy() const { return policy_; }
 

@@ -86,7 +86,7 @@ dumpList(const char *name, const std::vector<std::uint64_t> &values)
 
 namespace {
 
-/** Fail with both sides dumped when a side list diverges from the
+/** Fail with both sides dumped when a slot set diverges from the
  *  full-scan reference. */
 void
 compareLists(const char *component, Cycle now, const char *name,
@@ -96,7 +96,7 @@ compareLists(const char *component, Cycle now, const char *name,
     if (expect == actual)
         return;
     fail(component, now,
-         std::string(name) + " side list diverged from full scan: " +
+         std::string(name) + " set diverged from full scan: " +
              dumpList("expected", expect) + " vs " +
              dumpList("actual", actual));
 }
@@ -112,11 +112,12 @@ ReorderBuffer::auditInvariants(Cycle now) const
 {
     const char *const who = "rob";
 
-    if (entries_.size() > capacity_)
-        audit::fail(who, now, "ROB over capacity");
+    if (count_ > capacity_ || headSlot_ >= capacity_)
+        audit::fail(who, now, "ROB over capacity or head slot out of range");
 
     // Reference model: one full scan over the fat entries recomputes
-    // every side list from the entry flags alone.
+    // every slot set, as an age-ordered seq list, from the entry flags
+    // alone.
     std::vector<SeqNum> unissued;
     std::vector<SeqNum> ready_unissued;
     std::vector<SeqNum> outstanding;
@@ -125,14 +126,14 @@ ReorderBuffer::auditInvariants(Cycle now) const
     std::vector<SeqNum> unresolved;
     unsigned mem_count = 0;
 
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        const RobEntry &entry = entries_[i];
-        if (entry.seq != entries_.front().seq + i) {
+    for (std::size_t i = 0; i < count_; ++i) {
+        const RobEntry &entry = at(i);
+        if (entry.seq != headSeq_ + i) {
             audit::fail(who, now,
                         "non-consecutive seq at index " +
                             std::to_string(i) + ": expected " +
-                            std::to_string(entries_.front().seq + i) +
-                            ", found " + std::to_string(entry.seq));
+                            std::to_string(headSeq_ + i) + ", found " +
+                            std::to_string(entry.seq));
         }
         if (entry.done && !entry.issued) {
             audit::fail(who, now,
@@ -148,15 +149,15 @@ ReorderBuffer::auditInvariants(Cycle now) const
             // Eager-wakeup completeness: a waiting operand whose
             // producer is done (or gone) means markDone failed to
             // deliver the wakeup — the entry would stall forever.
-            for (unsigned slot = 0; slot < 2; ++slot) {
-                if (entry.srcReady[slot])
+            for (unsigned src = 0; src < 2; ++src) {
+                if (entry.srcReady[src])
                     continue;
-                const RobEntry *producer = find(entry.producer[slot]);
+                const RobEntry *producer = find(entry.producer[src]);
                 if (producer == nullptr || producer->done) {
                     audit::fail(who, now,
                                 "entry " + std::to_string(entry.seq) +
                                     " missed the wakeup from producer " +
-                                    std::to_string(entry.producer[slot]));
+                                    std::to_string(entry.producer[src]));
                 }
             }
             // Ordering-wakeup completeness: a parked entry waits on a
@@ -164,12 +165,10 @@ ReorderBuffer::auditInvariants(Cycle now) const
             // its bit; otherwise no markDone will ever release it.
             if (entry.orderBlocker != kSeqNone) {
                 const RobEntry *blocker = find(entry.orderBlocker);
-                const std::size_t slot = entry.seq % capacity_;
                 const bool registered =
                     blocker != nullptr &&
-                    (depMask_[(blocker->seq % capacity_) * maskWords_ +
-                              slot / 64] >>
-                     (slot % 64)) & 1;
+                    testSlot(depMask_, slotOf(*blocker) * maskWords_ * 64 +
+                                           slotOf(entry));
                 if (blocker == nullptr || blocker->done ||
                     blocker->seq >= entry.seq || !registered) {
                     audit::fail(who, now,
@@ -200,28 +199,43 @@ ReorderBuffer::auditInvariants(Cycle now) const
             unresolved.push_back(entry.seq);
     }
 
-    // The issue and writeback candidate sets (and the gating inputs)
-    // must match the reference exactly — order included, since the
-    // pipeline loops rely on ascending-seq walks.
-    audit::compareLists(who, now, "unissued", unissued, unissued_);
-    audit::compareLists(who, now, "readyUnissued", ready_unissued,
-                        readyUnissued_);
-    audit::compareLists(who, now, "outstanding", outstanding, outstanding_);
-    audit::compareLists(who, now, "storeFences", store_fences, storeFences_);
-    audit::compareLists(who, now, "pendingMem", pending_mem, pendingMem_);
-    audit::compareLists(who, now, "unresolvedBranches", unresolved,
-                        unresolvedBranches_);
+    // Every slot set must hold bits for live slots only, and, walked
+    // oldest first as the pipeline loops walk it, list exactly the
+    // reference seqs in the same order.
+    auto check_set = [&](const char *name, const SlotSet &set,
+                         const std::vector<SeqNum> &expect) {
+        for (std::size_t slot = 0; slot < maskWords_ * 64; ++slot) {
+            if (testSlot(set, slot) &&
+                (slot >= capacity_ || offsetOf(slot) >= count_)) {
+                audit::fail(who, now,
+                            std::string(name) + " has a bit for dead slot " +
+                                std::to_string(slot));
+            }
+        }
+        std::vector<SeqNum> actual;
+        walk(set, [&](std::size_t slot) {
+            actual.push_back(slots_[slot].seq);
+            return true;
+        });
+        audit::compareLists(who, now, name, expect, actual);
+    };
+    check_set("unissued", unissued_, unissued);
+    check_set("readyUnissued", readyUnissued_, ready_unissued);
+    check_set("outstanding", outstanding_, outstanding);
+    check_set("storeFences", storeFences_, store_fences);
+    check_set("pendingMem", pendingMem_, pending_mem);
+    check_set("unresolvedBranches", unresolvedBranches_, unresolved);
     if (mem_count != memCount_) {
         audit::fail(who, now,
                     "memCount " + std::to_string(memCount_) +
                         " != full-scan count " + std::to_string(mem_count));
     }
 
-    // Query cross-check: the O(1) front-element answers must agree with
+    // Query cross-check: the oldest-member answers must agree with
     // the reference semantics for every in-flight seq.
     unsigned older_branches = 0;
     unsigned older_pending = 0;
-    for (const RobEntry &entry : entries_) {
+    for (const RobEntry &entry : *this) {
         if (olderUnresolvedBranch(entry.seq) != (older_branches > 0)) {
             audit::fail(who, now,
                         "olderUnresolvedBranch(" +
@@ -248,9 +262,36 @@ Cache::auditInvariants(Cycle now) const
     const std::string who_str = "cache:" + cfg_.name;
     const char *const who = who_str.c_str();
 
+    // Touched-set list: each set at most once, mirrored by the mask.
+    std::vector<unsigned> listed = touchedSets_;
+    std::sort(listed.begin(), listed.end());
+    if (std::adjacent_find(listed.begin(), listed.end()) != listed.end())
+        audit::fail(who, now, "touched-set list names a set twice");
+    for (unsigned set = 0; set < numSets_; ++set) {
+        const bool marked = (touchedMask_[set / 64] >> (set % 64)) & 1;
+        if (marked != std::binary_search(listed.begin(), listed.end(), set)) {
+            audit::fail(who, now,
+                        "touched-set mask and list disagree on set " +
+                            std::to_string(set));
+        }
+    }
+
     for (unsigned set = 0; set < numSets_; ++set) {
         std::vector<Addr> seen;
         std::vector<std::uint64_t> stamps;
+        // A set a reset would skip must still be in constructed state.
+        const bool touched = (touchedMask_[set / 64] >> (set % 64)) & 1;
+        for (unsigned way = 0; !touched && way < cfg_.ways; ++way) {
+            const std::size_t idx =
+                static_cast<std::size_t>(set) * cfg_.ways + way;
+            if (tags_[idx] != kAddrInvalid || !(lines_[idx] == CacheLine{}) ||
+                repl_.auditStamp(set, way) != 0) {
+                audit::fail(who, now,
+                            "set " + std::to_string(set) +
+                                " was written but is not on the "
+                                "touched-set list");
+            }
+        }
         for (unsigned way = 0; way < cfg_.ways; ++way) {
             const std::size_t idx =
                 static_cast<std::size_t>(set) * cfg_.ways + way;
@@ -421,7 +462,47 @@ Cache::auditInvariants(Cycle now) const
     }
 }
 
+void
+Cache::auditFresh(Cycle now) const
+{
+    const std::string who_str = "reset:" + cfg_.name;
+    const char *const who = who_str.c_str();
+
+    for (unsigned set = 0; set < numSets_; ++set) {
+        for (unsigned way = 0; way < cfg_.ways; ++way) {
+            const std::size_t idx =
+                static_cast<std::size_t>(set) * cfg_.ways + way;
+            const std::string where = " at set " + std::to_string(set) +
+                                      " way " + std::to_string(way);
+            if (tags_[idx] != kAddrInvalid)
+                audit::fail(who, now, "tag survived the reset" + where);
+            if (!(lines_[idx] == CacheLine{}))
+                audit::fail(who, now, "line survived the reset" + where);
+            if (repl_.auditStamp(set, way) != 0)
+                audit::fail(who, now, "LRU stamp survived the reset" + where);
+        }
+    }
+    if (repl_.auditTick() != 0)
+        audit::fail(who, now, "LRU tick survived the reset");
+    if (mshr_.inflight() != 0)
+        audit::fail(who, now, "MSHR entries survived the reset");
+    if (!touchedSets_.empty() ||
+        std::any_of(touchedMask_.begin(), touchedMask_.end(),
+                    [](std::uint64_t word) { return word != 0; })) {
+        audit::fail(who, now, "touched-set list survived the reset");
+    }
+}
+
 // --- MemoryHierarchy --------------------------------------------------
+
+void
+MemoryHierarchy::auditFresh(Cycle now) const
+{
+    l1i_.auditFresh(now);
+    l1d_.auditFresh(now);
+    if (ownsShared())
+        l2_->auditFresh(now);
+}
 
 void
 MemoryHierarchy::auditInvariants(Cycle now) const

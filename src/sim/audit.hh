@@ -3,24 +3,31 @@
  * Microarchitectural invariant auditor. Configure with
  * -DUNXPEC_AUDIT=ON to compile the periodic hooks into the Core loop;
  * the checks themselves are always built (tests exercise them in every
- * configuration) and each one cross-checks a PR-2 fast-path structure
+ * configuration) and each one cross-checks a fast-path structure
  * against a slow full-scan reference model:
  *
- *   ReorderBuffer::auditInvariants   side lists (unissued/outstanding/
- *                                    storeFences/pendingMem/unresolved
- *                                    branches/memCount) recomputed from
- *                                    a full ROB scan and compared
- *                                    element-for-element, so issue and
+ *   ReorderBuffer::auditInvariants   slot sets (unissued/ready/
+ *                                    outstanding/storeFences/pendingMem/
+ *                                    unresolved branches) hold no bit
+ *                                    for a dead slot and, walked oldest
+ *                                    first, equal the seq lists of a
+ *                                    full ROB scan element-for-element
+ *                                    (memCount too), so issue and
  *                                    writeback candidate sets are
- *                                    provably identical to the pre-
- *                                    refactor scans.
+ *                                    provably identical to full scans.
  *   Cache::auditInvariants           SoA tag array mirrors the line
  *                                    array, every valid line sits in
  *                                    its index set, no set holds a
  *                                    duplicate tag, speculative marking
  *                                    is coherent, LRU stamps form a
- *                                    strict order, and MSHR entries are
- *                                    consistent with fills in flight.
+ *                                    strict order, MSHR entries are
+ *                                    consistent with fills in flight,
+ *                                    and every set off the touched-set
+ *                                    list is in constructed state.
+ *   Cache::auditFresh                after each Core::reset: the whole
+ *                                    cache equals freshly constructed
+ *                                    state (tags, lines, LRU stamps and
+ *                                    tick, MSHR file).
  *   MemoryHierarchy::auditInvariants all three caches.
  *   MemoryHierarchy::auditRollbackComplete
  *                                    CleanupSpec rollback completeness:

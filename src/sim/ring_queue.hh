@@ -1,9 +1,9 @@
 /**
  * @file
- * Fixed-capacity circular queue. The ROB's entry buffer and the
- * core's decode queue were std::deques, whose libstdc++ implementation
- * allocates and frees 512-byte node blocks as the queue breathes — the
- * dominant steady-state heap churn in the per-cycle tick paths.
+ * Fixed-capacity circular queue, used for the core's decode queue. A
+ * std::deque's libstdc++ implementation allocates and frees 512-byte
+ * node blocks as the queue breathes, heap churn in a per-cycle tick
+ * path.
  * RingQueue allocates its full capacity once at construction and never
  * touches the heap again: push/pop are an index bump and an assignment.
  *
@@ -146,10 +146,12 @@ class RingQueue
     const_iterator end() const { return const_iterator(this, count_); }
 
   private:
+    /** Ring index of position `i`; every caller passes i < 2 *
+     *  capacity, so one compare-and-subtract replaces a division. */
     std::size_t
     wrap(std::size_t i) const
     {
-        return i % buf_.size();
+        return i >= buf_.size() ? i - buf_.size() : i;
     }
 
     std::vector<T> buf_;

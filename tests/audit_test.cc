@@ -2,15 +2,19 @@
  * @file
  * Tests for the microarchitectural invariant auditor (sim/audit.hh).
  * Every auditor must (a) stay silent on legitimately evolved state and
- * (b) fire on deliberately corrupted state: a stale ROB side-list
- * entry, an entry parked on a blocker that is already done, a desynced
- * or duplicated cache tag, an LRU stamp collision, an inconsistent
- * MSHR entry, and an incomplete rollback. Corruption
- * that the public API correctly refuses to produce is injected through
- * the AuditTap friend hooks below.
+ * (b) fire on deliberately corrupted state: a ROB set bit for a dead
+ * slot, a dropped ready bit, an entry parked on a blocker that is
+ * already done, a written set missing from the cache's touched-set
+ * list (so a reset would skip it), a desynced or duplicated cache
+ * tag, an LRU stamp collision, an inconsistent MSHR entry, and an
+ * incomplete rollback. Corruption that the public API correctly
+ * refuses to produce is injected through the AuditTap friend hooks
+ * below.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "cleanup/cleanup_engine.hh"
 #include "cleanup/spec_tracker.hh"
@@ -26,11 +30,33 @@ namespace unxpec {
 /** Test-only corruption hooks (friend of the audited classes). */
 struct AuditTap
 {
-    /** Plant a stale seq in the unissued side list (funnel bypass). */
+    /** Set the unissued bit of the free slot after the youngest entry
+     *  (a bit for a dead slot; funnel bypass). */
     static void
-    injectUnissued(ReorderBuffer &rob, SeqNum seq)
+    injectDeadSlotBit(ReorderBuffer &rob)
     {
-        rob.unissued_.push_back(seq);
+        ReorderBuffer::setSlot(rob.unissued_, rob.slotAt(rob.size()));
+    }
+
+    /** Clear the ready bit of a ready entry (a lost wakeup). */
+    static void
+    dropReadyBit(ReorderBuffer &rob, SeqNum seq)
+    {
+        ReorderBuffer::clearSlot(rob.readyUnissued_,
+                                 rob.slotOf(*rob.find(seq)));
+    }
+
+    /** Make a line valid without recording its set as touched, so a
+     *  reset would skip the set. */
+    static void
+    installUntracked(Cache &cache, unsigned set, unsigned way,
+                     Addr line_addr)
+    {
+        const std::size_t idx =
+            static_cast<std::size_t>(set) * cache.cfg_.ways + way;
+        cache.tags_[idx] = line_addr;
+        cache.lines_[idx].lineAddr = line_addr;
+        cache.lines_[idx].valid = true;
     }
 
     /** Overwrite a raw tag slot, desyncing the SoA mirror. */
@@ -82,6 +108,18 @@ aluEntry(SeqNum seq)
     return entry;
 }
 
+/** The ready unissued set, oldest first. */
+std::vector<SeqNum>
+readySeqs(ReorderBuffer &rob)
+{
+    std::vector<SeqNum> seqs;
+    rob.forEachReadyUnissued([&](const RobEntry &entry) {
+        seqs.push_back(entry.seq);
+        return true;
+    });
+    return seqs;
+}
+
 // --- period knob ------------------------------------------------------
 
 TEST(AuditPeriod, SetAndClampToOne)
@@ -105,12 +143,21 @@ TEST(RobAudit, CleanOnLegitimateState)
     EXPECT_NO_THROW(rob.auditInvariants(1));
 }
 
-TEST(RobAudit, DetectsStaleSideListEntry)
+TEST(RobAudit, DetectsBitForDeadSlot)
 {
     ReorderBuffer rob(8);
     rob.push(aluEntry(0));
     rob.push(aluEntry(1));
-    AuditTap::injectUnissued(rob, 7); // seq 7 was never dispatched
+    AuditTap::injectDeadSlotBit(rob); // the slot seq 2 would claim
+    EXPECT_THROW(rob.auditInvariants(1), AuditError);
+}
+
+TEST(RobAudit, DetectsDroppedReadyBit)
+{
+    ReorderBuffer rob(8);
+    rob.push(aluEntry(0));
+    rob.push(aluEntry(1));
+    AuditTap::dropReadyBit(rob, 1); // seq 1 would never issue
     EXPECT_THROW(rob.auditInvariants(1), AuditError);
 }
 
@@ -135,16 +182,14 @@ TEST(RobAudit, CleanWhileParkedOnPendingBlocker)
     load.inst.op = Opcode::LOAD;
     rob.push(std::move(load));
     rob.park(*rob.find(1), 0);
-    EXPECT_TRUE(rob.readyUnissued().size() == 1 &&
-                rob.readyUnissued().front() == 0);
+    EXPECT_EQ(readySeqs(rob), std::vector<SeqNum>{0});
     EXPECT_NO_THROW(rob.auditInvariants(1));
 
     // The blocker's markDone puts the parked load back.
     rob.markIssued(*rob.find(0));
     rob.markDone(*rob.find(0));
     EXPECT_EQ(rob.find(1)->orderBlocker, kSeqNone);
-    EXPECT_TRUE(rob.readyUnissued().size() == 1 &&
-                rob.readyUnissued().front() == 1);
+    EXPECT_EQ(readySeqs(rob), std::vector<SeqNum>{1});
     EXPECT_NO_THROW(rob.auditInvariants(2));
 }
 
@@ -224,6 +269,38 @@ TEST(CacheAudit, DetectsLruStampCollision)
     AuditTap::smashStamp(cache, b.set, b.way,
                          AuditTap::stamp(cache, a.set, a.way));
     EXPECT_THROW(cache.auditInvariants(1), AuditError);
+}
+
+TEST(CacheAudit, FreshAfterReseed)
+{
+    Rng rng(1);
+    Cache cache(lruConfig(), rng, 0);
+    const unsigned sets = cache.config().numSets();
+    for (unsigned i = 0; i < 40; ++i)
+        cache.install(0x4000 + i * (sets + 1) * kLineBytes, 0, false,
+                      kSeqNone);
+    cache.mshr().allocate(0x4000, 100, false, kSeqNone);
+    EXPECT_THROW(cache.auditFresh(1), AuditError);
+    cache.reseed(7);
+    EXPECT_NO_THROW(cache.auditFresh(1));
+}
+
+TEST(CacheAudit, DetectsWriteOutsideTouchedSets)
+{
+    Rng rng(1);
+    Cache cache(lruConfig(), rng, 0);
+    AuditTap::installUntracked(cache, 3, 1, 0x4000);
+    EXPECT_THROW(cache.auditInvariants(1), AuditError);
+}
+
+TEST(CacheAudit, DetectsTouchedSetSkippedByReset)
+{
+    Rng rng(1);
+    Cache cache(lruConfig(), rng, 0);
+    cache.install(0x4000, 0, false, kSeqNone);
+    AuditTap::installUntracked(cache, cache.setOf(0x4000) + 1, 0, 0x8000);
+    cache.reseed(0);
+    EXPECT_THROW(cache.auditFresh(1), AuditError);
 }
 
 TEST(CacheAudit, DetectsSpeculativeMshrEntryWithoutInstaller)

@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for the cache array: install/evict/invalidate/restore,
- * speculative marking, NoMo partitioning, and occupancy invariants.
+ * speculative marking, NoMo partitioning, occupancy invariants, and
+ * the touched-set reset.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "memory/cache.hh"
+#include "sim/audit.hh"
 
 namespace unxpec {
 namespace {
@@ -200,6 +203,131 @@ TEST(CacheStatsTest, HitsAndMissesCounted)
     ++cache.hits();
     EXPECT_EQ(cache.stats().findCounter("hits")->value(), 1u);
     EXPECT_EQ(cache.stats().findCounter("misses")->value(), 1u);
+}
+
+/**
+ * Drive `cache` with `steps` random install/installAt/invalidate/touch
+ * operations drawn from `ops`, recording every observable outcome
+ * (fill placement and victims, hits, invalidations) in `trace`. The
+ * mix is unconstrained (it may install a resident line twice), so it
+ * exercises writes the cache's own callers never make.
+ */
+void
+randomMix(Cache &cache, Rng &ops, unsigned steps,
+          std::vector<std::uint64_t> &trace)
+{
+    const CacheConfig &cfg = cache.config();
+    const std::uint64_t lines =
+        static_cast<std::uint64_t>(cfg.numSets()) * cfg.ways * 3;
+    for (unsigned i = 0; i < steps; ++i) {
+        const Addr line = ops.range(lines) * kLineBytes;
+        switch (ops.range(4)) {
+          case 0: {
+            const FillResult fill =
+                cache.install(line, ops.range(50), ops.chance(0.5),
+                              ops.range(100),
+                              static_cast<unsigned>(ops.range(2)));
+            trace.insert(trace.end(), {fill.set, fill.way, fill.victimLine,
+                                       fill.victimValid});
+            break;
+          }
+          case 1:
+            cache.installAt(cache.setOf(line),
+                            static_cast<unsigned>(ops.range(cfg.ways)),
+                            line, ops.chance(0.5), ops.range(50));
+            break;
+          case 2:
+            trace.push_back(cache.invalidate(line));
+            break;
+          default:
+            trace.push_back(cache.probe(line) != nullptr);
+            cache.touch(line);
+            break;
+        }
+    }
+    for (const Addr resident : cache.residentLines())
+        trace.push_back(resident);
+}
+
+/** After a random history, reseed(k) must leave the cache equal to a
+ *  freshly constructed Cache(cfg, k): by full scan, and by behaving
+ *  identically under the same later history. */
+void
+expectReseedMatchesFresh(const CacheConfig &cfg)
+{
+    Rng used_rng(11);
+    Cache used(cfg, used_rng, 3);
+    Rng history(42);
+    std::vector<std::uint64_t> ignored;
+    randomMix(used, history, 4000, ignored);
+    used.mshr().allocate(0x4000, 100, true, 7);
+
+    const std::uint64_t key = 99;
+    used.reseed(key);
+    EXPECT_NO_THROW(used.auditFresh(0)) << cfg.name;
+
+    used_rng.seed(5);
+    Rng fresh_rng(5);
+    Cache fresh(cfg, fresh_rng, key);
+    Rng ops_a(7);
+    Rng ops_b(7);
+    std::vector<std::uint64_t> trace_used;
+    std::vector<std::uint64_t> trace_fresh;
+    randomMix(used, ops_a, 4000, trace_used);
+    randomMix(fresh, ops_b, 4000, trace_fresh);
+    EXPECT_EQ(trace_used, trace_fresh) << cfg.name;
+}
+
+TEST(CacheResetTest, ReseedMatchesFreshUnderLru)
+{
+    CacheConfig cfg = smallConfig();
+    cfg.name = "lru";
+    expectReseedMatchesFresh(cfg);
+}
+
+TEST(CacheResetTest, ReseedMatchesFreshUnderRandom)
+{
+    CacheConfig cfg = smallConfig();
+    cfg.name = "random";
+    cfg.repl = ReplPolicy::Random;
+    expectReseedMatchesFresh(cfg);
+}
+
+TEST(CacheResetTest, ReseedMatchesFreshUnderNomo)
+{
+    CacheConfig cfg = smallConfig();
+    cfg.name = "nomo";
+    cfg.ways = 8;
+    cfg.sizeBytes = 8 * 1024; // 16 sets x 8 ways
+    cfg.nomoReservedWays = 2;
+    expectReseedMatchesFresh(cfg);
+}
+
+TEST(CacheResetTest, ReseedClearsSetsOnlyInstallAtWrote)
+{
+    Rng rng(2);
+    Cache cache(smallConfig(), rng, 0);
+    cache.install(0x4000, 0, false, kSeqNone);
+    const unsigned other = cache.setOf(0x4000) + 1;
+    cache.installAt(other, 2, 0x4000 + kLineBytes, true, 0);
+    ASSERT_EQ(cache.setOf(0x4000 + kLineBytes), other);
+    cache.reseed(1);
+    EXPECT_TRUE(cache.residentLines().empty());
+    EXPECT_NO_THROW(cache.auditFresh(0));
+}
+
+TEST(CacheResetTest, ResetLeavesNoLineBehind)
+{
+    Rng rng(2);
+    Cache cache(smallConfig(), rng, 0);
+    Rng history(3);
+    std::vector<std::uint64_t> ignored;
+    randomMix(cache, history, 500, ignored);
+    ASSERT_FALSE(cache.residentLines().empty());
+    cache.reset();
+    EXPECT_TRUE(cache.residentLines().empty());
+    EXPECT_EQ(cache.mshr().inflight(), 0u);
+    EXPECT_NO_THROW(cache.auditInvariants(0));
 }
 
 } // namespace

@@ -66,16 +66,20 @@ TEST(LruTest, RespectsAllowedMask)
     EXPECT_EQ(lru.state.victim(0, 0b1110), 1u);
 }
 
-TEST(LruTest, ResetForgetsHistory)
+TEST(LruTest, ClearSetAndRestartClockForgetHistory)
 {
-    Lru lru(1, 4);
+    Lru lru(2, 4);
     lru.state.fill(0, 0);
     lru.state.fill(0, 1);
-    lru.state.reset();
+    lru.state.fill(1, 2);
+    lru.state.clearSet(0);
+    lru.state.restartClock();
     EXPECT_EQ(lru.state.auditTick(), 0u);
     EXPECT_EQ(lru.state.auditStamp(0, 1), 0u);
-    // All stamps tie at zero again: the lowest allowed way wins.
+    // All stamps of set 0 tie at zero again: the lowest allowed way
+    // wins. Set 1 keeps its history.
     EXPECT_EQ(lru.state.victim(0, 0xF), 0u);
+    EXPECT_EQ(lru.state.auditStamp(1, 2), 3u);
 }
 
 TEST(RandomTest, OnlyPicksAllowedWays)

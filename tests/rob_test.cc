@@ -1,11 +1,16 @@
 /**
  * @file
- * Unit tests for the reorder buffer.
+ * Unit tests for the reorder buffer, including its slot indexing:
+ * the head slot wraps around the slot array, and every slot-set walk
+ * must visit entries in ascending seq order.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cpu/rob.hh"
+#include "sim/audit.hh"
 
 namespace unxpec {
 namespace {
@@ -100,6 +105,203 @@ TEST(RobTest, JmpIsNotCondBranchForSpeculation)
     rob.push(makeEntry(0, Opcode::JMP));
     rob.push(makeEntry(1, Opcode::LOAD));
     EXPECT_FALSE(rob.olderUnresolvedBranch(1));
+}
+
+/** An entry that completes at dispatch (issued and done, in no slot
+ *  set), so tests can retire it to move the head slot. */
+RobEntry
+makeDone(SeqNum seq)
+{
+    RobEntry entry = makeEntry(seq, Opcode::NOP);
+    entry.issued = true;
+    entry.done = true;
+    return entry;
+}
+
+std::vector<SeqNum>
+readySeqs(ReorderBuffer &rob)
+{
+    std::vector<SeqNum> seqs;
+    rob.forEachReadyUnissued([&](const RobEntry &entry) {
+        seqs.push_back(entry.seq);
+        return true;
+    });
+    return seqs;
+}
+
+std::vector<SeqNum>
+outstandingSeqs(const ReorderBuffer &rob)
+{
+    std::vector<SeqNum> seqs;
+    rob.forEachOutstanding([&](const RobEntry &entry) {
+        seqs.push_back(entry.seq);
+        return true;
+    });
+    return seqs;
+}
+
+std::vector<SeqNum>
+iterSeqs(const ReorderBuffer &rob)
+{
+    std::vector<SeqNum> seqs;
+    for (const RobEntry &entry : rob)
+        seqs.push_back(entry.seq);
+    return seqs;
+}
+
+std::vector<SeqNum>
+seqRange(SeqNum first, SeqNum last)
+{
+    std::vector<SeqNum> seqs;
+    for (SeqNum seq = first; seq <= last; ++seq)
+        seqs.push_back(seq);
+    return seqs;
+}
+
+/** Retire `count` done entries starting at `seq`, so the head slot
+ *  advances by `count`; returns the next free seq. */
+SeqNum
+advanceHead(ReorderBuffer &rob, SeqNum seq, unsigned count)
+{
+    for (unsigned i = 0; i < count; ++i) {
+        rob.push(makeDone(seq++));
+        rob.popFront();
+    }
+    return seq;
+}
+
+TEST(RobSlotTest, WrapsWithHeadSlotNearTheEnd)
+{
+    ReorderBuffer rob(8);
+    SeqNum next = advanceHead(rob, 0, 6); // head slot 6 of 8
+    for (unsigned i = 0; i < 8; ++i)
+        rob.push(makeEntry(next++)); // slots 6, 7, 0, 1, ...
+    EXPECT_TRUE(rob.full());
+    EXPECT_EQ(rob.front().seq, 6u);
+    for (SeqNum seq = 6; seq < 14; ++seq) {
+        ASSERT_NE(rob.find(seq), nullptr);
+        EXPECT_EQ(rob.find(seq)->seq, seq);
+    }
+    EXPECT_EQ(rob.find(5), nullptr);
+    EXPECT_EQ(rob.find(14), nullptr);
+    EXPECT_EQ(iterSeqs(rob), seqRange(6, 13));
+    EXPECT_EQ(readySeqs(rob), seqRange(6, 13));
+    EXPECT_EQ(rob.oldestUnissued(), 6u);
+    EXPECT_NO_THROW(rob.auditInvariants(1));
+
+    // Retiring across the wrap keeps every lookup exact.
+    for (SeqNum seq = 6; seq < 9; ++seq) {
+        rob.markIssued(*rob.find(seq));
+        rob.markDone(*rob.find(seq));
+        rob.popFront();
+    }
+    EXPECT_EQ(rob.front().seq, 9u);
+    EXPECT_EQ(readySeqs(rob), seqRange(9, 13));
+    EXPECT_NO_THROW(rob.auditInvariants(2));
+}
+
+TEST(RobSlotTest, SquashAcrossTheWrap)
+{
+    ReorderBuffer rob(8);
+    SeqNum next = advanceHead(rob, 0, 5); // head slot 5 of 8
+    for (unsigned i = 0; i < 7; ++i) {
+        RobEntry entry = makeEntry(next++, i == 1 ? Opcode::BEQ
+                                                  : Opcode::LOAD);
+        rob.push(entry); // seqs 5..11 in slots 5, 6, 7, 0, 1, 2, 3
+    }
+    rob.markIssued(*rob.find(9));
+    const auto squashed = rob.squashYoungerThan(6);
+    ASSERT_EQ(squashed.size(), 5u);
+    for (std::size_t i = 0; i < squashed.size(); ++i)
+        EXPECT_EQ(squashed[i].seq, 7 + i); // oldest first, across slot 0
+    EXPECT_EQ(rob.size(), 2u);
+    EXPECT_EQ(rob.memCount(), 1u);
+    EXPECT_EQ(rob.find(7), nullptr);
+    EXPECT_EQ(readySeqs(rob), seqRange(5, 6));
+    EXPECT_TRUE(outstandingSeqs(rob).empty());
+    EXPECT_EQ(rob.oldestUnresolvedBranch(), 6u);
+    EXPECT_NO_THROW(rob.auditInvariants(1));
+
+    // Dispatch resumes right after the branch, reusing the slots.
+    for (SeqNum seq = 7; seq < 13; ++seq)
+        rob.push(makeEntry(seq));
+    EXPECT_TRUE(rob.full());
+    EXPECT_EQ(iterSeqs(rob), seqRange(5, 12));
+    EXPECT_EQ(readySeqs(rob), seqRange(5, 12));
+    EXPECT_NO_THROW(rob.auditInvariants(2));
+}
+
+TEST(RobSlotTest, ClearThenPushAtAnArbitrarySeq)
+{
+    ReorderBuffer rob(8);
+    SeqNum next = advanceHead(rob, 0, 3);
+    rob.push(makeEntry(next++));
+    rob.push(makeEntry(next++));
+    rob.clear();
+    EXPECT_TRUE(rob.empty());
+    EXPECT_EQ(rob.find(3), nullptr);
+    EXPECT_EQ(rob.oldestUnissued(), kSeqNone);
+
+    rob.push(makeEntry(1000));
+    rob.push(makeEntry(1001, Opcode::FENCE));
+    ASSERT_NE(rob.find(1001), nullptr);
+    EXPECT_EQ(rob.find(1001)->seq, 1001u);
+    EXPECT_EQ(rob.find(999), nullptr);
+    EXPECT_EQ(rob.front().seq, 1000u);
+    EXPECT_EQ(readySeqs(rob), seqRange(1000, 1001));
+    EXPECT_EQ(rob.oldestPendingMem(), 1001u);
+    EXPECT_NO_THROW(rob.auditInvariants(1));
+}
+
+TEST(RobSlotTest, WalksVisitAscendingSeqAtEveryHeadSlot)
+{
+    // One to three 64-bit words per slot set, with a partial last word
+    // at 70 slots; every head slot position, with the ROB full.
+    for (const unsigned capacity : {8u, 64u, 70u, 192u}) {
+        for (unsigned head = 0; head < capacity; ++head) {
+            ReorderBuffer rob(capacity);
+            SeqNum next = advanceHead(rob, 0, head);
+            const SeqNum first = next;
+            for (unsigned i = 0; i < capacity; ++i)
+                rob.push(makeEntry(next++));
+            // Issue every third entry so the outstanding set is sparse.
+            std::vector<SeqNum> issued;
+            std::vector<SeqNum> ready;
+            for (SeqNum seq = first; seq < next; ++seq) {
+                if ((seq - first) % 3 == 0) {
+                    rob.markIssued(*rob.find(seq));
+                    issued.push_back(seq);
+                } else {
+                    ready.push_back(seq);
+                }
+            }
+            ASSERT_EQ(readySeqs(rob), ready)
+                << "capacity " << capacity << " head " << head;
+            ASSERT_EQ(outstandingSeqs(rob), issued)
+                << "capacity " << capacity << " head " << head;
+            ASSERT_EQ(iterSeqs(rob), seqRange(first, next - 1));
+            ASSERT_EQ(rob.oldestOutstanding(), first);
+            ASSERT_EQ(rob.oldestUnissued(), first + 1);
+            ASSERT_NO_THROW(rob.auditInvariants(1));
+        }
+    }
+}
+
+TEST(RobSlotTest, WalkStopsWhenTheVisitorSaysSo)
+{
+    ReorderBuffer rob(8);
+    SeqNum next = advanceHead(rob, 0, 6);
+    for (unsigned i = 0; i < 5; ++i)
+        rob.push(makeEntry(next++));
+    std::vector<SeqNum> seen;
+    rob.forEachReadyUnissued([&](RobEntry &entry) {
+        seen.push_back(entry.seq);
+        // Taking the visited entry out of the set is allowed.
+        rob.markIssued(entry);
+        return seen.size() < 3;
+    });
+    EXPECT_EQ(seen, seqRange(6, 8));
+    EXPECT_EQ(readySeqs(rob), seqRange(9, 10));
 }
 
 } // namespace
