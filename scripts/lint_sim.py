@@ -61,7 +61,8 @@ the determinism rules (unordered-iteration, unseeded-randomness,
 wall-clock, float-cycle) on real parse trees — immune to the comment/
 string false positives and typedef'd-container false negatives a regex
 cannot avoid — and replaces the hard-coded STEADY_ALLOC_FILES list
-with call-graph reachability from Core::runStep. Where the two
+with call-graph reachability from the run loop (Core::runStep and
+Core::skipIdle). Where the two
 disagree, speccheck is authoritative; the rules below
 marked "(pre-pass)" are kept here only for fast local feedback. Both
 tools honor the same ``lint-ok(rule): why`` suppression syntax, so a
@@ -144,7 +145,8 @@ UNORDERED_DECL_RE = re.compile(
 # `.`/`->` and is intentionally not matched.
 COH_MUT_RE = re.compile(r"(?:\.|->)\s*(?:coh|pendingDowngrade)\s*=(?!=)")
 # Files whose code runs inside (or is reachable from) the per-cycle
-# tick loop: Core::runStep and everything it drives. Growth calls here
+# tick loop: Core::runStep, the idle skip Core::skipIdle between steps,
+# and everything they drive. Growth calls here
 # are steady-state heap churn unless justified.
 STEADY_ALLOC_FILES = (
     "cpu/core.cc", "cpu/core.hh",

@@ -15,7 +15,7 @@ import os
 import pickle
 from typing import Optional
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 class ParseCache:

@@ -11,8 +11,8 @@ regex gate:
   wall-clock, and float-cycle rules (supersedes the lint_sim.py
   regexes for src/);
 * hot-path — steady-alloc and virtual-dispatch rules over the real
-  call-graph closure of Core::runStep instead of a hard-coded file
-  list.
+  call-graph closure of the run loop (Core::runStep and
+  Core::skipIdle) instead of a hard-coded file list.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from model import Model, short
 # unXpec vulnerability — so it is exempt from the coverage gate.
 EXEMPT_MODES = {"UnsafeBaseline"}
 
-HOT_ENTRIES = ["Core::runStep"]
+# The run loop: each cycle's step and the idle skip between steps.
+HOT_ENTRIES = ["Core::runStep", "Core::skipIdle"]
 
 
 @dataclass

@@ -152,6 +152,60 @@ def parse_bodies(path: str, text: str, decl: Model) -> Model:
     return model
 
 
+def _param_groups(params: List[Token]) -> List[List[Token]]:
+    """Split a parameter list at its top-level commas, dropping each
+    parameter's default argument."""
+    depth = 0
+    group: List[Token] = []
+    groups: List[List[Token]] = []
+    for t in params:
+        if t.text in ("(", "<", "[", "{"):
+            depth += 1
+        elif t.text in (")", ">", "]", "}"):
+            depth -= 1
+        if t.text == "," and depth == 0:
+            groups.append(group)
+            group = []
+        else:
+            group.append(t)
+    if group:
+        groups.append(group)
+    out = []
+    for g in groups:
+        for idx, t in enumerate(g):
+            if t.text == "=":
+                g = g[:idx]
+                break
+        out.append(g)
+    return out
+
+
+def _param_kinds(params: List[Token]) -> Tuple[str, ...]:
+    """How each parameter binds its argument: "cref" (const
+    reference), "ref" (non-const or forwarding reference, pointer, or
+    variadic: the callee may write through it) or "val" (a copy)."""
+    kinds = []
+    for g in _param_groups(params):
+        texts = [t.text for t in g]
+        if not texts or texts == ["void"]:
+            continue
+        depth = 0
+        kind = "val"
+        for pos, text in enumerate(texts):
+            if text in ("(", "<", "[", "{"):
+                depth += 1
+            elif text in (")", ">", "]", "}"):
+                depth -= 1
+            elif depth == 0 and text in ("*", "&&", "..."):
+                kind = "ref"
+                break
+            elif depth == 0 and text == "&":
+                kind = "cref" if "const" in texts[:pos] else "ref"
+                break
+        kinds.append(kind)
+    return tuple(kinds)
+
+
 class _Scope:
     __slots__ = ("kind", "name")
 
@@ -544,6 +598,7 @@ class _Parser:
 
         # Trailer up to the body '{', a ';', or '= default/delete;'.
         has_body = False
+        is_const = False
         while self.i < len(toks):
             t = toks[self.i]
             if t.text == "{":
@@ -551,6 +606,8 @@ class _Parser:
                 break
             if t.text == ";":
                 break
+            if t.text == "const":
+                is_const = True
             if t.text == ":":  # ctor initializer list
                 self.i += 1
                 self._skip_ctor_inits()
@@ -581,6 +638,7 @@ class _Parser:
             else name
         )
         fn = self.model.function(qual, cls, self.path, toks[start].line)
+        fn.signatures.add((is_const, _param_kinds(params)))
         self._attach_pending(fn)
         if is_virtual and cls:
             self.model.virtual_methods.setdefault(cls, set()).add(name)
@@ -653,26 +711,7 @@ class _Parser:
 
     def _param_env(self, params: List[Token]) -> Dict[str, str]:
         env: Dict[str, str] = {}
-        depth = 0
-        group: List[Token] = []
-        groups: List[List[Token]] = []
-        for t in params:
-            if t.text in ("(", "<", "[", "{"):
-                depth += 1
-            elif t.text in (")", ">", "]", "}"):
-                depth -= 1
-            if t.text == "," and depth == 0:
-                groups.append(group)
-                group = []
-            else:
-                group.append(t)
-        if group:
-            groups.append(group)
-        for g in groups:
-            for idx, t in enumerate(g):
-                if t.text == "=":
-                    g = g[:idx]
-                    break
+        for g in _param_groups(params):
             ids = [t for t in g if t.kind == ID]
             if len(ids) < 2:
                 continue
@@ -1028,9 +1067,14 @@ class _BodyScanner:
                 self.fn.virtual_calls.append((recv_cls, name, line))
 
         # Annotated field passed bare as a call argument: conservative
-        # potential mutation (pass-by-reference helpers like
-        # ReorderBuffer's trimYoungerThan(unissued_, seq)).
+        # potential mutation (a pass-by-reference helper like
+        # setSlot(unissued_, slot)), unless the callee is known to
+        # bind that argument read-only (Function.binds_read_only) —
+        # e.g. the const accessor oldest(readyUnissued_).
+        callee = self._callee(name, recv_cls, member_call)
         depth = 0
+        nest = 0  # [] / {} inside the argument list
+        arg = 0
         k = i + 1
         while k < len(body):
             t = body[k]
@@ -1040,17 +1084,48 @@ class _BodyScanner:
                 depth -= 1
                 if depth == 0:
                     break
+            elif t.text in ("[", "{"):
+                nest += 1
+            elif t.text in ("]", "}"):
+                nest -= 1
+            elif depth == 1 and nest == 0 and t.text == ",":
+                arg += 1
             elif depth == 1 and t.kind == ID and self.cls:
                 prev_is_member = k > 0 and body[k - 1].text in (
                     ".", "->",
                 )
                 nxt = body[k + 1].text if k + 1 < len(body) else ""
-                if not prev_is_member and nxt in (",", ")"):
-                    if self._field_of(self.cls, t.text) is not None:
-                        self.fn.mutations.append(
-                            (self.cls, t.text, t.line)
-                        )
+                if (
+                    not prev_is_member
+                    and nxt in (",", ")")
+                    and self._field_of(self.cls, t.text) is not None
+                    and not (
+                        callee is not None
+                        and callee.binds_read_only(arg)
+                    )
+                ):
+                    self.fn.mutations.append(
+                        (self.cls, t.text, t.line)
+                    )
             k += 1
+
+    def _callee(self, name: str, recv_cls, member_call: bool):
+        """The declared function a call resolves to: a member of the
+        receiver's class or, for a bare call, of the enclosing class,
+        else the one free function of that name.  None when the
+        receiver is unknown or the name is ambiguous."""
+        fns = self.decl.functions
+        if recv_cls is not None:
+            return fns.get(f"{recv_cls}::{name}")
+        if member_call:
+            return None
+        if self.cls and f"{self.cls}::{name}" in fns:
+            return fns[f"{self.cls}::{name}"]
+        matches = [
+            fn for qual, fn in fns.items()
+            if fn.cls is None and qual.split("::")[-1] == name
+        ]
+        return matches[0] if len(matches) == 1 else None
 
     # determinism ------------------------------------------------------
 

@@ -217,6 +217,12 @@ class _TuExtractor:
             facts["virtual_calls"].append((recv, name, line))
 
     def _mutation(self, lhs, line: int, facts: dict) -> None:
+        """Record the field an assignment or ++/-- writes.  A field
+        passed as a call argument is never a mutation here, so a const
+        accessor such as ``oldest(readyUnissued_)`` agrees with the
+        builtin frontend's read-only-binding rule; a write through a
+        non-const reference parameter, which the builtin frontend
+        counts at the call site, goes unrecorded."""
         member = _member_target(lhs)
         if member is None:
             return

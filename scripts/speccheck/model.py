@@ -106,6 +106,27 @@ class Function:
     virtual_calls: List[Tuple[str, str, int]] = field(
         default_factory=list
     )
+    # Declared signatures, one per overload: (const member function?,
+    # per-parameter passing: "cref" const reference, "ref" non-const
+    # reference or pointer, "val" by value).
+    signatures: Set[Tuple[bool, Tuple[str, ...]]] = field(
+        default_factory=set
+    )
+
+    def binds_read_only(self, index: int) -> bool:
+        """True when every overload binds argument ``index`` so the
+        call cannot write through it: a const reference, or any
+        parameter but a non-const reference/pointer of a const member
+        function.  Unknown callees and arities are not read-only."""
+        kinds = [
+            (is_const, params[index])
+            for is_const, params in self.signatures
+            if index < len(params)
+        ]
+        return bool(kinds) and all(
+            kind == "cref" or (is_const and kind != "ref")
+            for is_const, kind in kinds
+        )
 
     @property
     def annotated(self) -> bool:
@@ -190,6 +211,7 @@ class Model:
             prev.mutations.extend(fn.mutations)
             prev.allocs.extend(fn.allocs)
             prev.virtual_calls.extend(fn.virtual_calls)
+            prev.signatures |= fn.signatures
         self.determinism.extend(other.determinism)
         for file, per_line in other.suppressions.items():
             mine_lines = self.suppressions.setdefault(file, {})

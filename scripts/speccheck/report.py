@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from typing import List
 
-from checks import Results
+from checks import HOT_ENTRIES, Results
 
 
 def render_text(res: Results, verbose: bool = False) -> str:
@@ -40,7 +40,7 @@ def render_text(res: Results, verbose: bool = False) -> str:
     if res.hot_functions and verbose:
         lines.append(
             f"== hot path ({len(res.hot_functions)} functions "
-            "reachable from Core::runStep) =="
+            f"reachable from {'/'.join(HOT_ENTRIES)}) =="
         )
         for fn in res.hot_functions:
             lines.append(f"      {fn}")

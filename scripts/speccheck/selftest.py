@@ -5,8 +5,9 @@ fast, dependency-free sanity tests that the negative-fixture ctest
 suite (tests/speccheck/) builds on; they pin the parser behaviors
 that past iterations got wrong: getter-shaped CleanupMode false
 modes, subscripted assignments (``depMask_[slot] |= bit``),
-smart-pointer receiver resolution, ctor exemption, and mode-gated
-closure admission.
+smart-pointer receiver resolution, ctor exemption, mode-gated
+closure admission, and which parameters bind an argument read-only
+(a spec field passed to a const accessor is not a mutation).
 """
 
 from __future__ import annotations
@@ -163,6 +164,28 @@ def t_mutations() -> None:
     assert ("unxpec::Line", "installer") in hmuts, hmuts
 
 
+def t_param_binding() -> None:
+    text = """
+namespace unxpec {
+class Set {
+  public:
+    unsigned oldest(const std::vector<int> &set, unsigned n = 0) const;
+    void each(std::function<void(int &)> fn, int *out, Visit &&visit);
+    static void grow(std::vector<int> &set);
+};
+}  // namespace unxpec
+"""
+    model = _parse(text, MODES)
+    oldest = model.functions["unxpec::Set::oldest"]
+    assert oldest.signatures == {(True, ("cref", "val"))}, oldest.signatures
+    assert oldest.binds_read_only(0) and oldest.binds_read_only(1)
+    assert not oldest.binds_read_only(2)  # no such parameter
+    each = model.functions["unxpec::Set::each"]
+    assert each.signatures == {(False, ("val", "ref", "ref"))}
+    assert not any(each.binds_read_only(i) for i in range(3))
+    assert not model.functions["unxpec::Set::grow"].binds_read_only(0)
+
+
 def t_closure() -> None:
     model = _parse(BODY_SNIPPET, MODES)
     graph = cg.CallGraph(model)
@@ -233,6 +256,7 @@ TESTS: List[Tuple[str, Callable[[], None]]] = [
     ("mode-gated-closure", t_closure),
     ("undo-gate-end-to-end", t_end_to_end_gate),
     ("determinism-rules", t_determinism),
+    ("param-binding", t_param_binding),
     ("suppressions", t_suppressions),
     ("baseline", t_baseline),
 ]

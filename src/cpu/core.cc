@@ -28,6 +28,8 @@ Core::Core(const SystemConfig &cfg, MemoryHierarchy *shared)
       mispredicts_(stats_.counter("mispredicts", "branches mispredicted")),
       loads_(stats_.counter("loads", "loads executed")),
       stores_(stats_.counter("stores", "stores committed")),
+      skippedCycles_(stats_.counter(
+          "skippedCycles", "idle cycles fast-forwarded by run()")),
       rob_(cfg.core.robEntries),
       decodeQueue_(static_cast<std::size_t>(cfg.core.fetchWidth) *
                    (cfg.core.decodeDepth + 2))
@@ -118,8 +120,8 @@ RunResult
 Core::run(const Program &program, const RunOptions &options)
 {
     runBegin(program, options);
-    while (runStep()) {
-    }
+    while (runStep())
+        skipIdle();
     return runFinish();
 }
 
@@ -249,6 +251,74 @@ Core::runFinish()
     program_ = nullptr;
     runActive_ = false;
     return runResult_;
+}
+
+void
+Core::skipIdle()
+{
+    const Cycle next = now_ + 1;
+
+    // The earliest cycle at which a stage could act if nothing stalled
+    // the core (kCycleNever when none could: only the cycle limit ends
+    // such a run). Ready entries include the waits tickIssue re-checks
+    // every cycle (rob.hh). A full ROB or LSQ holds dispatch, and a
+    // full decode queue holds fetch, until a commit frees room; the
+    // commit, in turn, waits on the completions walked below.
+    Cycle wake = kCycleNever;
+    if (rob_.anyReadyUnissued())
+        wake = next;
+    if (!rob_.empty() && rob_.front().done)
+        wake = std::min(wake, commitStallUntil_);
+    if (!decodeQueue_.empty() && !rob_.full()) {
+        const FetchedInst &front = decodeQueue_.front();
+        if (!isMem(front.inst.op) ||
+            LoadStoreQueue::occupancy(rob_) < lsq_.capacity())
+            wake = std::min(wake, front.availCycle);
+    }
+    if (!fetchStopped_ && !decodeQueue_.full())
+        wake = std::min(wake, fetchResumeCycle_);
+    // A cleanup or noise stall freezes every stage until stallUntil_.
+    const Cycle floor = std::max(next, stallUntil_);
+    if (wake > floor) {
+        rob_.forEachOutstanding([&](const RobEntry &entry) {
+            wake = std::min(wake, entry.readyCycle);
+            return wake > floor;
+        });
+    }
+
+    // Skip up to `last`, so that the next runStep runs the first cycle
+    // that may act. runStep trips the cycle limit once now_ - runStart_
+    // reaches runMaxCycles_, so the skip stops there; in audit builds
+    // it also stops before the next periodic audit.
+    Cycle cap = now_ + (runMaxCycles_ - (now_ - runStart_));
+    if (cap < now_)
+        cap = kCycleNever; // no limit within the clock's range
+    if constexpr (kAuditEnabled) {
+        const Cycle period = audit::period();
+        cap = std::min(cap, (now_ / period + 1) * period - 1);
+    }
+    Cycle last = std::min(std::max(wake, floor) - 1, cap);
+    if (last <= now_)
+        return;
+
+    // Draw the interrupt noise of every skipped cycle, as runStep would;
+    // a hit that stalls past `last` moves the first active cycle out.
+    if (interruptProb_ > 0.0) {
+        const unsigned span = interruptMax_ - interruptMin_ + 1;
+        for (Cycle cycle = next; cycle <= last; ++cycle) {
+            if (!rng_.chance(interruptProb_))
+                continue;
+            stallUntil_ = std::max(
+                stallUntil_, cycle + interruptMin_ + rng_.range(span));
+            last = std::min(std::max(wake, stallUntil_) - 1, cap);
+        }
+    }
+
+    simTicks_ += last - now_;
+    skippedCycles_ += last - now_;
+    now_ = last;
+    if (kTraceEnabled && eventTrace_ != nullptr)
+        eventTrace_->setNow(now_);
 }
 
 void

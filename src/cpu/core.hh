@@ -86,16 +86,21 @@ class Core
     Core(const Core &) = delete;
     Core &operator=(const Core &) = delete;
 
-    /** Execute a program to completion (HALT or instruction budget). */
+    /**
+     * Execute a program to completion (HALT or instruction budget):
+     * runBegin, then runStep with the idle cycles between steps
+     * skipped (skipIdle), then runFinish. The result, every counter
+     * but cpu.skippedCycles, the hierarchy state, the RNG stream and
+     * the event trace are identical to stepping every cycle.
+     */
     RunResult run(const Program &program, const RunOptions &options = {});
 
     /**
      * Stepped execution for the Machine scheduler: runBegin() latches
      * the program and per-run state, each runStep() advances exactly
      * one cycle (returning false once the run is over), and
-     * runFinish() produces the RunResult. run() is exactly
-     * runBegin + runStep-until-false + runFinish, so single-core
-     * behavior is identical whichever driver is used.
+     * runFinish() produces the RunResult. Stepping every cycle until
+     * runStep() returns false gives the same outcome as run().
      */
     void runBegin(const Program &program, const RunOptions &options = {});
     bool runStep();
@@ -193,6 +198,18 @@ class Core
         Cycle availCycle = 0;
     };
 
+    /**
+     * Fast-forward over quiescent cycles: when no stage could act on
+     * the next cycle, move the clock to the cycle before the earliest
+     * one where a stage could (a completion, the end of a stall, a
+     * decoded instruction becoming available, fetch resuming), capped
+     * at the run's cycle limit and, in audit builds, at the next
+     * audit cycle. The skipped cycles still draw the interrupt noise,
+     * one draw per cycle as runStep does, so the RNG stream and every
+     * stall it causes are unchanged.
+     */
+    void skipIdle();
+
     UNXPEC_TRANSITION("spec")
     void tickWriteback();
     UNXPEC_TRANSITION("commit")
@@ -231,6 +248,7 @@ class Core
     Counter &mispredicts_;
     Counter &loads_;
     Counter &stores_;
+    Counter &skippedCycles_;
 
     // --- per-run state -----------------------------------------------
     const Program *program_ = nullptr;

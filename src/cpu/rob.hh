@@ -285,6 +285,14 @@ class ReorderBuffer
         return oldest(unresolvedBranches_);
     }
 
+    /** True when the ready unissued set is not empty: tickIssue has
+     *  an entry to issue or a time- or commit-bound wait to re-check. */
+    bool
+    anyReadyUnissued() const
+    {
+        return oldest(readyUnissued_) != kSeqNone;
+    }
+
     /** In-flight memory operations (LSQ occupancy). */
     unsigned memCount() const { return memCount_; }
 

@@ -520,5 +520,32 @@ TEST(CoreAudit, CleanAfterSpeculativeRunWithSquashes)
     EXPECT_NO_THROW(core.auditInvariants());
 }
 
+/**
+ * Core::run fast-forwards over idle cycles, but not past a periodic
+ * audit: a cache corrupted before a run that idles on a DRAM miss is
+ * caught (in UNXPEC_AUDIT builds, where the run loop audits).
+ */
+TEST(CoreAudit, PeriodicAuditRunsThroughIdleSkip)
+{
+    Core core(SystemConfig::makeDefault());
+    Cache &l2 = core.hierarchy().l2();
+    const FillResult fill = l2.install(0x7f0000, 0, false, kSeqNone);
+    AuditTap::smashTag(l2, fill.set, fill.way, 0x7f8000);
+
+    ProgramBuilder b;
+    const Addr line = b.alloc(64);
+    b.li(1, static_cast<std::int64_t>(line));
+    b.load(2, 1, 0);
+    b.addi(3, 2, 1);
+    b.halt();
+    const Cycle saved = audit::period();
+    audit::setPeriod(97);
+    if constexpr (kAuditEnabled)
+        EXPECT_THROW(core.run(b.build()), AuditError);
+    else
+        EXPECT_NO_THROW(core.run(b.build()));
+    audit::setPeriod(saved);
+}
+
 } // namespace
 } // namespace unxpec

@@ -28,8 +28,17 @@ class MiniCache {
     UNXPEC_ROLLBACK("*")
     void squash(unsigned way);
 
+    /** Not a transition: it only hands spec state to callees that
+     *  bind it read-only, so it mutates nothing. */
+    bool anySpeculative() const;
+
   private:
+    // A const member function and a const-reference parameter.
+    unsigned lowest(unsigned mask) const;
+    static unsigned count(const unsigned &mask);
+
     MiniLine lines_[4];
+    UNXPEC_SPEC_STATE unsigned mask_ = 0;
 };
 
 }  // namespace unxpec

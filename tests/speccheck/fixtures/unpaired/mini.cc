@@ -21,4 +21,23 @@ MiniCache::poke(unsigned way)
     lines_[way].speculative = true;  // unpaired: not under a transition
 }
 
+void
+MiniCache::bump(unsigned way)
+{
+    setBit(mask_, way);  // unpaired: written through a reference
+    clearIn(mask_);      // unpaired: a const member, but a reference
+}
+
+void
+MiniCache::setBit(unsigned &mask, unsigned way)
+{
+    mask |= 1u << way;
+}
+
+void
+MiniCache::clearIn(unsigned &mask) const
+{
+    mask = 0;
+}
+
 }  // namespace unxpec

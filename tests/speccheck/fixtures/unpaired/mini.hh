@@ -2,7 +2,9 @@
  *
  * poke() mutates speculative state but is neither annotated as a
  * transition/rollback nor reachable from one — speccheck must report
- * an unpaired-spec-mutation finding at its write site.
+ * an unpaired-spec-mutation finding at its write site. bump() does
+ * the same by passing a speculative field to helpers that take it by
+ * non-const reference (one of them a const member function).
  */
 #pragma once
 
@@ -28,9 +30,14 @@ class MiniCache {
     // Rogue helper: flips speculative state behind the annotation
     // contract's back.
     void poke(unsigned way);
+    void bump(unsigned way);
 
   private:
+    static void setBit(unsigned &mask, unsigned way);
+    void clearIn(unsigned &mask) const;
+
     MiniLine lines_[4];
+    UNXPEC_SPEC_STATE unsigned mask_ = 0;
 };
 
 }  // namespace unxpec

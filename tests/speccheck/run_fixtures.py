@@ -5,8 +5,11 @@ Each fixture under tests/speccheck/fixtures/ is a tiny annotated
 source tree with one known property; the test asserts that speccheck
 reports exactly that property:
 
-* clean      — fully paired state, exit 0, no findings;
-* unpaired   — rogue mutation outside any transition/rollback;
+* clean      — fully paired state, exit 0, no findings; a const
+               accessor passing spec state to read-only callees is
+               not a mutation;
+* unpaired   — rogue mutations outside any transition/rollback, one
+               direct and two through reference parameters;
 * incomplete — squash path missing one field (undo-completeness);
 * unordered  — nondeterministic unordered_map walk.
 
@@ -73,6 +76,16 @@ def main() -> int:
         "unpaired-spec-mutation" in out
         and "MiniCache::poke" in out
         and "MiniLine::speculative" in out,
+        out,
+    )
+    bump_lines = [
+        line for line in out.splitlines()
+        if "MiniCache::bump mutates" in line
+        and "MiniCache::mask_" in line
+    ]
+    check(
+        "spec field passed by non-const reference is reported",
+        len(bump_lines) == 2,
         out,
     )
 
