@@ -30,6 +30,8 @@ Core::Core(const SystemConfig &cfg, MemoryHierarchy *shared)
       stores_(stats_.counter("stores", "stores committed")),
       skippedCycles_(stats_.counter(
           "skippedCycles", "idle cycles fast-forwarded by run()")),
+      orderParks_(stats_.counter(
+          "orderParks", "entries parked on an older blocker by issue")),
       rob_(cfg.core.robEntries),
       decodeQueue_(static_cast<std::size_t>(cfg.core.fetchWidth) *
                    (cfg.core.decodeDepth + 2))
@@ -401,7 +403,7 @@ Core::tryIssue(RobEntry &entry)
             // A partial overlap (no blocker) waits for the store to
             // commit.
             if (gate.blocker != kSeqNone)
-                rob_.park(entry, gate.blocker);
+                park(entry, gate.blocker);
             return false;
         }
         const bool speculative =
@@ -462,13 +464,14 @@ Core::tryIssue(RobEntry &entry)
 
     if (op == Opcode::CLFLUSH) {
         // clflush is ordered: it only executes non-speculatively,
-        // after all older memory operations have completed.
+        // after all older memory operations have completed. It waits
+        // on the youngest blocker of each kind (rob.hh).
         if (rob_.olderUnresolvedBranch(entry.seq)) {
-            rob_.park(entry, rob_.oldestUnresolvedBranch());
+            park(entry, rob_.youngestUnresolvedBranchBefore(entry.seq));
             return false;
         }
         if (!LoadStoreQueue::fenceReady(rob_, entry.seq)) {
-            rob_.park(entry, rob_.oldestPendingMem());
+            park(entry, rob_.youngestPendingMemBefore(entry.seq));
             return false;
         }
         const Addr addr =
@@ -483,7 +486,7 @@ Core::tryIssue(RobEntry &entry)
 
     if (op == Opcode::FENCE) {
         if (!LoadStoreQueue::fenceReady(rob_, entry.seq)) {
-            rob_.park(entry, rob_.oldestPendingMem());
+            park(entry, rob_.youngestPendingMemBefore(entry.seq));
             return false;
         }
         rob_.markIssued(entry);
@@ -493,17 +496,11 @@ Core::tryIssue(RobEntry &entry)
     }
 
     if (op == Opcode::RDTSCP) {
-        // Serializing: waits for every older instruction. An older
-        // not-done entry is either still unissued (then the oldest
-        // unissued entry is older than us) or issued-but-outstanding.
-        const SeqNum oldest_unissued = rob_.oldestUnissued();
-        if (oldest_unissued != entry.seq) {
-            rob_.park(entry, oldest_unissued);
-            return false;
-        }
-        if (const SeqNum outst = rob_.oldestOutstanding();
-            outst < entry.seq) {
-            rob_.park(entry, outst);
+        // Serializing: waits for every older instruction, parked on
+        // the youngest older one that is not done (rob.hh).
+        if (const SeqNum blocker = rob_.youngestNotDoneBefore(entry.seq);
+            blocker != kSeqNone) {
+            park(entry, blocker);
             return false;
         }
         entry.result = now_;
@@ -532,6 +529,13 @@ Core::tryIssue(RobEntry &entry)
         entry.readyCycle = now_ + latency;
     }
     return true;
+}
+
+void
+Core::park(RobEntry &entry, SeqNum blocker)
+{
+    ++orderParks_;
+    rob_.park(entry, blocker);
 }
 
 void
@@ -787,13 +791,8 @@ Core::tickFetch(const Program &program)
     if (fetchStopped_ || now_ < fetchResumeCycle_)
         return;
 
-    const std::size_t queue_limit =
-        static_cast<std::size_t>(cfg_.core.fetchWidth) *
-        (cfg_.core.decodeDepth + 2);
-
     unsigned fetched = 0;
-    while (fetched < cfg_.core.fetchWidth &&
-           decodeQueue_.size() < queue_limit) {
+    while (fetched < cfg_.core.fetchWidth && !decodeQueue_.full()) {
         if (fetchPC_ >= program.size()) {
             fetchStopped_ = true;
             break;

@@ -221,6 +221,9 @@ class Core
     /** Issue `entry` if nothing holds it back (true when it issued);
      *  otherwise park it on its blocker or leave it ready. */
     bool tryIssue(RobEntry &entry);
+    /** Park `entry` on `blocker` (ReorderBuffer::park), counted in
+     *  cpu.orderParks. */
+    void park(RobEntry &entry, SeqNum blocker);
     UNXPEC_TRANSITION("spec")
     void tickDispatch();
     void tickFetch(const Program &program);
@@ -249,12 +252,15 @@ class Core
     Counter &loads_;
     Counter &stores_;
     Counter &skippedCycles_;
+    Counter &orderParks_;
 
     // --- per-run state -----------------------------------------------
     const Program *program_ = nullptr;
     std::array<std::uint64_t, kNumRegs> regs_{};
     std::array<SeqNum, kNumRegs> rat_{};
     ReorderBuffer rob_;
+    /** Fetched, not yet dispatched; fetch stops while it is full
+     *  (fetchWidth * (decodeDepth + 2) entries). */
     RingQueue<FetchedInst> decodeQueue_;
     std::size_t fetchPC_ = 0;
     bool fetchStopped_ = false;

@@ -35,13 +35,27 @@
  * clflush behind a branch or memory op, a fence behind a memory op, an
  * rdtscp behind anything older) is *parked*: park() records the
  * blocker in RobEntry::orderBlocker, clears the entry's ready bit, and
- * sets its bit in the blocker's row. markDone walks only the finished
- * entry's row, copies its result into waiting consumers, clears
- * matching orderBlockers, and sets the ready bit of every entry with
- * nothing left to wait for. So tickIssue sees only entries that may
- * issue this cycle, plus the few whose wait ends on a time or a commit
- * rather than on a markDone (a partially overlapped load, a
- * delay-on-miss speculative L1 miss), which it re-checks per cycle.
+ * sets its bit in the blocker's row.
+ *
+ * An rdtscp, fence or clflush issues only once *every* older blocker
+ * of its kind is done, so it parks on the youngest one (the
+ * youngest…Before queries, one backward walk over the slot sets). The
+ * last blocker to finish wakes it, in writeback, before issue, in the
+ * same cycle, so its issue cycle is the one any blocker choice gives;
+ * the youngest is usually that last one, so one park replaces a park
+ * per older blocker. A load keeps parking on LoadGateResult::blocker,
+ * the oldest not-done store or fence before it: its gate looks at the
+ * older stores in turn (forwarding, partial overlap), and the
+ * load-blocked trace event, recorded once per park, is pinned by the
+ * trace tests.
+ *
+ * markDone walks only the finished entry's row, copies its result
+ * into waiting consumers, clears matching orderBlockers, and sets the
+ * ready bit of every entry with nothing left to wait for. So tickIssue
+ * sees only entries that may issue this cycle, plus the few whose wait
+ * ends on a time or a commit rather than on a markDone (a partially
+ * overlapped load, a delay-on-miss speculative L1 miss), which it
+ * re-checks per cycle.
  * Skipping an entry while its blocker is not done changes no
  * decision: a blocker stays blocking until its markDone, and blocked
  * entries take no issue slot.
@@ -268,21 +282,45 @@ class ReorderBuffer
     bool
     olderUnresolvedBranch(SeqNum seq) const
     {
-        return oldestUnresolvedBranch() < seq;
+        return oldest(unresolvedBranches_) < seq;
     }
 
     /** True when a not-yet-done memory operation older than `seq`
      *  exists (the fence/clflush readiness check). */
-    bool olderPendingMem(SeqNum seq) const { return oldestPendingMem() < seq; }
-
-    // Oldest member of a slot set, kSeqNone when the set is empty.
-    SeqNum oldestUnissued() const { return oldest(unissued_); }
-    SeqNum oldestOutstanding() const { return oldest(outstanding_); }
-    SeqNum oldestPendingMem() const { return oldest(pendingMem_); }
-    SeqNum
-    oldestUnresolvedBranch() const
+    bool
+    olderPendingMem(SeqNum seq) const
     {
-        return oldest(unresolvedBranches_);
+        return oldest(pendingMem_) < seq;
+    }
+
+    // Youngest blocker older than the in-flight entry `seq`, kSeqNone
+    // when there is none: the entry an RDTSCP, a FENCE or a CLFLUSH
+    // parks on (see file comment).
+
+    /** Youngest older entry that is not done (unissued or
+     *  outstanding). */
+    SeqNum
+    youngestNotDoneBefore(SeqNum seq) const
+    {
+        return youngestBefore(seq, [this](std::size_t w) {
+            return unissued_[w] | outstanding_[w];
+        });
+    }
+
+    /** Youngest older pending (not-done) memory operation. */
+    SeqNum
+    youngestPendingMemBefore(SeqNum seq) const
+    {
+        return youngestBefore(
+            seq, [this](std::size_t w) { return pendingMem_[w]; });
+    }
+
+    /** Youngest older unresolved conditional branch. */
+    SeqNum
+    youngestUnresolvedBranchBefore(SeqNum seq) const
+    {
+        return youngestBefore(
+            seq, [this](std::size_t w) { return unresolvedBranches_[w]; });
     }
 
     /** True when the ready unissued set is not empty: tickIssue has
@@ -461,6 +499,60 @@ class ReorderBuffer
             return false;
         });
         return seq;
+    }
+
+    /**
+     * Seq of the youngest entry older than the in-flight entry `seq`
+     * whose bit is set in `word(w)`, the w-th word of one slot set or
+     * of several OR-ed together; kSeqNone when there is none. The
+     * backward twin of walk: from the slot before `seq`'s down to the
+     * head slot, across the wrap when `seq`'s slot lies below the
+     * head's, one word at a time.
+     */
+    template <typename Word>
+    SeqNum
+    youngestBefore(SeqNum seq, Word &&word) const
+    {
+        const std::size_t offset = static_cast<std::size_t>(seq - headSeq_);
+        if (offset == 0)
+            return kSeqNone;
+        const std::size_t slot = slotAt(offset);
+        std::size_t found;
+        if (slot > headSlot_) {
+            found = highestIn(word, headSlot_, slot);
+        } else {
+            found = highestIn(word, 0, slot);
+            if (found == kNoSlot)
+                found = highestIn(word, headSlot_, capacity_);
+        }
+        return found == kNoSlot ? kSeqNone : slots_[found].seq;
+    }
+
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+    /** Highest slot in [lo, hi) whose bit is set in `word(w)`, kNoSlot
+     *  when there is none (or the range is empty). */
+    template <typename Word>
+    static std::size_t
+    highestIn(Word &word, std::size_t lo, std::size_t hi)
+    {
+        if (lo >= hi)
+            return kNoSlot;
+        const std::size_t lo_word = lo / 64;
+        std::size_t w = (hi - 1) / 64;
+        std::uint64_t bits = word(w) & (~std::uint64_t{0} >>
+                                        (63 - (hi - 1) % 64));
+        for (;;) {
+            if (w == lo_word)
+                bits &= ~std::uint64_t{0} << (lo % 64);
+            if (bits != 0) {
+                return w * 64 + 63 -
+                       static_cast<unsigned>(__builtin_clzll(bits));
+            }
+            if (w == lo_word)
+                return kNoSlot;
+            bits = word(--w);
+        }
     }
 
     /** Clear `slot` in every slot set (squash). */

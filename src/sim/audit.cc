@@ -231,26 +231,39 @@ ReorderBuffer::auditInvariants(Cycle now) const
                         " != full-scan count " + std::to_string(mem_count));
     }
 
-    // Query cross-check: the oldest-member answers must agree with
-    // the reference semantics for every in-flight seq.
-    unsigned older_branches = 0;
-    unsigned older_pending = 0;
+    // Query cross-check: the oldest-member and youngest-blocker answers
+    // must agree with the reference semantics for every in-flight seq.
+    SeqNum youngest_not_done = kSeqNone;
+    SeqNum youngest_pending = kSeqNone;
+    SeqNum youngest_branch = kSeqNone;
+    auto check_query = [&](const char *name, SeqNum seq, bool agrees) {
+        if (!agrees) {
+            audit::fail(who, now,
+                        std::string(name) + "(" + std::to_string(seq) +
+                            ") disagrees with full scan");
+        }
+    };
     for (const RobEntry &entry : *this) {
-        if (olderUnresolvedBranch(entry.seq) != (older_branches > 0)) {
-            audit::fail(who, now,
-                        "olderUnresolvedBranch(" +
-                            std::to_string(entry.seq) +
-                            ") disagrees with full scan");
-        }
-        if (olderPendingMem(entry.seq) != (older_pending > 0)) {
-            audit::fail(who, now,
-                        "olderPendingMem(" + std::to_string(entry.seq) +
-                            ") disagrees with full scan");
-        }
-        if (isCondBranch(entry.inst.op) && !entry.done)
-            ++older_branches;
-        if (isMem(entry.inst.op) && !entry.done)
-            ++older_pending;
+        const SeqNum seq = entry.seq;
+        check_query("olderUnresolvedBranch", seq,
+                    olderUnresolvedBranch(seq) ==
+                        (youngest_branch != kSeqNone));
+        check_query("olderPendingMem", seq,
+                    olderPendingMem(seq) == (youngest_pending != kSeqNone));
+        check_query("youngestNotDoneBefore", seq,
+                    youngestNotDoneBefore(seq) == youngest_not_done);
+        check_query("youngestPendingMemBefore", seq,
+                    youngestPendingMemBefore(seq) == youngest_pending);
+        check_query("youngestUnresolvedBranchBefore", seq,
+                    youngestUnresolvedBranchBefore(seq) ==
+                        youngest_branch);
+        if (entry.done)
+            continue;
+        youngest_not_done = seq;
+        if (isCondBranch(entry.inst.op))
+            youngest_branch = seq;
+        if (isMem(entry.inst.op))
+            youngest_pending = seq;
     }
 }
 

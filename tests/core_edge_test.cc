@@ -259,6 +259,29 @@ TEST(CoreOrderingTest, RdtscpBehindOlderOutstandingEntry)
               "235 4 4: add r10, r9, r8 = 234\n");
 }
 
+TEST(CoreOrderingTest, RdtscpBehindALongChainParksOnItsYoungestBlocker)
+{
+    // An RDTSCP behind a DRAM miss and 32 ALU ops that each wait on
+    // the one before. Parked on the oldest unissued older entry, it
+    // was woken and parked again every other op (14 parks; 28 on the
+    // oldest not-done entry); parked on the youngest it waits once,
+    // for the last op.
+    ProgramBuilder b;
+    const Addr miss = b.alloc(64);
+    b.li(5, static_cast<std::int64_t>(miss));
+    b.load(1, 5, 0);
+    for (int i = 0; i < 32; ++i)
+        b.addi(1, 1, 1);
+    b.rdtscp(9);
+    b.halt();
+
+    Core core(SystemConfig::makeDefault());
+    const RunResult result = core.run(b.build());
+    EXPECT_TRUE(result.halted);
+    EXPECT_EQ(result.reg(1), 32u);
+    EXPECT_LE(core.stats().findCounter("orderParks")->value(), 2u);
+}
+
 TEST(CoreOrderingTest, ParkedEntrySquashedAndSlotReused)
 {
     EXPECT_EQ(commitTrace(parkedThenSquashed()),

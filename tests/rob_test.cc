@@ -186,7 +186,9 @@ TEST(RobSlotTest, WrapsWithHeadSlotNearTheEnd)
     EXPECT_EQ(rob.find(14), nullptr);
     EXPECT_EQ(iterSeqs(rob), seqRange(6, 13));
     EXPECT_EQ(readySeqs(rob), seqRange(6, 13));
-    EXPECT_EQ(rob.oldestUnissued(), 6u);
+    EXPECT_EQ(rob.youngestNotDoneBefore(6), kSeqNone);
+    EXPECT_EQ(rob.youngestNotDoneBefore(8), 7u); // slot 0 -> slot 7
+    EXPECT_EQ(rob.youngestNotDoneBefore(13), 12u);
     EXPECT_NO_THROW(rob.auditInvariants(1));
 
     // Retiring across the wrap keeps every lookup exact.
@@ -219,7 +221,8 @@ TEST(RobSlotTest, SquashAcrossTheWrap)
     EXPECT_EQ(rob.find(7), nullptr);
     EXPECT_EQ(readySeqs(rob), seqRange(5, 6));
     EXPECT_TRUE(outstandingSeqs(rob).empty());
-    EXPECT_EQ(rob.oldestUnresolvedBranch(), 6u);
+    EXPECT_TRUE(rob.olderUnresolvedBranch(7));
+    EXPECT_EQ(rob.youngestUnresolvedBranchBefore(6), kSeqNone);
     EXPECT_NO_THROW(rob.auditInvariants(1));
 
     // Dispatch resumes right after the branch, reusing the slots.
@@ -228,6 +231,9 @@ TEST(RobSlotTest, SquashAcrossTheWrap)
     EXPECT_TRUE(rob.full());
     EXPECT_EQ(iterSeqs(rob), seqRange(5, 12));
     EXPECT_EQ(readySeqs(rob), seqRange(5, 12));
+    // The branch (slot 6) is the youngest blocker of seq 12 (slot 4).
+    EXPECT_EQ(rob.youngestUnresolvedBranchBefore(12), 6u);
+    EXPECT_EQ(rob.youngestPendingMemBefore(12), 5u);
     EXPECT_NO_THROW(rob.auditInvariants(2));
 }
 
@@ -240,7 +246,7 @@ TEST(RobSlotTest, ClearThenPushAtAnArbitrarySeq)
     rob.clear();
     EXPECT_TRUE(rob.empty());
     EXPECT_EQ(rob.find(3), nullptr);
-    EXPECT_EQ(rob.oldestUnissued(), kSeqNone);
+    EXPECT_FALSE(rob.anyReadyUnissued());
 
     rob.push(makeEntry(1000));
     rob.push(makeEntry(1001, Opcode::FENCE));
@@ -249,7 +255,9 @@ TEST(RobSlotTest, ClearThenPushAtAnArbitrarySeq)
     EXPECT_EQ(rob.find(999), nullptr);
     EXPECT_EQ(rob.front().seq, 1000u);
     EXPECT_EQ(readySeqs(rob), seqRange(1000, 1001));
-    EXPECT_EQ(rob.oldestPendingMem(), 1001u);
+    EXPECT_FALSE(rob.olderPendingMem(1001));
+    EXPECT_TRUE(rob.olderPendingMem(1002));
+    EXPECT_EQ(rob.youngestNotDoneBefore(1001), 1000u);
     EXPECT_NO_THROW(rob.auditInvariants(1));
 }
 
@@ -280,11 +288,175 @@ TEST(RobSlotTest, WalksVisitAscendingSeqAtEveryHeadSlot)
             ASSERT_EQ(outstandingSeqs(rob), issued)
                 << "capacity " << capacity << " head " << head;
             ASSERT_EQ(iterSeqs(rob), seqRange(first, next - 1));
-            ASSERT_EQ(rob.oldestOutstanding(), first);
-            ASSERT_EQ(rob.oldestUnissued(), first + 1);
+            ASSERT_EQ(rob.youngestNotDoneBefore(first), kSeqNone);
+            ASSERT_EQ(rob.youngestNotDoneBefore(first + 1), first);
+            ASSERT_EQ(rob.youngestNotDoneBefore(next - 1), next - 2);
             ASSERT_NO_THROW(rob.auditInvariants(1));
         }
     }
+}
+
+/**
+ * The blocker classes of one entry in the youngest-blocker sweep:
+ * what it is and how far it has got.
+ */
+enum class Blocker
+{
+    Done,      //!< completed NOP: blocks nothing
+    Branch,    //!< unresolved conditional branch
+    Load,      //!< pending memory op, issued
+    Fence,     //!< pending memory op, unissued
+    Alu,       //!< not done, unissued
+    AluIssued, //!< not done, outstanding
+};
+
+/** Push `seq` as `kind` (see Blocker). */
+void
+pushBlocker(ReorderBuffer &rob, SeqNum seq, Blocker kind)
+{
+    switch (kind) {
+      case Blocker::Done:
+        rob.push(makeDone(seq));
+        return;
+      case Blocker::Branch:
+        rob.push(makeEntry(seq, Opcode::BNE));
+        return;
+      case Blocker::Load:
+        rob.push(makeEntry(seq, Opcode::LOAD));
+        rob.markIssued(*rob.find(seq));
+        return;
+      case Blocker::Fence:
+        rob.push(makeEntry(seq, Opcode::FENCE));
+        return;
+      case Blocker::Alu:
+        rob.push(makeEntry(seq));
+        return;
+      case Blocker::AluIssued:
+        rob.push(makeEntry(seq));
+        rob.markIssued(*rob.find(seq));
+        return;
+    }
+}
+
+/** Youngest in-flight entry older than `seq` that `blocks`, found by
+ *  a plain backward scan of the entries; kSeqNone when none does. */
+template <typename Blocks>
+SeqNum
+scanBack(const ReorderBuffer &rob, SeqNum seq, Blocks &&blocks)
+{
+    for (SeqNum older = seq; older-- > rob.front().seq;) {
+        if (blocks(*rob.find(older)))
+            return older;
+    }
+    return kSeqNone;
+}
+
+/** Every youngest…Before query, for every in-flight seq, against the
+ *  backward scan. */
+void
+expectYoungestBlockersMatchScan(const ReorderBuffer &rob)
+{
+    for (const RobEntry &entry : rob) {
+        const SeqNum seq = entry.seq;
+        ASSERT_EQ(rob.youngestNotDoneBefore(seq),
+                  scanBack(rob, seq,
+                           [](const RobEntry &e) { return !e.done; }))
+            << "seq " << seq;
+        ASSERT_EQ(rob.youngestPendingMemBefore(seq),
+                  scanBack(rob, seq,
+                           [](const RobEntry &e) {
+                               return isMem(e.inst.op) && !e.done;
+                           }))
+            << "seq " << seq;
+        ASSERT_EQ(rob.youngestUnresolvedBranchBefore(seq),
+                  scanBack(rob, seq,
+                           [](const RobEntry &e) {
+                               return isCondBranch(e.inst.op) && !e.done;
+                           }))
+            << "seq " << seq;
+    }
+}
+
+TEST(RobSlotTest, YoungestBlockerQueriesMatchABackwardScan)
+{
+    // One to three 64-bit words per slot set, with a partial last word
+    // at 70 slots; every head slot position, with the ROB full. Three
+    // fillings: no blocker at all (every set empty), one blocker of
+    // each class at the three oldest offsets (so for a head near the
+    // end of the array every younger entry finds it across the wrap),
+    // and a dense pseudo-random mix.
+    constexpr Blocker kSparse[] = {Blocker::Branch, Blocker::Load,
+                                   Blocker::AluIssued};
+    for (const unsigned capacity : {8u, 64u, 70u, 192u}) {
+        for (unsigned head = 0; head < capacity; ++head) {
+            for (unsigned filling = 0; filling < 3; ++filling) {
+                ReorderBuffer rob(capacity);
+                SeqNum next = advanceHead(rob, 0, head);
+                std::uint64_t lcg = head * 2654435761u + capacity;
+                for (unsigned offset = 0; offset < capacity; ++offset) {
+                    Blocker kind = Blocker::Done;
+                    if (filling == 1 && offset < 3) {
+                        kind = kSparse[offset];
+                    } else if (filling == 2) {
+                        lcg = lcg * 6364136223846793005ull +
+                              1442695040888963407ull;
+                        kind = static_cast<Blocker>((lcg >> 33) % 6);
+                    }
+                    pushBlocker(rob, next++, kind);
+                }
+                ASSERT_TRUE(rob.full());
+                SCOPED_TRACE(::testing::Message()
+                             << "capacity " << capacity << " head "
+                             << head << " filling " << filling);
+                expectYoungestBlockersMatchScan(rob);
+                ASSERT_NO_THROW(rob.auditInvariants(1));
+            }
+        }
+    }
+}
+
+TEST(RobSlotTest, YoungestBlockerFollowsCompletions)
+{
+    // Head slot 6 of 8: seqs 6..13 in slots 6, 7, 0, ..., 5.
+    ReorderBuffer rob(8);
+    SeqNum next = advanceHead(rob, 0, 6);
+    pushBlocker(rob, next++, Blocker::Load);      // 6, slot 6
+    pushBlocker(rob, next++, Blocker::Branch);    // 7, slot 7
+    pushBlocker(rob, next++, Blocker::Done);      // 8, slot 0
+    pushBlocker(rob, next++, Blocker::Fence);     // 9, slot 1
+    pushBlocker(rob, next++, Blocker::AluIssued); // 10, slot 2
+    pushBlocker(rob, next++, Blocker::Done);      // 11, slot 3
+
+    // The head has nothing older; its successor finds only the head.
+    EXPECT_EQ(rob.youngestNotDoneBefore(6), kSeqNone);
+    EXPECT_EQ(rob.youngestPendingMemBefore(6), kSeqNone);
+    EXPECT_EQ(rob.youngestNotDoneBefore(7), 6u);
+    EXPECT_EQ(rob.youngestPendingMemBefore(7), 6u);
+    EXPECT_EQ(rob.youngestUnresolvedBranchBefore(7), kSeqNone);
+
+    // Seq 11 sees every blocker; seq 9 finds the branch across the wrap.
+    EXPECT_EQ(rob.youngestNotDoneBefore(11), 10u);
+    EXPECT_EQ(rob.youngestPendingMemBefore(11), 9u);
+    EXPECT_EQ(rob.youngestUnresolvedBranchBefore(11), 7u);
+    EXPECT_EQ(rob.youngestPendingMemBefore(9), 6u);
+    EXPECT_EQ(rob.youngestUnresolvedBranchBefore(9), 7u);
+
+    // Completing the youngest blocker moves each answer to the next
+    // older one; completing the last empties it.
+    rob.markDone(*rob.find(10));
+    EXPECT_EQ(rob.youngestNotDoneBefore(11), 9u);
+    rob.markIssued(*rob.find(9));
+    rob.markDone(*rob.find(9));
+    EXPECT_EQ(rob.youngestNotDoneBefore(11), 7u);
+    EXPECT_EQ(rob.youngestPendingMemBefore(11), 6u);
+    rob.markIssued(*rob.find(7));
+    rob.markDone(*rob.find(7));
+    EXPECT_EQ(rob.youngestUnresolvedBranchBefore(11), kSeqNone);
+    EXPECT_EQ(rob.youngestNotDoneBefore(11), 6u);
+    rob.markDone(*rob.find(6));
+    EXPECT_EQ(rob.youngestNotDoneBefore(11), kSeqNone);
+    EXPECT_EQ(rob.youngestPendingMemBefore(11), kSeqNone);
+    EXPECT_NO_THROW(rob.auditInvariants(1));
 }
 
 TEST(RobSlotTest, WalkStopsWhenTheVisitorSaysSo)
