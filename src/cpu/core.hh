@@ -96,7 +96,7 @@ class Core
     RunResult run(const Program &program, const RunOptions &options = {});
 
     /**
-     * Stepped execution for the Machine scheduler: runBegin() latches
+     * Stepped execution, the loop run() is built on: runBegin() latches
      * the program and per-run state, each runStep() advances exactly
      * one cycle (returning false once the run is over), and
      * runFinish() produces the RunResult. Stepping every cycle until
@@ -109,8 +109,9 @@ class Core
     bool runActive() const { return runActive_; }
 
     /**
-     * Clock sync for interleaved multi-core scheduling: lift this
-     * core's monotonic cycle counter to `cycle` (never backwards).
+     * Clock sync for multi-core scheduling (Machine::syncClocks):
+     * lift this core's monotonic cycle counter to `cycle` (never
+     * backwards).
      * Idle cycles spent waiting for other cores do not count as
      * sim_ticks.
      */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/log.hh"
 #include "sim/rng.hh"
 
 namespace unxpec {
@@ -56,44 +55,6 @@ Machine::runOn(unsigned index, const Program &program,
     if (cores_.size() > 1)
         syncClocks();
     return cores_[index]->run(program, options);
-}
-
-std::vector<RunResult>
-Machine::runInterleaved(const std::vector<const Program *> &programs,
-                        const RunOptions &options)
-{
-    if (programs.size() > cores_.size())
-        fatal("Machine::runInterleaved: ", programs.size(),
-              " programs for ", cores_.size(), " cores");
-
-    syncClocks();
-    std::vector<RunResult> results(cores_.size());
-    std::vector<bool> running(cores_.size(), false);
-    for (unsigned i = 0; i < programs.size(); ++i) {
-        if (programs[i] == nullptr)
-            continue;
-        cores_[i]->runBegin(*programs[i], options);
-        running[i] = true;
-    }
-
-    // Lockstep: every active core advances one cycle per round, in
-    // index order — the deterministic interleaving every cross-core
-    // experiment relies on.
-    bool any = true;
-    while (any) {
-        any = false;
-        for (unsigned i = 0; i < cores_.size(); ++i) {
-            if (!running[i])
-                continue;
-            if (cores_[i]->runStep()) {
-                any = true;
-            } else {
-                results[i] = cores_[i]->runFinish();
-                running[i] = false;
-            }
-        }
-    }
-    return results;
 }
 
 void

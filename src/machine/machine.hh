@@ -2,12 +2,11 @@
  * @file
  * Machine layer: N real Core instances — each with private L1I/L1D —
  * sharing one L2 and one MainMemory (core 0's) through an explicit
- * MESI CoherenceEngine, driven by a deterministic cycle-interleaved
- * scheduler.
+ * MESI CoherenceEngine. Programs run one core at a time (runOn), in
+ * the order the caller issues them.
  *
  * Determinism rules (DESIGN.md "Machine and coherence"):
- *   - cores are constructed, reset, and stepped strictly in index
- *     order;
+ *   - cores are constructed and reset strictly in index order;
  *   - the engine holds no clock and draws no randomness — every
  *     coherence transaction happens synchronously inside the
  *     requesting core's access;
@@ -66,16 +65,6 @@ class Machine
      */
     RunResult runOn(unsigned index, const Program &program,
                     const RunOptions &options = {});
-
-    /**
-     * Cycle-interleaved scheduler: one program per core (nullptr =
-     * core idles), all stepped in lockstep, core 0 first each cycle.
-     * Returns one RunResult per core (default-constructed for idle
-     * cores).
-     */
-    std::vector<RunResult>
-    runInterleaved(const std::vector<const Program *> &programs,
-                   const RunOptions &options = {});
 
     /** Lift every core's clock to the machine-wide maximum. */
     void syncClocks();

@@ -74,7 +74,11 @@ constexpr unsigned rEntries = 27; // AES: probe-loop bound
 std::string
 reg(unsigned r)
 {
-    return "r" + std::to_string(r);
+    // Built in place: "r" + std::to_string(r) trips a false
+    // -Wrestrict in GCC 12's libstdc++ under -Werror.
+    std::string name = std::to_string(r);
+    name.insert(name.begin(), 'r');
+    return name;
 }
 
 /** Build-the-f(N)-chase stores: chain[j] -> chain[j+1], last = bound.

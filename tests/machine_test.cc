@@ -2,8 +2,8 @@
  * @file
  * Tests for the Machine layer: single-core equivalence to a bare Core
  * (the byte-identity contract behind tests/golden), deterministic
- * per-core seed derivation, machine-wide reset, clock sync, the
- * cycle-interleaved scheduler, and CorePool reuse of whole Machines.
+ * per-core seed derivation, machine-wide reset, clock sync, and
+ * CorePool reuse of whole Machines.
  */
 
 #include <gtest/gtest.h>
@@ -133,45 +133,6 @@ TEST(MachineTest, SyncClocksNeverMovesBackwards)
     machine.syncClocks();
     EXPECT_EQ(machine.core(0).now(), c0);
     EXPECT_EQ(machine.core(1).now(), c0);
-}
-
-TEST(MachineTest, RunInterleavedCompletesEveryProgram)
-{
-    SystemConfig cfg = SystemConfig::makeDefault();
-    cfg.seed = 13;
-    cfg.numCores = 2;
-    const Program a = loopProgram();
-    const Program b = loopProgram(kLineBytes * 2);
-
-    Machine machine(cfg);
-    const auto results =
-        machine.runInterleaved({&a, &b});
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_TRUE(results[0].halted);
-    EXPECT_TRUE(results[1].halted);
-    EXPECT_GT(results[0].instructions, 0u);
-    EXPECT_GT(results[1].instructions, 0u);
-
-    // Deterministic: a second machine reproduces the interleaving.
-    Machine again(cfg);
-    const auto repeat = again.runInterleaved({&a, &b});
-    EXPECT_EQ(results[0].cycles, repeat[0].cycles);
-    EXPECT_EQ(results[1].cycles, repeat[1].cycles);
-    EXPECT_EQ(results[0].regs, repeat[0].regs);
-    EXPECT_EQ(results[1].regs, repeat[1].regs);
-}
-
-TEST(MachineTest, RunInterleavedSkipsIdleCores)
-{
-    SystemConfig cfg = SystemConfig::makeDefault();
-    cfg.numCores = 2;
-    const Program a = loopProgram();
-    Machine machine(cfg);
-    const auto results = machine.runInterleaved({&a, nullptr});
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_TRUE(results[0].halted);
-    EXPECT_FALSE(results[1].halted);
-    EXPECT_EQ(results[1].instructions, 0u);
 }
 
 TEST(MachineTest, ResetReproducesFreshConstruction)
