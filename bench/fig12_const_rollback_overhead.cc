@@ -22,9 +22,6 @@ using namespace unxpec;
 
 namespace {
 
-/** Program-generation seed shared with the seed version of the bench. */
-constexpr std::uint64_t kProgramSeed = 42;
-
 constexpr unsigned kConstants[] = {0, 25, 30, 35, 45, 65};
 
 } // namespace
@@ -61,21 +58,17 @@ main(int argc, char **argv)
 
     const ExperimentResult result = runExperiment(
         cli, opt, specs, [max_inst, warmup](const TrialContext &ctx) {
+            // The unsafe baseline shares the trial seed so jittered
+            // components (if any) see the same randomness.
+            const double base =
+                postWarmupCycles(makeDefense("unsafe"), ctx.spec.workload,
+                                 ctx.seed, max_inst, warmup);
+
             const Program program = SynthSpec::generate(
-                SynthSpec::profile(ctx.spec.workload), kProgramSeed);
+                SynthSpec::profile(ctx.spec.workload), kOverheadProgramSeed);
             RunOptions options;
             options.maxInstructions = max_inst;
             options.warmupInstructions = warmup;
-
-            // The unsafe baseline shares the trial seed so jittered
-            // components (if any) see the same randomness.
-            SystemConfig unsafe_cfg = makeDefense("unsafe");
-            unsafe_cfg.seed = ctx.seed;
-            Core unsafe(unsafe_cfg);
-            const RunResult base_run = unsafe.run(program, options);
-            const double base = static_cast<double>(base_run.cycles -
-                                                    base_run.warmupCycles);
-
             Session session(ctx);
             const RunResult run = session.core().run(program, options);
             const double measured =

@@ -50,23 +50,10 @@ workloadSlowdown(const SystemConfig &cfg, std::uint64_t seed)
 {
     const std::vector<const char *> picks = {"mcf_r", "leela_r",
                                              "imagick_r"};
-    RunOptions options;
-    options.maxInstructions = 40000;
-    options.warmupInstructions = 8000;
-
     double total = 0.0;
     for (const char *name : picks) {
-        const Program p = SynthSpec::generate(SynthSpec::profile(name), 42);
-        SystemConfig base_cfg = makeDefense("unsafe");
-        base_cfg.seed = seed;
-        Core unsafe(base_cfg);
-        const RunResult base = unsafe.run(p, options);
-        SystemConfig run_cfg = cfg;
-        run_cfg.seed = seed;
-        Core core(run_cfg);
-        const RunResult run = core.run(p, options);
-        total += static_cast<double>(run.cycles - run.warmupCycles) /
-                 (base.cycles - base.warmupCycles);
+        const double base = postWarmupCycles(makeDefense("unsafe"), name, seed);
+        total += postWarmupCycles(cfg, name, seed) / base;
     }
     return (total / picks.size() - 1.0) * 100.0;
 }

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# Run the repo's full static-analysis gate: the fast regex pre-pass
-# (scripts/lint_sim.py) over src/ bench/ tests/, the AST-level
-# speccheck analyzer (scripts/speccheck: undo-completeness per
-# CleanupMode, unpaired spec-state mutations, determinism, hot-path
-# rules over the real call graph), clang-tidy over every src/ bench/
-# tests/ translation unit, and cppcheck. This is the same sequence CI
+# Run the repo's full static-analysis gate: the project lint
+# scripts/speccheck (undo-completeness per CleanupMode, unpaired
+# spec-state mutations and hot-path rules over src/, plus the per-file
+# determinism, ownership, header and coherence rules over src/ bench/
+# tests/ examples/), clang-tidy over every src/ bench/ tests/
+# translation unit, and cppcheck. This is the same sequence CI
 # enforces as blocking jobs; run it locally before pushing.
 #
 # Tools that are not installed are skipped with a warning so the script
-# stays useful on minimal boxes (lint_sim.py needs only python3).
-# Pass --require-all (CI does) to turn a missing tool into a failure.
+# stays useful on minimal boxes (speccheck's builtin frontend needs only
+# python3). Pass --require-all (CI does) to turn a missing tool into a
+# failure.
 #
 #   scripts/run_static_analysis.sh [--require-all] [BUILD_DIR]
 #
@@ -50,9 +51,7 @@ run_gate() {
 
 # --- project lint (pure python, always available) ----------------------
 if command -v python3 >/dev/null 2>&1; then
-    run_gate python3 scripts/lint_sim.py src bench tests
-
-    # AST-level analyzer. Locally the builtin token frontend runs with
+    # Locally the builtin token frontend runs with
     # no dependencies; under --require-all (CI) a missing/unusable
     # libclang is an error instead of a graceful fallback, so the
     # compiler-exact frontend is what actually gates merges.

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""speccheck — AST-level undo-completeness and determinism analyzer.
+"""speccheck — the project lint: undo-completeness, determinism and
+the per-file source rules.
 
 Usage (from the repo root):
 
@@ -8,9 +9,11 @@ Usage (from the repo root):
                               [--ci] [--report out.json] [--verbose]
 
 Checks (see checks.py): undo-completeness, unpaired-spec-mutation,
-determinism, hot-path.  Exit codes: 0 clean, 1 findings, 2
-infrastructure problem (missing libclang under --ci, malformed
-annotations, unreadable inputs).
+hot-path over the model built from src/, and the per-file token rules
+(frontend_builtin.lint_file) over src/ bench/ tests/ examples/, minus
+the speccheck fixtures.  ``--src DIR`` sets both scopes to DIR.  Exit
+codes: 0 clean, 1 findings, 2 infrastructure problem (missing libclang
+under --ci, malformed annotations, unreadable inputs).
 """
 
 from __future__ import annotations
@@ -27,11 +30,19 @@ from cache import ParseCache
 from checks import run_checks
 from cpplex import LexError
 from libclang_support import LibclangUnavailable, load as load_libclang
-from model import AnnotationError, Model
+from model import AnnotationError, Model, RuleFinding
 from report import render_json, render_text
 
 SOURCE_EXTS = (".cc", ".cpp", ".cxx")
 HEADER_EXTS = (".hh", ".h", ".hpp")
+
+# Default scopes: the model (undo, pairing, hot path) is built from the
+# simulator sources; the token rules also cover the benches, tests and
+# examples built on them.  The fixtures hold deliberate violations, and
+# benchmark/ measures host time by design.
+MODEL_DIRS = ["src"]
+LINT_DIRS = ["src", "bench", "tests", "examples"]
+FIXTURES = os.path.join("tests", "speccheck", "fixtures")
 
 
 def discover_files(src_dirs: List[str], compdb: Optional[str]):
@@ -120,6 +131,21 @@ def build_model_builtin(
     return model
 
 
+def lint_builtin(
+    files: List[str], texts: Dict[str, str], cache: ParseCache
+) -> List[RuleFinding]:
+    """Run the per-file token rules over ``files``."""
+    facts = {}
+    for path in files:
+        key = cache.digest(b"lint", path.encode(), texts[path].encode())
+        per_file = cache.get("lint", key)
+        if per_file is None:
+            per_file = fb.lint_file(path, texts[path])
+            cache.put("lint", key, per_file)
+        facts[path] = per_file
+    return fb.resolve_walks(facts)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="speccheck", description=__doc__
@@ -134,7 +160,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--src",
         action="append",
         default=None,
-        help="source directory to analyze (repeatable; default: src)",
+        help="source directory to analyze (repeatable; default: src "
+        "for the model checks, src bench tests examples for the token "
+        "rules)",
     )
     parser.add_argument(
         "--frontend",
@@ -165,7 +193,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--only",
         help="comma list of checks to run "
-        "(undo,pairing,determinism,hotpath)",
+        "(undo,pairing,determinism,hotpath; determinism selects every "
+        "per-file rule)",
     )
     parser.add_argument("--verbose", "-v", action="store_true")
     parser.add_argument(
@@ -180,8 +209,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return selftest.run()
 
-    src_dirs = args.src or ["src"]
-    for d in src_dirs:
+    model_dirs = args.src or MODEL_DIRS
+    lint_dirs = args.src or LINT_DIRS
+    for d in lint_dirs:
         if not os.path.isdir(d):
             print(f"speccheck: source directory '{d}' not found",
                   file=sys.stderr)
@@ -209,11 +239,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
 
-    files = discover_files(src_dirs, args.compdb)
+    files = discover_files(model_dirs, args.compdb)
+    lint_files = [
+        f for f in discover_files(lint_dirs, None)
+        if args.src or not f.startswith(FIXTURES + os.sep)
+    ]
     if not files:
         print("speccheck: no input files found", file=sys.stderr)
         return 2
-    texts = load_texts(files)
+    texts = load_texts(sorted(set(files) | set(lint_files)))
 
     cache = ParseCache(args.cache_dir, enabled=not args.no_cache)
 
@@ -221,7 +255,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if use_libclang:
             import frontend_libclang as flc
 
-            # Builtin pass supplies declarations, determinism findings
+            # Builtin pass supplies declarations, range-for findings
             # and suppressions; libclang supplies bodies (calls,
             # mutations) with compiler-exact type information.
             model = build_model_builtin(
@@ -246,6 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 model = build_model_builtin(files, texts, cache)
         else:
             model = build_model_builtin(files, texts, cache)
+        model.rule_findings.extend(lint_builtin(lint_files, texts, cache))
     except (AnnotationError, LexError) as exc:
         print(f"speccheck: {exc}", file=sys.stderr)
         return 2

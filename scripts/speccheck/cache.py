@@ -15,7 +15,7 @@ import os
 import pickle
 from typing import Optional
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 class ParseCache:

@@ -1,18 +1,18 @@
 """The speccheck analyses over the shared Model.
 
-Four checks, each the static counterpart of an existing dynamic or
-regex gate:
+Four checks:
 
 * undo-completeness — per-CleanupMode write-set vs undo-set (static
   ``auditRollbackComplete``);
 * unpaired-spec-mutation — every mutation of an UNXPEC_SPEC_STATE
   field must sit inside / under a registered transition or rollback;
-* determinism — AST-level unordered-iteration, unseeded-randomness,
-  wall-clock, and float-cycle rules (supersedes the lint_sim.py
-  regexes for src/);
+* determinism — the per-site rule findings: the per-file token rules
+  (``frontend_builtin.lint_file``) and the type-resolving range-for
+  unordered-iteration matcher, one finding per rule and line;
 * hot-path — steady-alloc and virtual-dispatch rules over the real
   call-graph closure of the run loop (Core::runStep and
-  Core::skipIdle) instead of a hard-coded file list.
+  Core::skipIdle); steady-alloc also covers every function of the
+  per-cycle files, reached or not.
 """
 
 from __future__ import annotations
@@ -31,6 +31,29 @@ EXEMPT_MODES = {"UnsafeBaseline"}
 
 # The run loop: each cycle's step and the idle skip between steps.
 HOT_ENTRIES = ["Core::runStep", "Core::skipIdle"]
+
+# The files whose code runs inside the per-cycle loop.  Each growth
+# site in them is steady-state heap churn or carries a
+# lint-ok(steady-alloc) justification saying why it is cold (one-time
+# construction, ring assignment, ...), even where the call graph does
+# not reach it.
+HOT_FILES = (
+    "cpu/core.cc", "cpu/core.hh", "cpu/rob.cc", "cpu/rob.hh",
+    "cpu/lsq.cc", "cpu/lsq.hh", "memory/cache.cc", "memory/cache.hh",
+    "memory/hierarchy.cc", "memory/hierarchy.hh", "memory/mshr.hh",
+    "memory/main_memory.cc", "memory/main_memory.hh",
+    "memory/coherence.cc", "memory/coherence.hh",
+    "memory/replacement.hh", "cleanup/cleanup_engine.cc",
+    "cleanup/cleanup_engine.hh", "cleanup/spec_tracker.cc",
+    "cleanup/spec_tracker.hh", "sim/ring_queue.hh",
+)
+
+# Per-file rules reported under the determinism prefix; the others
+# report under their own name.
+DETERMINISM_RULES = {
+    "unordered-iteration", "unseeded-randomness", "wall-clock",
+    "float-cycle",
+}
 
 
 @dataclass
@@ -170,12 +193,19 @@ def _check_pairing(model, graph, baseline, res: Results) -> None:
 
 
 def _check_determinism(model, baseline, res: Results) -> None:
-    for f in model.determinism:
+    seen = set()
+    for f in model.rule_findings:
+        # The token pass and the model's range-for matcher can both
+        # flag one walk.
+        if (f.rule, f.file, f.line) in seen:
+            continue
+        seen.add((f.rule, f.file, f.line))
         if baseline.covers_determinism(f.rule, f.file):
             continue
         res.findings.append(
             Finding(
-                f"determinism:{f.rule}",
+                f"determinism:{f.rule}"
+                if f.rule in DETERMINISM_RULES else f.rule,
                 f"{f.file}:{f.line}",
                 f.detail,
             )
@@ -185,8 +215,16 @@ def _check_determinism(model, baseline, res: Results) -> None:
 def _check_hotpath(model, graph, baseline, res: Results) -> None:
     hot = cg.hot_functions(graph, model, HOT_ENTRIES)
     res.hot_functions = sorted(short(q) for q in hot)
-    for qual in sorted(hot):
+    in_hot_files = {
+        qual for qual, fn in model.functions.items()
+        if fn.file.replace("\\", "/").endswith(HOT_FILES)
+    }
+    for qual in sorted(hot | in_hot_files):
         fn = model.functions[qual]
+        where = (
+            f"reachable from {'/'.join(HOT_ENTRIES)}" if qual in hot
+            else "defined in a per-cycle file"
+        )
         for what, line in fn.allocs:
             if model.suppressed("steady-alloc", fn.file, line):
                 continue
@@ -197,11 +235,12 @@ def _check_hotpath(model, graph, baseline, res: Results) -> None:
                     "steady-alloc",
                     f"{fn.file}:{line}",
                     f"{short(qual)} is on the per-cycle hot path "
-                    f"(reachable from {'/'.join(HOT_ENTRIES)}) and "
-                    f"calls {what}() — use reserved storage or "
-                    "justify with lint-ok(steady-alloc)",
+                    f"({where}) and calls {what}() — use reserved "
+                    "storage or justify with lint-ok(steady-alloc)",
                 )
             )
+        if qual not in hot:
+            continue
         for recv, method, line in fn.virtual_calls:
             callee = f"{short(recv)}::{method}"
             if model.suppressed("hot-virtual", fn.file, line):

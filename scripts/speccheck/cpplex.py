@@ -4,8 +4,8 @@ This is not a full C++ lexer; it is the minimum needed to build a
 reliable structural model: identifiers, numbers, punctuation, and
 preprocessor directives, with comments and the *contents* of string,
 character, and raw-string literals removed.  Removing literal contents
-is what kills the whole class of regex false positives the old
-lint_sim.py rules had (e.g. "unordered-iteration" firing on doc text).
+is what keeps every rule from firing on doc text or string data (a
+"float" in a comment, "std::chrono" in a message).
 
 Each token records the 1-based source line so findings and inline
 ``lint-ok(...)`` suppressions can be resolved to exact locations.

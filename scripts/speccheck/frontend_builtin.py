@@ -3,7 +3,9 @@
 Builds the speccheck ``Model`` from the token stream alone: namespace /
 class nesting, field declarations, function definitions with their
 call sites and field-mutation sites, annotation macros, and the
-determinism matchers.  It is deliberately not a C++ parser — it leans
+type-resolving unordered-iteration matcher; ``lint_file`` is the
+separate per-file token pass for every rule that needs no types.  It
+is deliberately not a C++ parser — it leans
 on the house style the repo's other gates already enforce (one
 declarator per field, members with a trailing underscore, everything
 inside ``namespace unxpec``), and the libclang frontend supersedes it
@@ -21,15 +23,17 @@ Parsing is two-pass so receiver types resolve across files:
 
 from __future__ import annotations
 
+import os
 import re
+from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Set, Tuple
 
 from cpplex import ID, PP, STR, Token, tokenize
 from model import (
     AnnotationError,
-    DeterminismFinding,
     Field,
     Model,
+    RuleFinding,
     parse_rollback,
     parse_transition,
 )
@@ -57,24 +61,15 @@ _MUTATING_METHODS = {
     "assign", "swap", "fill", "reset", "truncate",
 }
 
-# Calls that allocate (hot-path steady-alloc rule; mirrors the
-# lint_sim.py pre-pass so existing lint-ok(steady-alloc) lines apply).
+# Calls that allocate (hot-path steady-alloc rule).
 _ALLOC_CALLS = {
     "push_back", "emplace_back", "push_front", "emplace_front",
     "resize", "reserve", "emplace", "insert", "assign", "append",
     "make_unique", "make_shared",
 }
 
-_RANDOM_CALL_IDS = {"rand", "srand", "drand48", "lrand48"}
-_RANDOM_TYPE_IDS = {
-    "random_device", "mt19937", "mt19937_64", "minstd_rand",
-    "minstd_rand0", "default_random_engine", "knuth_b",
-}
-_WALLCLOCK_CALLS = {
-    "gettimeofday", "clock_gettime", "timespec_get", "clock", "time",
-}
-_WALLCLOCK_CLOCKS = {
-    "system_clock", "steady_clock", "high_resolution_clock",
+_ASSIGN_OPS = {
+    "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
 }
 
 _SUPPRESS_RE = re.compile(
@@ -126,12 +121,26 @@ def collect_modes(config_text: str) -> Set[str]:
     return set()
 
 
-def collect_suppressions(path: str, text: str, model: Model) -> None:
-    per_line = model.suppressions.setdefault(path, {})
+def scan_suppressions(text: str):
+    """Inline ``lint-ok(rule): why`` markers of one file: the justified
+    ones as {line: {rule}}, and the (line, rule) of each marker with an
+    empty justification, which suppresses nothing."""
+    marks: Dict[int, Set[str]] = {}
+    unjustified: List[Tuple[int, str]] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         m = _SUPPRESS_RE.search(line)
-        if m:
-            per_line.setdefault(lineno, set()).add(m.group("rule"))
+        if not m:
+            continue
+        if m.group("why"):
+            marks.setdefault(lineno, set()).add(m.group("rule"))
+        else:
+            unjustified.append((lineno, m.group("rule")))
+    return marks, unjustified
+
+
+def collect_suppressions(path: str, text: str, model: Model) -> None:
+    marks, _unjustified = scan_suppressions(text)
+    model.suppressions[path] = marks
 
 
 def parse_declarations(path: str, text: str, modes: Set[str]) -> Model:
@@ -599,6 +608,7 @@ class _Parser:
         # Trailer up to the body '{', a ';', or '= default/delete;'.
         has_body = False
         is_const = False
+        inits: List[Token] = []
         while self.i < len(toks):
             t = toks[self.i]
             if t.text == "{":
@@ -610,7 +620,9 @@ class _Parser:
                 is_const = True
             if t.text == ":":  # ctor initializer list
                 self.i += 1
+                inits_start = self.i
                 self._skip_ctor_inits()
+                inits = toks[inits_start : self.i]
                 continue
             if t.text == "=":
                 while (
@@ -648,9 +660,9 @@ class _Parser:
             self._skip_balanced("{", "}")
             if self.scan_bodies:
                 env = self._param_env(params)
-                _BodyScanner(self, fn, cls).scan(
-                    toks[body_start + 1 : self.i - 1], env
-                )
+                scanner = _BodyScanner(self, fn, cls)
+                scanner.scan(toks[body_start + 1 : self.i - 1], env)
+                scanner.scan_allocs(inits)
         else:
             self.i += 1  # past ';'
 
@@ -799,7 +811,7 @@ class _Parser:
 
 class _BodyScanner:
     """Scan one function body for calls, mutations, allocations,
-    virtual dispatch, and determinism findings."""
+    virtual dispatch, and range-for walks over unordered containers."""
 
     def __init__(self, parser: _Parser, fn, cls: Optional[str]):
         self.p = parser
@@ -921,17 +933,17 @@ class _BodyScanner:
             nxt = body[i + 1].text if i + 1 < n else ""
 
             if t.text == "new":
-                if not self.out.suppressed(
-                    "steady-alloc", self.p.path, t.line
-                ):
-                    self.fn.allocs.append(("new", t.line))
+                self._alloc("new", t.line)
                 i += 1
                 continue
 
             if nxt == "(" and t.text not in _KEYWORDS:
                 self._call_site(body, i, env)
+            elif nxt == "<" and t.text in ("make_unique", "make_shared"):
+                self._alloc(t.text, t.line)
 
-            self._determinism(body, i, env)
+            if t.text == "for" and nxt == "(":
+                self._range_for(body, i, env)
 
             if i + 1 < n and self._is_assign(body[i + 1].text):
                 self._mutation(body, i, env)
@@ -957,10 +969,24 @@ class _BodyScanner:
 
     @staticmethod
     def _is_assign(t: str) -> bool:
-        return t in (
-            "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-            "<<=", ">>=",
-        )
+        return t in _ASSIGN_OPS
+
+    def _alloc(self, what: str, line: int) -> None:
+        if not self.out.suppressed("steady-alloc", self.p.path, line):
+            self.fn.allocs.append((what, line))
+
+    def scan_allocs(self, toks: List[Token]) -> None:
+        """Allocation sites alone, for a constructor's initializer
+        list (its calls and arguments are not body facts)."""
+        for i, t in enumerate(toks):
+            nxt = toks[i + 1].text if i + 1 < len(toks) else ""
+            if (
+                t.text == "new"
+                or (t.text in _ALLOC_CALLS and nxt == "(")
+                or (t.text in ("make_unique", "make_shared")
+                    and nxt == "<")
+            ):
+                self._alloc(t.text, t.line)
 
     def _try_local_decl(
         self, body: List[Token], i: int, env: Dict[str, str]
@@ -1056,10 +1082,8 @@ class _BodyScanner:
 
         self.fn.calls.append((name, recv_cls, line))
 
-        if name in _ALLOC_CALLS and not self.out.suppressed(
-            "steady-alloc", self.p.path, line
-        ):
-            self.fn.allocs.append((name, line))
+        if name in _ALLOC_CALLS:
+            self._alloc(name, line)
 
         if member_call and recv_cls:
             vmethods = self.decl.virtual_methods.get(recv_cls)
@@ -1127,87 +1151,13 @@ class _BodyScanner:
         ]
         return matches[0] if len(matches) == 1 else None
 
-    # determinism ------------------------------------------------------
-
-    def _determinism(self, body, i, env) -> None:
-        t = body[i]
-        name = t.text
-        nxt = body[i + 1].text if i + 1 < len(body) else ""
-        prev = body[i - 1].text if i > 0 else ""
-
-        def report(rule: str, detail: str) -> None:
-            if self.out.suppressed(rule, self.p.path, t.line):
-                return
-            self.out.determinism.append(
-                DeterminismFinding(rule, self.p.path, t.line, detail)
-            )
-
-        if prev in (".", "->"):
-            return  # member access — never a global clock/PRNG
-        if name in _RANDOM_CALL_IDS and nxt == "(":
-            report(
-                "unseeded-randomness",
-                f"call to {name}() — use the seeded unxpec::Rng",
-            )
-            return
-        if name in _RANDOM_TYPE_IDS:
-            report(
-                "unseeded-randomness",
-                f"use of std::{name} — use the seeded unxpec::Rng",
-            )
-            return
-        if name in _WALLCLOCK_CALLS and nxt == "(":
-            report(
-                "wall-clock",
-                f"host clock call {name}() — derive time from the "
-                "Cycle counter",
-            )
-            return
-        if name in _WALLCLOCK_CLOCKS and nxt == "::":
-            report(
-                "wall-clock",
-                f"std::chrono::{name} — derive time from the Cycle "
-                "counter",
-            )
-            return
-        if name in ("float",):
-            nxt_tok = body[i + 1] if i + 1 < len(body) else None
-            if (
-                nxt_tok is not None
-                and nxt_tok.kind == ID
-                and "cycle" in nxt_tok.text.lower()
-            ):
-                report(
-                    "float-cycle",
-                    f"float {nxt_tok.text} — use Cycle (uint64) or "
-                    "double",
-                )
-            return
-        if name == "for" and nxt == "(":
-            self._range_for(body, i, env)
+    # unordered iteration ----------------------------------------------
 
     def _range_for(self, body, i, env) -> None:
-        depth = 0
-        k = i + 1
-        colon = None
-        end = None
-        while k < len(body):
-            t = body[k].text
-            if t == "(":
-                depth += 1
-            elif t == ")":
-                depth -= 1
-                if depth == 0:
-                    end = k
-                    break
-            elif t == ":" and depth == 1:
-                if colon is None:
-                    colon = k
-            elif t == ";" and depth == 1:
-                return  # classic for loop
-            k += 1
-        if colon is None or end is None:
+        split = _range_for_split(body, i)
+        if split is None:
             return
+        colon, end = split
         expr = body[colon + 1 : end]
         ids = [t for t in expr if t.kind == ID]
         if not ids:
@@ -1231,8 +1181,8 @@ class _BodyScanner:
             if not self.out.suppressed(
                 "unordered-iteration", self.p.path, body[i].line
             ):
-                self.out.determinism.append(
-                    DeterminismFinding(
+                self.out.rule_findings.append(
+                    RuleFinding(
                         "unordered-iteration",
                         self.p.path,
                         body[i].line,
@@ -1240,3 +1190,278 @@ class _BodyScanner:
                         f"'{container}'",
                     )
                 )
+
+
+# -- per-file token rules ------------------------------------------------
+#
+# The rules below need no type information, so they run over every file
+# of the lint scope (src bench tests examples by default), not only the
+# files the model is built from.  Comments and literal contents never
+# reach them: cpplex drops both.
+
+_HEADER_EXTS = (".hh", ".h", ".hpp")
+
+_RANDOM_CALLS = {"rand", "srand"}
+# Ambient generators by name; the ranlux* engines and every
+# std::*_engine / std::*_distribution of <random> match by form.
+_RANDOM_IDS = {
+    "drand48", "lrand48", "random_device", "mt19937", "mt19937_64",
+    "minstd_rand", "minstd_rand0", "default_random_engine", "knuth_b",
+}
+_WALLCLOCK_IDS = {
+    "gettimeofday", "clock_gettime", "timespec_get", "system_clock",
+    "steady_clock", "high_resolution_clock",
+}
+_WALLCLOCK_CALLS = {"time", "clock"}
+_UNORDERED_TYPES = {
+    "unordered_map", "unordered_set", "unordered_multimap",
+    "unordered_multiset",
+}
+_BEGIN_CALLS = {"begin", "cbegin", "rbegin", "crbegin"}
+# Coherence-state fields only the coh:: transition helpers may assign.
+_COH_FIELDS = {"coh", "pendingDowngrade"}
+_IOSTREAM_RE = re.compile(r"#\s*include\s*<iostream>")
+
+
+@dataclass
+class LintFacts:
+    """One file's token-rule results.  Walks over unordered containers
+    are matched by name against the declarations of the whole scope,
+    so they are kept as (container, line) until every file is read."""
+
+    findings: List[RuleFinding] = dc_field(default_factory=list)
+    unordered_names: Set[str] = dc_field(default_factory=set)
+    walks: List[Tuple[str, int]] = dc_field(default_factory=list)
+
+
+def include_guard(path: str) -> str:
+    """The canonical guard: UNXPEC_<DIR>_<NAME>_HH from the path under
+    src/ (src/cpu/rob.hh -> UNXPEC_CPU_ROB_HH), or from the last two
+    path parts elsewhere (bench/pdf_figure.hh ->
+    UNXPEC_BENCH_PDF_FIGURE_HH)."""
+    parts = os.path.normpath(path).replace("\\", "/").split("/")
+    if "src" in parts:
+        parts = parts[parts.index("src") + 1 :]
+    else:
+        parts = parts[-2:]
+    stem = re.sub(r"[.-]", "_", "_".join(parts)).upper()
+    return "UNXPEC_" + re.sub(r"_H[HP]?P?$", "_HH", stem)
+
+
+def _close_angle(toks: List[Token], i: int) -> int:
+    """Index just past the template argument list opening at toks[i]."""
+    depth = 0
+    while i < len(toks):
+        t = toks[i].text
+        if t == "<":
+            depth += 1
+        elif t in (">", ">>"):
+            depth -= 2 if t == ">>" else 1
+            if depth <= 0:
+                return i + 1
+        elif t in (";", "{", "}"):
+            return i
+        i += 1
+    return i
+
+
+def _range_for_split(
+    toks: List[Token], i: int
+) -> Optional[Tuple[int, int]]:
+    """At ``for (``: the indices of a range-for's ':' and closing ')',
+    or None for a classic for loop."""
+    depth = 0
+    colon = None
+    for k in range(i + 1, len(toks)):
+        t = toks[k].text
+        if t == "(":
+            depth += 1
+        elif t == ")":
+            depth -= 1
+            if depth == 0:
+                return None if colon is None else (colon, k)
+        elif depth == 1 and t == ";":
+            return None
+        elif depth == 1 and t == ":" and colon is None:
+            colon = k
+    return None
+
+
+def _naked_new_delete(toks: List[Token], i: int) -> bool:
+    """new/delete at toks[i] is an expression, not ``operator new`` or
+    a deleted function's ``= delete``."""
+    if i + 1 >= len(toks) or (i > 0 and toks[i - 1].text == "operator"):
+        return False
+    nxt = toks[i + 1]
+    if nxt.kind == ID or nxt.text in ("::", "("):
+        return True
+    return toks[i].text == "delete" and nxt.text in ("*", "[")
+
+
+def lint_file(path: str, text: str) -> LintFacts:
+    """The per-file token rules:
+
+    * unseeded-randomness — rand()/srand(), drand48/lrand48, and any
+      <random> engine or distribution: stochastic behaviour draws from
+      the seeded unxpec::Rng so trials replay bit-identically;
+    * wall-clock — std::chrono, the host clocks, and bare time()/
+      clock() calls: simulated time is the Cycle counter;
+    * float-cycle — any ``float``: cycle arithmetic is Cycle or double;
+    * unordered-iteration — begin() or a range-for on a name declared
+      as an unordered container anywhere in the scope (the model's
+      type-resolving range-for check covers src/ as well);
+    * raw-new-delete — naked new/delete expressions;
+    * using-namespace-std — at any scope;
+    * iostream-in-header — <iostream> included from a header;
+    * include-guard — headers carry the ``include_guard`` name;
+    * coherence-mutation — CohState/pendingDowngrade assignments
+      outside memory/coherence.* and the unit tests, so every MESI
+      transition stays in the coh:: helpers;
+    * unjustified-suppression — a lint-ok(rule) marker with an empty
+      justification (it suppresses nothing).
+
+    ``lint-ok(rule): why`` on the site's line or the line above it
+    suppresses a finding.
+    """
+    toks = tokenize(text, path)
+    marks, unjustified = scan_suppressions(text)
+    facts = LintFacts()
+    rel = os.path.normpath(path).replace("\\", "/")
+    is_header = rel.endswith(_HEADER_EXTS)
+    in_unit_tests = (
+        rel.startswith("tests/") or "/tests/" in rel
+    ) and "speccheck/fixtures/" not in rel
+    coh_exempt = "memory/coherence." in rel or in_unit_tests
+
+    def suppressed(rule: str, line: int) -> bool:
+        return any(rule in marks.get(c, ()) for c in (line, line - 1))
+
+    def report(rule: str, line: int, detail: str) -> None:
+        if not suppressed(rule, line):
+            facts.findings.append(RuleFinding(rule, path, line, detail))
+
+    for line, rule in unjustified:
+        report(
+            "unjustified-suppression", line,
+            f"lint-ok({rule}) needs a justification after the colon",
+        )
+
+    n = len(toks)
+    for i, t in enumerate(toks):
+        prev = toks[i - 1].text if i > 0 else ""
+        nxt = toks[i + 1].text if i + 1 < n else ""
+        if t.kind == PP:
+            if is_header and _IOSTREAM_RE.match(t.text):
+                report(
+                    "iostream-in-header", t.line,
+                    "headers must not include <iostream>; include "
+                    "<ostream>/<istream> or move the I/O to the .cc",
+                )
+            continue
+        if t.kind != ID:
+            continue
+        name = t.text
+        member = prev in (".", "->")
+        in_std = prev == "::" and i >= 2 and toks[i - 2].text == "std"
+        if (
+            (name in _RANDOM_CALLS and nxt == "(")
+            or name in _RANDOM_IDS
+            or name.startswith("ranlux")
+            or (in_std and name.endswith(("_engine", "_distribution")))
+        ):
+            report(
+                "unseeded-randomness", t.line,
+                f"{name} — use the seeded unxpec::Rng",
+            )
+        elif (
+            name in _WALLCLOCK_IDS
+            or (name in _WALLCLOCK_CALLS and nxt == "(" and not member)
+            or (name == "chrono" and in_std)
+        ):
+            report(
+                "wall-clock", t.line,
+                f"{name} reads host time — derive time from the Cycle "
+                "counter",
+            )
+        elif name == "float":
+            report(
+                "float-cycle", t.line,
+                "float loses cycle precision past 2^24 — use Cycle "
+                "(uint64) or double",
+            )
+        elif name in ("new", "delete") and _naked_new_delete(toks, i):
+            report(
+                "raw-new-delete", t.line,
+                f"naked {name} — use std::make_unique or a container",
+            )
+        elif (
+            name == "using" and nxt == "namespace"
+            and i + 2 < n and toks[i + 2].text == "std"
+        ):
+            report("using-namespace-std", t.line, "using namespace std")
+        elif (
+            name in _COH_FIELDS and member and nxt in _ASSIGN_OPS
+            and not coh_exempt
+        ):
+            report(
+                "coherence-mutation", t.line,
+                f"assignment to {name} — MESI transitions belong to the "
+                "coh:: helpers (src/memory/coherence.hh)",
+            )
+        elif name in _UNORDERED_TYPES and nxt == "<":
+            k = _close_angle(toks, i + 1)
+            while k < n and toks[k].text in ("*", "&", "&&", "const"):
+                k += 1
+            if k < n and toks[k].kind == ID:
+                after = toks[k + 1] if k + 1 < n else None
+                if (
+                    after is None
+                    or after.line != toks[k].line
+                    or after.text in (";", "=", "{")
+                ):
+                    facts.unordered_names.add(toks[k].text)
+        elif (
+            name in _BEGIN_CALLS and member and nxt == "("
+            and i >= 2 and toks[i - 2].kind == ID
+        ):
+            if not suppressed("unordered-iteration", t.line):
+                facts.walks.append((toks[i - 2].text, t.line))
+        elif name == "for" and nxt == "(":
+            # Only a plain member chain (`a.b->name`) names its range.
+            split = _range_for_split(toks, i)
+            expr = toks[split[0] + 1 : split[1]] if split else []
+            if (
+                len(expr) % 2 == 1
+                and all(x.kind == ID for x in expr[0::2])
+                and all(x.text in (".", "->") for x in expr[1::2])
+                and not suppressed("unordered-iteration", t.line)
+            ):
+                facts.walks.append((expr[-1].text, t.line))
+
+    if is_header:
+        guard = f"#ifndef {include_guard(path)}"
+        if not any(t.kind == PP and t.text == guard for t in toks):
+            report("include-guard", 1, f"expected `{guard}`")
+    return facts
+
+
+def resolve_walks(facts: Dict[str, LintFacts]) -> List[RuleFinding]:
+    """Every file's token findings plus its walks over a name declared
+    as an unordered container in any file of the scope."""
+    unordered: Set[str] = set()
+    for f in facts.values():
+        unordered |= f.unordered_names
+    out: List[RuleFinding] = []
+    for path in sorted(facts):
+        out.extend(facts[path].findings)
+        out.extend(
+            RuleFinding(
+                "unordered-iteration", path, line,
+                f"walk over unordered container '{name}' — hash order "
+                "is unspecified; use std::map, sorted emission, or a "
+                "side vector",
+            )
+            for name, line in facts[path].walks
+            if name in unordered
+        )
+    return out

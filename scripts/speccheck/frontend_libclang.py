@@ -1,7 +1,7 @@
 """libclang frontend: compiler-exact body facts.
 
 The builtin token frontend supplies declarations, annotations,
-determinism findings and suppressions; this module re-derives the
+rule findings and suppressions; this module re-derives the
 *body* facts (call edges, spec-field mutations, allocation sites,
 virtual dispatches) from real clang ASTs driven by
 ``compile_commands.json``.  Overload resolution, typedef sugar and
@@ -29,8 +29,8 @@ from model import Model
 # builtin frontend's _ALLOC_CALLS — keep the two in sync).
 ALLOC_CALLS = {
     "push_back", "emplace_back", "emplace", "insert", "resize",
-    "reserve", "assign", "push_front", "emplace_front", "make_unique",
-    "make_shared",
+    "reserve", "assign", "append", "push_front", "emplace_front",
+    "make_unique", "make_shared",
 }
 
 ASSIGN_OPS = {

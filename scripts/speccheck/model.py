@@ -3,7 +3,7 @@
 A frontend (built-in token parser or libclang) reduces the tree to a
 ``Model``: classes with their fields, functions with their annotations,
 mutation sites of annotated fields, call edges, and the raw material
-the determinism / hot-path checks need.  The checks in ``checks.py``
+the per-site rule / hot-path checks need.  The checks in ``checks.py``
 operate on this IR only, so both frontends are interchangeable.
 """
 
@@ -134,8 +134,8 @@ class Function:
 
 
 @dataclass
-class DeterminismFinding:
-    rule: str  # unordered-iteration | unseeded-randomness | ...
+class RuleFinding:
+    rule: str  # unordered-iteration | raw-new-delete | include-guard | ...
     file: str
     line: int
     detail: str
@@ -151,7 +151,7 @@ class Model:
     # using-alias name -> aliased type text (single-spaced tokens)
     aliases: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, Function] = field(default_factory=dict)
-    determinism: List[DeterminismFinding] = field(default_factory=list)
+    rule_findings: List[RuleFinding] = field(default_factory=list)
     # file -> {line -> set(rule)} inline lint-ok suppressions
     suppressions: Dict[str, Dict[int, Set[str]]] = field(
         default_factory=dict
@@ -175,7 +175,7 @@ class Model:
         if not per_file:
             return False
         # A lint-ok comment suppresses its own line and the next one
-        # (comment-above-statement style), matching lint_sim.py.
+        # (comment-above-statement style).
         for cand in (line, line - 1):
             if rule in per_file.get(cand, ()):
                 return True
@@ -212,7 +212,7 @@ class Model:
             prev.allocs.extend(fn.allocs)
             prev.virtual_calls.extend(fn.virtual_calls)
             prev.signatures |= fn.signatures
-        self.determinism.extend(other.determinism)
+        self.rule_findings.extend(other.rule_findings)
         for file, per_line in other.suppressions.items():
             mine_lines = self.suppressions.setdefault(file, {})
             for line, rules in per_line.items():

@@ -93,6 +93,29 @@ struct Walker {
 }  // namespace unxpec
 """
 
+# Only lines 12 (new), 13 (clock) and 14 (the walk) may fire: operator
+# new, a deleted copy, a member time() call and comment or string text
+# are not findings.
+TOKEN_SNIPPET = """
+// a float in a comment; std::chrono in "a float string"
+namespace unxpec {
+struct Pool {
+    void *operator new(unsigned long size);
+    Pool(const Pool &) = delete;
+    std::unordered_map<int, int> index_;
+    double now() const;
+    const char *name = "float new delete rand()";
+    int tick(Pool &other) {
+        other.time();
+        int *cell = new int(1);
+        long t = clock();
+        for (const auto &kv : index_) t += kv.second;
+        return *cell + static_cast<int>(t);
+    }
+};
+}  // namespace unxpec
+"""
+
 SUPPRESS_SNIPPET = """
 namespace unxpec {
 struct S {
@@ -217,8 +240,21 @@ def t_end_to_end_gate() -> None:
 
 def t_determinism() -> None:
     model = _parse(UNORDERED_SNIPPET, MODES)
-    rules = {d.rule for d in model.determinism}
+    rules = {d.rule for d in model.rule_findings}
     assert "unordered-iteration" in rules, rules
+
+
+def t_token_rules() -> None:
+    facts = fb.lint_file("src/sim/mini.cc", TOKEN_SNIPPET)
+    found = {(f.rule, f.line) for f in facts.findings}
+    assert found == {("raw-new-delete", 12), ("wall-clock", 13)}, found
+    assert facts.unordered_names == {"index_"}, facts.unordered_names
+    assert facts.walks == [("index_", 14)], facts.walks
+    assert fb.include_guard("src/cpu/rob.hh") == "UNXPEC_CPU_ROB_HH"
+    assert (
+        fb.include_guard("bench/pdf_figure.hh")
+        == "UNXPEC_BENCH_PDF_FIGURE_HH"
+    )
 
 
 def t_suppressions() -> None:
@@ -256,6 +292,7 @@ TESTS: List[Tuple[str, Callable[[], None]]] = [
     ("mode-gated-closure", t_closure),
     ("undo-gate-end-to-end", t_end_to_end_gate),
     ("determinism-rules", t_determinism),
+    ("token-rules", t_token_rules),
     ("param-binding", t_param_binding),
     ("suppressions", t_suppressions),
     ("baseline", t_baseline),

@@ -25,20 +25,6 @@ meanOf(const std::vector<double> &values)
     return total / static_cast<double>(values.size());
 }
 
-/** Post-warmup cycles of one synthetic workload on `cfg`. */
-double
-workloadCycles(SystemConfig cfg, std::uint64_t seed)
-{
-    cfg.seed = seed;
-    RunOptions options;
-    options.maxInstructions = 40000;
-    options.warmupInstructions = 8000;
-    const Program p = SynthSpec::generate(SynthSpec::profile("mcf_r"), 42);
-    Core core(cfg);
-    const RunResult run = core.run(p, options);
-    return static_cast<double>(run.cycles - run.warmupCycles);
-}
-
 } // namespace
 
 const std::vector<std::string> &
@@ -131,10 +117,10 @@ matrixTrialFn(unsigned samples_per_class)
         out.metric("delta_cycles", meanOf(ones) - meanOf(zeros));
         out.metric("cycles_per_sample", cycles_per_sample);
         out.metric("workload_cycles",
-                   workloadCycles(
+                   postWarmupCycles(
                        Session::configFor(ctx.spec,
                                           Rng::deriveSeed(ctx.seed, 0)),
-                       Rng::deriveSeed(ctx.seed, 1)));
+                       "mcf_r", Rng::deriveSeed(ctx.seed, 1)));
         out.samples("latency0", std::move(zeros));
         out.samples("latency1", std::move(ones));
         return out;
@@ -263,10 +249,10 @@ victimTrialFn(unsigned plaintexts)
         out.metric("delta_cycles", delta);
         out.metric("cycles_per_sample", cycles_per_sample);
         out.metric("workload_cycles",
-                   workloadCycles(
+                   postWarmupCycles(
                        Session::configFor(ctx.spec,
                                           Rng::deriveSeed(ctx.seed, 0)),
-                       Rng::deriveSeed(ctx.seed, 1)));
+                       "mcf_r", Rng::deriveSeed(ctx.seed, 1)));
         return out;
     };
 }

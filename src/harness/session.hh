@@ -76,8 +76,8 @@ class CorePool
     };
     // Ordered map: spec count is tiny and acquire() runs once per
     // trial, so lookup cost is irrelevant — and an ordered container
-    // can never grow a nondeterministic walk (lint_sim.py forbids
-    // unordered iteration across src/).
+    // can never grow a nondeterministic walk (scripts/speccheck
+    // forbids unordered iteration across the tree).
     std::map<std::size_t, Slot> slots_;
 };
 

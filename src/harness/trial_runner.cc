@@ -260,9 +260,8 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
     if (pool <= 1) {
         {
             CorePool cores;
-            CorePool *core_pool = reuse_ ? &cores : nullptr;
             for (const std::size_t job : pending)
-                work(job, core_pool);
+                work(job, &cores);
         }
         if (tracing)
             writeTraces(specs, reps, outputs, tracers);
@@ -281,13 +280,12 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
     for (unsigned t = 0; t < pool; ++t) {
         workers.emplace_back([&] {
             CorePool cores;
-            CorePool *core_pool = reuse_ ? &cores : nullptr;
             for (;;) {
                 const std::size_t slot =
                     next.fetch_add(1, std::memory_order_relaxed);
                 if (slot >= pending.size())
                     return;
-                work(pending[slot], core_pool);
+                work(pending[slot], &cores);
             }
         });
     }
@@ -355,7 +353,6 @@ TrialRunner::runSharded(const std::vector<ExperimentSpec> &specs,
                     known[job] = std::move(entry);
             }
             TrialRunner worker(threads_);
-            worker.reuse_ = reuse_;
             worker.trace_ = child_trace;
             worker.campaign_ = campaign_;
             worker.runJobs(specs, reps, master_seed, fn, header, known,
@@ -517,7 +514,7 @@ aggregateRow(const ExperimentSpec &spec,
     // Row layout comes from `names` (first-occurrence order); the map
     // is a point-lookup index only. std::map rather than unordered so
     // this export path carries no hash container at all — emission
-    // order provably cannot depend on hashing (lint_sim.py's
+    // order provably cannot depend on hashing (speccheck's
     // unordered-iteration rule keeps it that way).
     std::vector<std::string> names;
     std::vector<std::vector<double>> buckets;

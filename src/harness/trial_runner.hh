@@ -63,7 +63,7 @@ struct TrialContext
     std::uint64_t seed = 0;
     std::uint64_t masterSeed = 0;
     /**
-     * This worker thread's Core pool, nullptr when core reuse is off.
+     * This worker thread's Core pool, nullptr outside a TrialRunner.
      * Session(ctx) draws its Core from here (reset to ctx.seed) instead
      * of constructing one per trial.
      */
@@ -142,15 +142,6 @@ class TrialRunner
     unsigned threads() const { return threads_; }
 
     /**
-     * Toggle per-worker Core reuse (on by default). Each worker thread
-     * keeps one Core per spec and re-seeds it between reps via
-     * Core::reset — bit-identical to fresh construction, but without
-     * reallocating caches, ROB, or memory pages every trial. Turn off
-     * to force a fresh Core per trial (the perf baseline).
-     */
-    void reuseCores(bool reuse) { reuse_ = reuse; }
-
-    /**
      * Capture event traces: every trial gets its own Tracer (with
      * trace.categories) handed through TrialContext, and after the
      * trials finish the runner serially writes trace.path — one merged
@@ -225,7 +216,6 @@ class TrialRunner
         const;
 
     unsigned threads_;
-    bool reuse_ = true;
     TraceConfig trace_;
     CampaignConfig campaign_;
 };

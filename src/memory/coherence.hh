@@ -5,7 +5,7 @@
  *   namespace coh   Line-state transition helpers. Every assignment to
  *                   CacheLine::coh / CacheLine::pendingDowngrade in the
  *                   simulator lives either here or in coherence.cc —
- *                   scripts/lint_sim.py (rule `coherence-mutation`)
+ *                   scripts/speccheck (rule `coherence-mutation`)
  *                   rejects mutations anywhere else, so the transition
  *                   table below is the whole story.
  *

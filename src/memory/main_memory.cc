@@ -118,7 +118,7 @@ MainMemory::reset(const MemoryConfig &cfg)
     cfg_ = cfg;
     // Walk the deterministic allocation-order list, not the hash map:
     // the zeroing itself is order-insensitive, but keeping every
-    // container walk deterministic is what lets lint_sim.py forbid
+    // container walk deterministic is what lets scripts/speccheck forbid
     // unordered iteration outright instead of judging call sites.
     for (Page *page : allocOrder_)
         page->fill(0);

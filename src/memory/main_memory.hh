@@ -93,7 +93,7 @@ class MainMemory
     /**
      * Allocated pages in first-touch order. The map is only ever used
      * for point lookups (hash iteration order is unspecified — a
-     * reproducibility hazard lint_sim.py rejects); any walk over the
+     * reproducibility hazard scripts/speccheck rejects); any walk over the
      * allocated pages goes through this deterministic side list
      * instead. Pointers are stable: unordered_map never moves nodes.
      */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "cpu/core.hh"
 #include "sim/log.hh"
 #include "sim/rng.hh"
 
@@ -174,6 +175,22 @@ SynthSpec::generate(const WorkloadProfile &profile, std::uint64_t seed,
     b.blt(rIter, rIterMax, loop_top);
     b.halt();
     return b.build();
+}
+
+double
+postWarmupCycles(SystemConfig cfg, const std::string &profile,
+                 std::uint64_t seed, std::uint64_t instructions,
+                 std::uint64_t warmup)
+{
+    cfg.seed = seed;
+    RunOptions options;
+    options.maxInstructions = instructions;
+    options.warmupInstructions = warmup;
+    const Program program = SynthSpec::generate(SynthSpec::profile(profile),
+                                                kOverheadProgramSeed);
+    Core core(cfg);
+    const RunResult run = core.run(program, options);
+    return static_cast<double>(run.cycles - run.warmupCycles);
 }
 
 } // namespace unxpec

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cpu/program.hh"
+#include "sim/config.hh"
 
 namespace unxpec {
 
@@ -65,6 +66,21 @@ class SynthSpec
                             unsigned body_instructions = 1000,
                             std::uint64_t iterations = 1u << 30);
 };
+
+/** Program-generation seed of every overhead measurement. */
+constexpr std::uint64_t kOverheadProgramSeed = 42;
+
+/**
+ * Post-warmup cycles of one synthetic workload: a fresh Core on `cfg`,
+ * seeded with `seed`, runs the `profile` program (generated from
+ * kOverheadProgramSeed) for `instructions` instructions and drops the
+ * cycles of the first `warmup`. An overhead is the ratio of two of
+ * these, a defense's over the unsafe baseline's.
+ */
+double postWarmupCycles(SystemConfig cfg, const std::string &profile,
+                        std::uint64_t seed,
+                        std::uint64_t instructions = 40000,
+                        std::uint64_t warmup = 8000);
 
 } // namespace unxpec
 

@@ -22,6 +22,7 @@
 #include "sim/alloc_gauge.hh"
 #include "sim/config.hh"
 #include "sim/ring_queue.hh"
+#include "sim/rng.hh"
 #include "workload/synth_spec.hh"
 
 namespace unxpec {
@@ -152,28 +153,35 @@ poolSweep()
 TEST(CorePoolTest, PooledParallelMatchesFreshSerial)
 {
     const auto specs = poolSweep();
-
-    TrialRunner fresh_serial(1);
-    fresh_serial.reuseCores(false); // the old fresh-Core-per-trial path
-    const ExperimentResult baseline =
-        fresh_serial.runAll("t", "", specs, 4, 2024, deltaTrial);
+    constexpr unsigned reps = 4;
+    constexpr std::uint64_t master = 2024;
 
     TrialRunner pooled_serial(1);
     TrialRunner pooled_parallel(4);
     const ExperimentResult serial =
-        pooled_serial.runAll("t", "", specs, 4, 2024, deltaTrial);
+        pooled_serial.runAll("t", "", specs, reps, master, deltaTrial);
     const ExperimentResult parallel =
-        pooled_parallel.runAll("t", "", specs, 4, 2024, deltaTrial);
+        pooled_parallel.runAll("t", "", specs, reps, master, deltaTrial);
+    ASSERT_EQ(serial.rows.size(), specs.size());
+    ASSERT_EQ(parallel.rows.size(), specs.size());
 
-    ASSERT_EQ(serial.rows.size(), baseline.rows.size());
-    ASSERT_EQ(parallel.rows.size(), baseline.rows.size());
-    for (std::size_t i = 0; i < baseline.rows.size(); ++i) {
-        for (const char *metric : {"delta", "zero"}) {
-            EXPECT_EQ(serial.rows[i].values(metric),
-                      baseline.rows[i].values(metric));
-            EXPECT_EQ(parallel.rows[i].values(metric),
-                      baseline.rows[i].values(metric));
+    // The reference runs each trial outside a TrialRunner: with no
+    // pool in its context, Session builds a fresh Core per trial.
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        std::vector<double> delta;
+        std::vector<double> zero;
+        for (unsigned rep = 0; rep < reps; ++rep) {
+            const TrialContext ctx{specs[i], i, rep,
+                                   Rng::deriveSeed(master, i * reps + rep),
+                                   master};
+            const TrialOutput out = deltaTrial(ctx);
+            delta.push_back(out.metrics.at(0).second);
+            zero.push_back(out.metrics.at(1).second);
         }
+        EXPECT_EQ(serial.rows[i].values("delta"), delta);
+        EXPECT_EQ(serial.rows[i].values("zero"), zero);
+        EXPECT_EQ(parallel.rows[i].values("delta"), delta);
+        EXPECT_EQ(parallel.rows[i].values("zero"), zero);
     }
 }
 

@@ -5,7 +5,8 @@
  * macros are consumed textually, so no include of annotate.hh is
  * needed here.
  */
-#pragma once
+#ifndef UNXPEC_CLEAN_MINI_HH
+#define UNXPEC_CLEAN_MINI_HH
 
 enum class CleanupMode {
     UnsafeBaseline,
@@ -42,3 +43,5 @@ class MiniCache {
 };
 
 }  // namespace unxpec
+
+#endif // UNXPEC_CLEAN_MINI_HH

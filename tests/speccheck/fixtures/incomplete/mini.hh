@@ -5,7 +5,8 @@
  * MiniLine::installer and speccheck must fail the coverage gate for
  * that mode (UnsafeBaseline stays exempt).
  */
-#pragma once
+#ifndef UNXPEC_INCOMPLETE_MINI_HH
+#define UNXPEC_INCOMPLETE_MINI_HH
 
 enum class CleanupMode {
     UnsafeBaseline,
@@ -32,3 +33,5 @@ class MiniCache {
 };
 
 }  // namespace unxpec
+
+#endif // UNXPEC_INCOMPLETE_MINI_HH

@@ -4,7 +4,8 @@
  * the hash seed / libstdc++ version — speccheck's determinism check
  * must report an unordered-iteration finding.
  */
-#pragma once
+#ifndef UNXPEC_UNORDERED_MINI_HH
+#define UNXPEC_UNORDERED_MINI_HH
 
 #include <unordered_map>
 
@@ -23,3 +24,5 @@ class MiniStats {
 };
 
 }  // namespace unxpec
+
+#endif // UNXPEC_UNORDERED_MINI_HH

@@ -6,7 +6,8 @@
  * the same by passing a speculative field to helpers that take it by
  * non-const reference (one of them a const member function).
  */
-#pragma once
+#ifndef UNXPEC_UNPAIRED_MINI_HH
+#define UNXPEC_UNPAIRED_MINI_HH
 
 enum class CleanupMode {
     UnsafeBaseline,
@@ -41,3 +42,5 @@ class MiniCache {
 };
 
 }  // namespace unxpec
+
+#endif // UNXPEC_UNPAIRED_MINI_HH
