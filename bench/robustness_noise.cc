@@ -71,9 +71,7 @@ main(int argc, char **argv)
                 secret.push_back(static_cast<int>(rng.range(2)));
             const unsigned samples = static_cast<unsigned>(
                 ctx.spec.param("samples_per_bit", 1));
-            const LeakResult leak = samples <= 1
-                ? attack.leak(secret, threshold)
-                : attack.leakMultiSample(secret, threshold, samples);
+            const LeakResult leak = attack.leak(secret, threshold, samples);
             TrialOutput out;
             out.metric("accuracy", leak.accuracy);
             return out;

@@ -1,32 +1,21 @@
 #include "attack/contention.hh"
 
+#include "attack/gadget.hh"
 #include "sim/log.hh"
 
 namespace unxpec {
 
 namespace {
 
-// Register allocation for the attack program.
-constexpr RegIndex rIdx = 1;      // index for the current trial
-constexpr RegIndex rBound = 2;    // warm chase / bound value
-constexpr RegIndex rSecret = 3;   // transiently loaded secret
-constexpr RegIndex rA = 5;        // A base
-constexpr RegIndex rIdxTab = 6;   // index-table base
+// Registers beyond the gadget's (attack/gadget.hh). The program has
+// no probe array, so it reuses the numbers of gadget::rScaled..rTmp4.
 constexpr RegIndex rLatTab = 7;   // latency-result base
-constexpr RegIndex rTmp0 = 8;
-constexpr RegIndex rTmp1 = 9;
-constexpr RegIndex rTmp2 = 10;
 constexpr RegIndex rZero = 11;    // constant 0 (inner compare)
 constexpr RegIndex rMulA = 12;    // burst operands (always ready)
 constexpr RegIndex rMulB = 13;
 constexpr RegIndex rSink = 14;    // burst destination (dead value)
 constexpr RegIndex rDelta = 15;   // measured latency
 constexpr RegIndex rProbe = 16;   // dependent probe chain
-constexpr RegIndex rTrial = 17;   // trial counter
-constexpr RegIndex rTrials = 18;  // trial count
-constexpr RegIndex rChain = 19;   // chase base
-constexpr RegIndex rT0 = 24;      // first timestamp
-constexpr RegIndex rT1 = 25;      // second timestamp
 
 } // namespace
 
@@ -46,34 +35,21 @@ ContentionAttack::ContentionAttack(Core &core, const ContentionConfig &cfg)
 void
 ContentionAttack::buildProgram()
 {
+    using namespace gadget;
     const unsigned c = cfg_.conditionAccesses;
     ProgramBuilder b;
 
     // ---- data segment ------------------------------------------------
-    aBase_ = b.alloc(kLineBytes);
-    secretAddr_ = b.alloc(kLineBytes);
-    chainBase_ = b.alloc(kLineBytes * c);
-    idxBase_ = b.alloc(8 * trials_);
+    // A[0] = 0: training rounds take the inner secret==0 early-out.
+    const Layout layout = allocate(b, c, trials_);
+    secretAddr_ = layout.secret;
     latBase_ = b.alloc(8 * trials_);
 
-    // A[0] = 0: training rounds take the inner secret==0 early-out.
-    b.initByte(aBase_, 0);
-    const std::uint64_t oob_index = secretAddr_ - aBase_;
-    // Warm chase; the last element holds the bound (1) so the trained
-    // in-bounds index 0 satisfies index < bound.
-    for (unsigned j = 0; j + 1 < c; ++j)
-        b.initWord64(chainBase_ + j * kLineBytes,
-                     chainBase_ + (j + 1) * kLineBytes);
-    b.initWord64(chainBase_ + (c - 1) * kLineBytes, 1);
-    for (unsigned t = 0; t + 1 < trials_; ++t)
-        b.initWord64(idxBase_ + 8 * t, 0);
-    b.initWord64(idxBase_ + 8 * (trials_ - 1), oob_index);
-
     // ---- code ----------------------------------------------------------
-    b.li(rA, static_cast<std::int64_t>(aBase_));
-    b.li(rIdxTab, static_cast<std::int64_t>(idxBase_));
+    b.li(rA, static_cast<std::int64_t>(layout.a));
+    b.li(rIdxTab, static_cast<std::int64_t>(layout.idx));
     b.li(rLatTab, static_cast<std::int64_t>(latBase_));
-    b.li(rChain, static_cast<std::int64_t>(chainBase_));
+    b.li(rChain, static_cast<std::int64_t>(layout.chain));
     b.li(rZero, 0);
     b.li(rMulA, 3);
     b.li(rMulB, 5);
@@ -92,32 +68,17 @@ ContentionAttack::buildProgram()
     const int loop_top = b.label();
     const int skip = b.label();
     b.bind(loop_top);
-
-    // index = idxTable[trial]
-    b.shl(rTmp0, rTrial, 3);
-    b.add(rTmp0, rTmp0, rIdxTab);
-    b.load(rIdx, rTmp0);
-
+    loadTrialIndex(b);
     b.fence();
 
-    // Outer branch condition: warm pointer chase plus a dependent ALU
-    // padding chain. Resolution takes ~conditionPadding cycles — long
-    // enough for the inner redirect and the burst, independent of any
-    // cache state.
-    b.mov(rBound, rChain);
-    for (unsigned j = 0; j < c; ++j)
-        b.load(rBound, rBound);
-    for (unsigned p = 0; p < cfg_.conditionPadding; ++p)
-        b.addi(rBound, rBound, 0);
-
-    // if (index < bound) { sender } — trained not-taken.
-    b.bge(rIdx, rBound, skip);
-
-    // Sender: secret = A[index] (an L1 hit either way); secret==0
-    // takes the trained early-out, secret==1 mispredicts it and the
-    // redirect falls into the multiply burst.
-    b.add(rTmp2, rA, rIdx);
-    b.load(rSecret, rTmp2, 0, 1);
+    // if (index < bound) { sender }. The bound is the warm chase plus
+    // a dependent ALU padding chain: resolution takes ~conditionPadding
+    // cycles — long enough for the inner redirect and the burst,
+    // independent of any cache state. The sender's secret = A[index]
+    // is an L1 hit either way; secret==0 takes the trained early-out,
+    // secret==1 mispredicts it and the redirect falls into the
+    // multiply burst.
+    boundsCheck(b, c, cfg_.conditionPadding, skip);
     b.beq(rSecret, rZero, skip);
     for (unsigned m = 0; m < cfg_.transientMuls; ++m)
         b.mul(rSink, rMulA, rMulB);
@@ -136,10 +97,7 @@ ContentionAttack::buildProgram()
     b.shl(rTmp0, rTrial, 3);
     b.add(rTmp0, rTmp0, rLatTab);
     b.store(rTmp0, 0, rDelta);
-
-    b.addi(rTrial, rTrial, 1);
-    b.blt(rTrial, rTrials, loop_top);
-    b.halt();
+    loopTail(b, loop_top);
 
     program_ = b.build();
     dataLoaded_ = false;
@@ -184,14 +142,6 @@ ContentionAttack::cyclesPerSample() const
     return totalRuns_ == 0
         ? 0.0
         : static_cast<double>(totalCycles_) / totalRuns_;
-}
-
-void
-ContentionAttack::resetTrialState()
-{
-    dataLoaded_ = false;
-    totalRuns_ = 0;
-    totalCycles_ = 0;
 }
 
 } // namespace unxpec

@@ -66,23 +66,6 @@ struct ContentionConfig
     unsigned mistrainIterations = 16;
 };
 
-/** Field-wise equality (CorePool attack-cache validity check). */
-inline bool
-operator==(const ContentionConfig &a, const ContentionConfig &b)
-{
-    return a.transientMuls == b.transientMuls &&
-           a.probeMuls == b.probeMuls &&
-           a.conditionAccesses == b.conditionAccesses &&
-           a.conditionPadding == b.conditionPadding &&
-           a.mistrainIterations == b.mistrainIterations;
-}
-
-inline bool
-operator!=(const ContentionConfig &a, const ContentionConfig &b)
-{
-    return !(a == b);
-}
-
 /** Orchestrates contention rounds on a core. */
 class ContentionAttack
 {
@@ -107,13 +90,7 @@ class ContentionAttack
     /** Mean simulated cycles consumed per measurement (sample). */
     double cyclesPerSample() const;
 
-    /** Restore freshly-constructed per-trial state (CorePool attack
-     *  cache; see UnxpecAttack::resetTrialState). */
-    void resetTrialState();
-
-    const ContentionConfig &config() const { return cfg_; }
     const Program &program() const { return program_; }
-    Core &core() { return core_; }
 
   private:
     void buildProgram();
@@ -123,10 +100,7 @@ class ContentionAttack
     Program program_;
 
     // Data-segment layout.
-    Addr aBase_ = 0;
     Addr secretAddr_ = 0;
-    Addr chainBase_ = 0;
-    Addr idxBase_ = 0;
     Addr latBase_ = 0;
     unsigned trials_ = 0;
 

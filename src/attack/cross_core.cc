@@ -2,33 +2,17 @@
 
 #include "analysis/roc.hh"
 #include "attack/channel.hh"
+#include "attack/gadget.hh"
 #include "sim/log.hh"
 
 namespace unxpec {
 
 namespace {
 
-// Register allocation, shared by the sender and receiver programs.
-constexpr RegIndex rIdx = 1;      // index for the current trial
-constexpr RegIndex rBound = 2;    // f(N) chain / bound value
-constexpr RegIndex rSecret = 3;   // transiently loaded secret
-constexpr RegIndex rP = 4;        // P base
-constexpr RegIndex rA = 5;        // A base
-constexpr RegIndex rIdxTab = 6;   // index-table base
+// Receiver registers beyond the gadget's (attack/gadget.hh).
 constexpr RegIndex rLatTab = 7;   // receiver latency-result base
-constexpr RegIndex rTmp0 = 8;
-constexpr RegIndex rTmp1 = 9;
-constexpr RegIndex rTmp2 = 10;
-constexpr RegIndex rScaled = 11;  // secret * 64
-constexpr RegIndex rPtr = 13;     // walking pointer over P
-constexpr RegIndex rTmp4 = 14;
 constexpr RegIndex rDelta = 15;   // measured latency
-constexpr RegIndex rTrial = 17;   // trial counter
-constexpr RegIndex rTrials = 18;  // trial count
-constexpr RegIndex rChain = 19;   // f(N) chain base
 constexpr RegIndex rT0Tab = 20;   // receiver t0-result base
-constexpr RegIndex rT0 = 24;      // first timestamp
-constexpr RegIndex rT1 = 25;      // second timestamp
 
 /**
  * Map raw probe latencies into the decoder's score domain. The
@@ -62,35 +46,23 @@ CrossCoreAttack::CrossCoreAttack(Machine &machine, const UnxpecConfig &cfg)
 void
 CrossCoreAttack::buildPrograms()
 {
+    using namespace gadget;
     const unsigned n = cfg_.inBranchLoads;
     const unsigned c = cfg_.conditionAccesses;
 
     // ---- sender (core 0): POISON + one out-of-bounds round ----------
     ProgramBuilder b;
 
-    pBase_ = b.alloc(kLineBytes * (n + 1));
-    aBase_ = b.alloc(kLineBytes);
-    secretAddr_ = b.alloc(kLineBytes);
-    chainBase_ = b.alloc(kLineBytes * c);
-    idxBase_ = b.alloc(8 * trials_);
+    const Addr p_base = b.alloc(kLineBytes * (n + 1));
+    const Layout layout = allocate(b, c, trials_);
+    secretAddr_ = layout.secret;
     rxLatBase_ = b.alloc(8);
     rxT0Base_ = b.alloc(8);
 
-    // A[0] = 0: training rounds transmit "secret 0" (loads hit P[0]).
-    b.initByte(aBase_, 0);
-    const std::uint64_t oob_index = secretAddr_ - aBase_;
-    for (unsigned j = 0; j + 1 < c; ++j)
-        b.initWord64(chainBase_ + j * kLineBytes,
-                     chainBase_ + (j + 1) * kLineBytes);
-    b.initWord64(chainBase_ + (c - 1) * kLineBytes, 1);
-    for (unsigned t = 0; t + 1 < trials_; ++t)
-        b.initWord64(idxBase_ + 8 * t, 0);
-    b.initWord64(idxBase_ + 8 * (trials_ - 1), oob_index);
-
-    b.li(rP, static_cast<std::int64_t>(pBase_));
-    b.li(rA, static_cast<std::int64_t>(aBase_));
-    b.li(rIdxTab, static_cast<std::int64_t>(idxBase_));
-    b.li(rChain, static_cast<std::int64_t>(chainBase_));
+    b.li(rP, static_cast<std::int64_t>(p_base));
+    b.li(rA, static_cast<std::int64_t>(layout.a));
+    b.li(rIdxTab, static_cast<std::int64_t>(layout.idx));
+    b.li(rChain, static_cast<std::int64_t>(layout.chain));
     b.li(rTrial, 0);
     b.li(rTrials, trials_);
 
@@ -104,56 +76,26 @@ CrossCoreAttack::buildPrograms()
     const int loop_top = b.label();
     const int skip = b.label();
     b.bind(loop_top);
-
-    // index = idxTable[trial]
-    b.shl(rTmp0, rTrial, 3);
-    b.add(rTmp0, rTmp0, rIdxTab);
-    b.load(rIdx, rTmp0);
-
+    loadTrialIndex(b);
     // Flush the f(N) chain and P[64*1..64*n]. clflush is machine-wide
     // (MemoryHierarchy::flushLine -> CoherenceEngine::flushAll), so
     // this also evicts the receiver's copies from earlier rounds.
-    for (unsigned j = 0; j < c; ++j)
-        b.clflush(rChain, static_cast<std::int64_t>(j) * kLineBytes);
-    for (unsigned k = 1; k <= n; ++k)
-        b.clflush(rP, static_cast<std::int64_t>(k) * kLineBytes);
-    // (Re-)load P[0]: secret 0 must produce all-hits.
-    b.load(rTmp1, rP);
+    flushProbe(b, c, n);
     b.fence();
 
-    // Branch condition: pointer-chase f(N) plus dependent padding so
-    // resolution covers the transient loads' fills.
-    b.mov(rBound, rChain);
-    for (unsigned j = 0; j < c; ++j)
-        b.load(rBound, rBound);
-    for (unsigned p = 0; p < cfg_.conditionPadding; ++p)
-        b.addi(rBound, rBound, 0);
-
-    // if (index < bound) { transient body } — trained not-taken.
-    b.bge(rIdx, rBound, skip);
-
-    // Transient body: secret = A[index]; load P[secret*64*k].
-    b.add(rTmp2, rA, rIdx);
-    b.load(rSecret, rTmp2, 0, 1);
-    b.shl(rScaled, rSecret, 6);
-    b.mov(rPtr, rP);
-    for (unsigned k = 1; k <= n; ++k) {
-        b.add(rPtr, rPtr, rScaled);
-        b.load(rTmp4, rPtr);
-    }
+    // if (index < f(N)) { secret = A[index]; load P[secret*64*k] }.
+    boundsCheck(b, c, cfg_.conditionPadding, skip);
+    transmit(b, n);
 
     b.bind(skip);
-    b.addi(rTrial, rTrial, 1);
-    b.blt(rTrial, rTrials, loop_top);
-    b.halt();
-
+    loopTail(b, loop_top);
     sender_ = b.build();
 
     // ---- receiver (core 1): timed probe of P[64] --------------------
     // No allocations and no data images: every address was placed by
     // the sender's builder in the shared memory.
     ProgramBuilder r;
-    r.li(rP, static_cast<std::int64_t>(pBase_));
+    r.li(rP, static_cast<std::int64_t>(p_base));
     r.li(rLatTab, static_cast<std::int64_t>(rxLatBase_));
     r.li(rT0Tab, static_cast<std::int64_t>(rxT0Base_));
     r.fence();

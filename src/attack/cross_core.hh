@@ -78,10 +78,8 @@ class CrossCoreAttack
     /** Mean simulated cycles consumed per measurement, both cores. */
     double cyclesPerSample() const;
 
-    const UnxpecConfig &config() const { return cfg_; }
     const Program &senderProgram() const { return sender_; }
     const Program &receiverProgram() const { return receiver_; }
-    Machine &machine() { return machine_; }
 
   private:
     void buildPrograms();
@@ -94,10 +92,6 @@ class CrossCoreAttack
     // Data-segment layout: allocated once by the sender's builder (the
     // cores share one MainMemory, so the receiver reuses the addresses
     // as immediates instead of re-allocating over them).
-    Addr pBase_ = 0;
-    Addr aBase_ = 0;
-    Addr chainBase_ = 0;
-    Addr idxBase_ = 0;
     Addr secretAddr_ = 0;
     Addr rxLatBase_ = 0;
     Addr rxT0Base_ = 0;

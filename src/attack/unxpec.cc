@@ -4,35 +4,19 @@
 
 #include "attack/channel.hh"
 #include "attack/eviction_set.hh"
+#include "attack/gadget.hh"
 #include "sim/log.hh"
 
 namespace unxpec {
 
 namespace {
 
-// Register allocation for the attack program.
-constexpr RegIndex rIdx = 1;      // index for the current trial
-constexpr RegIndex rBound = 2;    // f(N) chain / bound value
-constexpr RegIndex rSecret = 3;   // transiently loaded secret
-constexpr RegIndex rP = 4;        // P base
-constexpr RegIndex rA = 5;        // A base
-constexpr RegIndex rIdxTab = 6;   // index-table base
+// Registers beyond the gadget's (attack/gadget.hh).
 constexpr RegIndex rLatTab = 7;   // latency-result base
-constexpr RegIndex rTmp0 = 8;
-constexpr RegIndex rTmp1 = 9;
-constexpr RegIndex rTmp2 = 10;
-constexpr RegIndex rScaled = 11;  // secret * 64
 constexpr RegIndex rTmp3 = 12;
-constexpr RegIndex rPtr = 13;     // walking pointer over P
-constexpr RegIndex rTmp4 = 14;
 constexpr RegIndex rDelta = 15;   // measured latency
 constexpr RegIndex rTmp5 = 16;
-constexpr RegIndex rTrial = 17;   // trial counter
-constexpr RegIndex rTrials = 18;  // trial count
-constexpr RegIndex rChain = 19;   // f(N) chain base
 constexpr RegIndex rT0Tab = 20;   // t0-result base
-constexpr RegIndex rT0 = 24;      // first timestamp
-constexpr RegIndex rT1 = 25;      // second timestamp
 
 } // namespace
 
@@ -84,57 +68,40 @@ UnxpecAttack::UnxpecAttack(Core &core, const UnxpecConfig &cfg)
 void
 UnxpecAttack::buildProgram()
 {
+    using namespace gadget;
     const unsigned n = cfg_.inBranchLoads;
     const unsigned c = cfg_.conditionAccesses;
     ProgramBuilder b;
 
     // ---- data segment ------------------------------------------------
-    pBase_ = b.alloc(kLineBytes * (n + 1));
-    aBase_ = b.alloc(kLineBytes);
-    secretAddr_ = b.alloc(kLineBytes);
-    chainBase_ = b.alloc(kLineBytes * c);
-    idxBase_ = b.alloc(8 * trials_);
+    const Addr p_base = b.alloc(kLineBytes * (n + 1));
+    const Layout layout = allocate(b, c, trials_);
+    secretAddr_ = layout.secret;
     latBase_ = b.alloc(8 * trials_);
     t0Base_ = b.alloc(8 * trials_);
 
-    // A[0] = 0: training rounds transmit "secret 0" (loads hit P[0]).
-    b.initByte(aBase_, 0);
-    // Out-of-bounds index reaching the victim's secret byte.
-    const std::uint64_t oob_index = secretAddr_ - aBase_;
-    // f(N) pointer chase; the last element holds the bound (1), so the
-    // trained in-bounds index 0 satisfies index < bound.
-    for (unsigned j = 0; j + 1 < c; ++j)
-        b.initWord64(chainBase_ + j * kLineBytes,
-                     chainBase_ + (j + 1) * kLineBytes);
-    b.initWord64(chainBase_ + (c - 1) * kLineBytes, 1);
-    // Index table: POISON uses in-bounds 0; the final trial goes
-    // out of bounds.
-    for (unsigned t = 0; t + 1 < trials_; ++t)
-        b.initWord64(idxBase_ + 8 * t, 0);
-    b.initWord64(idxBase_ + 8 * (trials_ - 1), oob_index);
-
+    std::vector<Addr> eviction_addrs;
     if (cfg_.useEvictionSets) {
         const unsigned l1_sets = core_.config().l1d.numSets();
         const unsigned l1_ways = core_.config().l1d.ways;
         const Addr pool =
             b.alloc(static_cast<std::size_t>(l1_sets) * l1_ways *
                     kLineBytes * 2);
-        evictionAddrs_.clear();
         for (unsigned k = 1; k <= n; ++k) {
             const auto set_addrs = EvictionSet::direct(
-                pBase_ + k * kLineBytes, l1_sets, l1_ways, pool);
-            evictionAddrs_.insert(evictionAddrs_.end(), set_addrs.begin(),
+                p_base + k * kLineBytes, l1_sets, l1_ways, pool);
+            eviction_addrs.insert(eviction_addrs.end(), set_addrs.begin(),
                                   set_addrs.end());
         }
     }
 
     // ---- code ----------------------------------------------------------
-    b.li(rP, static_cast<std::int64_t>(pBase_));
-    b.li(rA, static_cast<std::int64_t>(aBase_));
-    b.li(rIdxTab, static_cast<std::int64_t>(idxBase_));
+    b.li(rP, static_cast<std::int64_t>(p_base));
+    b.li(rA, static_cast<std::int64_t>(layout.a));
+    b.li(rIdxTab, static_cast<std::int64_t>(layout.idx));
     b.li(rLatTab, static_cast<std::int64_t>(latBase_));
     b.li(rT0Tab, static_cast<std::int64_t>(t0Base_));
-    b.li(rChain, static_cast<std::int64_t>(chainBase_));
+    b.li(rChain, static_cast<std::int64_t>(layout.chain));
     b.li(rTrial, 0);
     b.li(rTrials, trials_);
 
@@ -146,7 +113,7 @@ UnxpecAttack::buildProgram()
     // Prime P[64*k]'s L1 sets with the eviction set (§V-B). Rollback
     // restores displaced lines, so in a quiet machine priming once
     // keeps the sets primed for every subsequent round (§VI-B).
-    for (const Addr addr : evictionAddrs_) {
+    for (const Addr addr : eviction_addrs) {
         b.li(rTmp0, static_cast<std::int64_t>(addr));
         b.load(rTmp1, rTmp0);
     }
@@ -156,45 +123,17 @@ UnxpecAttack::buildProgram()
     const int loop_top = b.label();
     const int skip = b.label();
     b.bind(loop_top);
-
-    // index = idxTable[trial]
-    b.shl(rTmp0, rTrial, 3);
-    b.add(rTmp0, rTmp0, rIdxTab);
-    b.load(rIdx, rTmp0);
-
+    loadTrialIndex(b);
     // Flush the f(N) chain (clflush &N of §VI-A) and P[64*1..64*n].
-    for (unsigned j = 0; j < c; ++j)
-        b.clflush(rChain, static_cast<std::int64_t>(j) * kLineBytes);
-    for (unsigned k = 1; k <= n; ++k)
-        b.clflush(rP, static_cast<std::int64_t>(k) * kLineBytes);
-    // (Re-)load P[0]: secret 0 must produce all-hits.
-    b.load(rTmp1, rP);
+    flushProbe(b, c, n);
 
     // Measurement stage: fence zeroes out T4, then t0.
     b.fence();
     b.rdtscp(rT0);
 
-    // Branch condition: pointer-chase f(N)...
-    b.mov(rBound, rChain);
-    for (unsigned j = 0; j < c; ++j)
-        b.load(rBound, rBound);
-    // ...plus dependent padding so resolution covers the transient
-    // loads' fills.
-    for (unsigned p = 0; p < cfg_.conditionPadding; ++p)
-        b.addi(rBound, rBound, 0);
-
-    // if (index < bound) { transient body } — trained not-taken.
-    b.bge(rIdx, rBound, skip);
-
-    // Transient body: secret = A[index]; load P[secret*64*k].
-    b.add(rTmp2, rA, rIdx);
-    b.load(rSecret, rTmp2, 0, 1);
-    b.shl(rScaled, rSecret, 6);
-    b.mov(rPtr, rP);
-    for (unsigned k = 1; k <= n; ++k) {
-        b.add(rPtr, rPtr, rScaled);
-        b.load(rTmp4, rPtr);
-    }
+    // if (index < f(N)) { secret = A[index]; load P[secret*64*k] }.
+    boundsCheck(b, c, cfg_.conditionPadding, skip);
+    transmit(b, n);
 
     b.bind(skip);
     b.rdtscp(rT1);
@@ -222,10 +161,7 @@ UnxpecAttack::buildProgram()
     b.store(rTmp3, 0, rDelta);
     b.add(rTmp3, rTmp5, rT0Tab);
     b.store(rTmp3, 0, rT0);
-
-    b.addi(rTrial, rTrial, 1);
-    b.blt(rTrial, rTrials, loop_top);
-    b.halt();
+    loopTail(b, loop_top);
 
     program_ = b.build();
     dataLoaded_ = false;
@@ -296,27 +232,11 @@ UnxpecAttack::calibrate(unsigned samples_per_secret)
 }
 
 LeakResult
-UnxpecAttack::leak(const std::vector<int> &secret_bits, double threshold)
-{
-    LeakResult result;
-    result.guesses.reserve(secret_bits.size());
-    result.latencies.reserve(secret_bits.size());
-    for (const int bit : secret_bits) {
-        setSecret(bit);
-        const double latency = measureOnce();
-        result.latencies.push_back(latency);
-        result.guesses.push_back(CovertChannel::decode(latency, threshold));
-    }
-    result.accuracy = CovertChannel::accuracy(result.guesses, secret_bits);
-    return result;
-}
-
-LeakResult
-UnxpecAttack::leakMultiSample(const std::vector<int> &secret_bits,
-                              double threshold, unsigned samples_per_bit)
+UnxpecAttack::leak(const std::vector<int> &secret_bits, double threshold,
+                   unsigned samples_per_bit)
 {
     if (samples_per_bit == 0)
-        fatal("UnxpecAttack::leakMultiSample: need at least one sample");
+        fatal("UnxpecAttack::leak: need at least one sample per bit");
     LeakResult result;
     result.guesses.reserve(secret_bits.size());
     result.latencies.reserve(secret_bits.size());
@@ -344,9 +264,7 @@ UnxpecAttack::leakBytes(const std::vector<std::uint8_t> &secret,
         for (int bit = 7; bit >= 0; --bit)
             bits.push_back((byte >> bit) & 1);
     }
-    const LeakResult result = samples_per_bit <= 1
-        ? leak(bits, threshold)
-        : leakMultiSample(bits, threshold, samples_per_bit);
+    const LeakResult result = leak(bits, threshold, samples_per_bit);
 
     std::vector<std::uint8_t> received;
     received.reserve(secret.size());
@@ -371,9 +289,9 @@ UnxpecAttack::cyclesPerSample() const
 void
 UnxpecAttack::resetTrialState()
 {
-    // Everything else (program, data layout, eviction addresses,
-    // trials_) is derived deterministically from the configs in the
-    // constructor and stays valid across trials on the same config.
+    // Everything else (program, data layout, trials_) is derived
+    // deterministically from the configs in the constructor and stays
+    // valid across trials on the same config.
     dataLoaded_ = false;
     last_ = RoundDetail{};
     totalRuns_ = 0;

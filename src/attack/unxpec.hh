@@ -72,12 +72,6 @@ operator==(const UnxpecConfig &a, const UnxpecConfig &b)
            a.probePersistence == b.probePersistence;
 }
 
-inline bool
-operator!=(const UnxpecConfig &a, const UnxpecConfig &b)
-{
-    return !(a == b);
-}
-
 /**
  * Named preset of the attack, registered for selection by name from
  * the experiment harness (`--mode`-style CLI flags, ExperimentSpec
@@ -139,18 +133,16 @@ class UnxpecAttack
      */
     double calibrate(unsigned samples_per_secret);
 
-    /** Leak a bit string, one sample per bit (paper §VI-C). */
-    LeakResult leak(const std::vector<int> &secret_bits, double threshold);
-
     /**
-     * Leak a bit string with majority vote over `samples_per_bit`
-     * measurements per bit (§VI-D: more samples suppress noise).
+     * Leak a bit string (paper §VI-C), deciding each bit by majority
+     * vote over `samples_per_bit` measurements (§VI-D: more samples
+     * suppress noise; one sample is a plain threshold decode).
+     * LeakResult::latencies keeps each bit's first measurement.
      */
-    LeakResult leakMultiSample(const std::vector<int> &secret_bits,
-                               double threshold,
-                               unsigned samples_per_bit);
+    LeakResult leak(const std::vector<int> &secret_bits, double threshold,
+                    unsigned samples_per_bit = 1);
 
-    /** Leak whole bytes (MSB first), one sample per bit. */
+    /** Leak whole bytes (MSB first), `samples_per_bit` per bit. */
     std::vector<std::uint8_t>
     leakBytes(const std::vector<std::uint8_t> &secret, double threshold,
               unsigned samples_per_bit = 1);
@@ -168,9 +160,7 @@ class UnxpecAttack
      */
     void resetTrialState();
 
-    const UnxpecConfig &config() const { return cfg_; }
     const Program &program() const { return program_; }
-    Core &core() { return core_; }
 
   private:
     void buildProgram();
@@ -179,15 +169,10 @@ class UnxpecAttack
     UnxpecConfig cfg_;
     Program program_;
 
-    // Data-segment layout.
-    Addr pBase_ = 0;
-    Addr aBase_ = 0;
-    Addr idxBase_ = 0;
+    // Data-segment addresses read after the build.
+    Addr secretAddr_ = 0;
     Addr latBase_ = 0;
     Addr t0Base_ = 0;
-    Addr chainBase_ = 0;
-    Addr secretAddr_ = 0;
-    std::vector<Addr> evictionAddrs_;
     unsigned trials_ = 0;
 
     bool dataLoaded_ = false;

@@ -197,27 +197,12 @@ VictimAttack::recoverExponent(bool contention_receiver)
     return result;
 }
 
-std::vector<std::uint8_t>
-VictimAttack::plaintextSchedule() const
-{
-    return std::vector<std::uint8_t>(
-        kPlaintexts.begin(), kPlaintexts.begin() + cfg_.plaintexts);
-}
-
 double
 VictimAttack::cyclesPerSample() const
 {
     return totalRuns_ == 0
         ? 0.0
         : static_cast<double>(totalCycles_) / totalRuns_;
-}
-
-void
-VictimAttack::resetTrialState()
-{
-    dataLoaded_ = false;
-    totalRuns_ = 0;
-    totalCycles_ = 0;
 }
 
 } // namespace unxpec

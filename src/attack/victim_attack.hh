@@ -18,9 +18,10 @@
  * multiply probe time (FU contention) — and recoverExponent() splits
  * either series into bit guesses.
  *
- * Like ContentionAttack, this object is built directly by trial
- * functions (not cached in the session), so every trial derives its
- * state deterministically from the spec + seed.
+ * Like ContentionAttack, this object is built fresh by each trial
+ * function (never cached in the Session or its CorePool), so it needs
+ * no reset: every trial derives its state deterministically from the
+ * spec + seed.
  */
 
 #ifndef UNXPEC_ATTACK_VICTIM_ATTACK_HH
@@ -83,17 +84,9 @@ class VictimAttack
      *  FU-contention receiver. */
     RsaRecoveryResult recoverExponent(bool contention_receiver);
 
-    /** The plaintext schedule recoverAesKey() runs (for reports). */
-    std::vector<std::uint8_t> plaintextSchedule() const;
-
-    const std::string &listing() const { return listing_.source; }
     std::uint64_t totalCycles() const { return totalCycles_; }
-    unsigned totalRuns() const { return totalRuns_; }
     /** Mean simulated cycles per victim run. */
     double cyclesPerSample() const;
-
-    /** Forget cross-trial state (parallel-harness hygiene). */
-    void resetTrialState();
 
   private:
     void runOnce();

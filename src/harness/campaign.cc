@@ -742,8 +742,8 @@ backoffBeforeRetry(unsigned attempt)
         return;
     const unsigned shift = std::min(attempt - 1, 6u);
     const std::uint64_t ms = std::min<std::uint64_t>(25u << shift, 2000);
-    // lint-ok(wall-clock): host-side backoff between retries of crashed
-    // shards / timed-out trials; never inside the simulated core.
+    // lint-ok(wall-clock): host-side backoff between relaunches of
+    // crashed shards; never inside the simulated core.
     ::usleep(static_cast<useconds_t>(ms * 1000));
 }
 

@@ -13,11 +13,9 @@
  *     bit-identical to an uninterrupted run because entry values are
  *     serialized at full round-trip precision.
  *
- *   - watchdogs and retries: a censored trial (simulated-cycle budget
- *     or host wall-clock overrun) is retried with a fresh
- *     deterministically derived seed (Rng::deriveRetrySeed) up to the
- *     retry budget, with exponential backoff between host-level
- *     retries.
+ *   - watchdog and retries: a censored trial (one that overran its
+ *     simulated-cycle budget) is retried with a fresh deterministically
+ *     derived seed (Rng::deriveRetrySeed) up to the retry budget.
  *
  *   - crash-isolated shards: `--shards K` forks subprocess workers
  *     over disjoint trial ranges. A worker that dies (signal or
@@ -29,7 +27,7 @@
  *
  * Everything here is host-side harness infrastructure — simulated time
  * stays inside the deterministic core; the wall-clock appears only in
- * the watchdog/backoff helpers, outside any simulated path.
+ * the shard-crash backoff, outside any simulated path.
  */
 
 #ifndef UNXPEC_HARNESS_CAMPAIGN_HH
@@ -56,8 +54,6 @@ struct CampaignConfig
     std::string experiment;
     /** Simulated-cycle budget per trial Session; 0 = no budget. */
     std::uint64_t trialTimeoutCycles = 0;
-    /** Host wall-clock budget per trial in ms; 0 = no budget. */
-    std::uint64_t trialTimeoutMs = 0;
     /** Retry budget for censored trials and crashed shards. */
     unsigned retries = 0;
     /** Subprocess shard workers; 1 = run in-process. */
@@ -185,8 +181,9 @@ struct ShardExit
 ShardExit waitAnyShardWorker();
 
 /**
- * Exponential host-side backoff before host-level retry `attempt`
- * (1-based): 25 ms doubling per attempt, capped at 2 s.
+ * Exponential host-side backoff before relaunching a crashed shard
+ * worker for the `attempt`-th time (1-based): 25 ms doubling per
+ * attempt, capped at 2 s.
  */
 void backoffBeforeRetry(unsigned attempt);
 

@@ -163,9 +163,6 @@ HarnessCli::usage(std::ostream &os) const
        << "  --trial-timeout-cycles N\n"
           "                 censor trials whose simulation exceeds N "
           "simulated cycles\n"
-       << "  --trial-timeout-ms N\n"
-          "                 censor trials exceeding N host milliseconds "
-          "(wall-clock)\n"
        << "  --retries N    retry budget for censored trials and "
           "crashed shards (default 0)\n"
        << "  --shards K     fork K crash-isolated subprocess workers "
@@ -243,8 +240,6 @@ HarnessCli::parse(int argc, char **argv) const
             options.resumePath = value();
         } else if (arg == "--trial-timeout-cycles") {
             options.trialTimeoutCycles = parseU64(arg, value());
-        } else if (arg == "--trial-timeout-ms") {
-            options.trialTimeoutMs = parseU64(arg, value());
         } else if (arg == "--retries") {
             options.retries = parseUnsigned(arg, value());
         } else if (arg == "--shards") {
@@ -297,7 +292,6 @@ runExperiment(const HarnessCli &cli, const HarnessOptions &options,
     campaign.resumePath = options.resumePath;
     campaign.experiment = cli.name();
     campaign.trialTimeoutCycles = options.trialTimeoutCycles;
-    campaign.trialTimeoutMs = options.trialTimeoutMs;
     campaign.retries = options.retries;
     campaign.shards = options.shards;
     runner.setCampaign(std::move(campaign));

@@ -22,8 +22,6 @@
  *                  --campaign PATH unless one was given)
  *   --trial-timeout-cycles N censor trials whose simulation exceeds N
  *                  simulated cycles
- *   --trial-timeout-ms N     censor trials exceeding N host
- *                  milliseconds (wall-clock, outside the core)
  *   --retries N    retry budget for censored trials / crashed shards
  *   --shards K     fork K crash-isolated subprocess workers
  *   --list-modes   print registered defenses/noises/attacks and exit
@@ -67,7 +65,6 @@ struct HarnessOptions
     std::string campaignPath;  //!< empty = no trial journal
     std::string resumePath;    //!< empty = fresh campaign
     std::uint64_t trialTimeoutCycles = 0; //!< 0 = no simulated budget
-    std::uint64_t trialTimeoutMs = 0;     //!< 0 = no host budget
     unsigned retries = 0;
     unsigned shards = 1;
     /** Matrix campaign: sweep every registered defense x receiver

@@ -118,15 +118,6 @@ Session::unxpec()
     return *unxpec_;
 }
 
-SpectreV1 &
-Session::spectre()
-{
-    if (!spectre_) {
-        spectre_ = std::make_unique<SpectreV1>(machine_->core());
-    }
-    return *spectre_;
-}
-
 CrossCoreAttack &
 Session::crossCore()
 {

@@ -20,7 +20,6 @@
 #include <map>
 #include <memory>
 
-#include "attack/spectre_v1.hh"
 #include "attack/unxpec.hh"
 #include "cpu/core.hh"
 #include "harness/spec.hh"
@@ -118,9 +117,6 @@ class Session
     /** The spec's unXpec attack (variant + attackCfg), built lazily. */
     UnxpecAttack &unxpec();
 
-    /** A Spectre-v1 attack on this core, built lazily. */
-    SpectreV1 &spectre();
-
     /** The cross-core unXpec attack (needs spec.cores >= 2), lazily. */
     CrossCoreAttack &crossCore();
 
@@ -134,7 +130,6 @@ class Session
     CorePool *pool_ = nullptr;        //!< set when the Machine is pooled
     std::size_t specIndex_ = 0;
     std::unique_ptr<UnxpecAttack> unxpec_; //!< owned-Machine path only
-    std::unique_ptr<SpectreV1> spectre_;
     std::unique_ptr<CrossCoreAttack> crossCore_;
 };
 

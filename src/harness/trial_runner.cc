@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono> // lint-ok(wall-clock): host watchdog only, see hostNowMs
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -36,25 +35,6 @@ TrialRunner::TrialRunner(unsigned threads) : threads_(threads)
 }
 
 namespace {
-
-/**
- * Host wall-clock in milliseconds, read only around the trial function
- * for the --trial-timeout-ms watchdog. Simulated time never touches
- * this: the deterministic core counts cycles, and the measured span
- * wraps fn() from the outside.
- */
-std::uint64_t
-hostNowMs()
-{
-    // lint-ok(wall-clock): per-trial host watchdog, outside the core
-    const auto now = std::chrono::steady_clock::now();
-    // lint-ok(wall-clock): per-trial host watchdog, outside the core
-    return static_cast<std::uint64_t>(
-        // lint-ok(wall-clock): per-trial host watchdog, outside the core
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            now.time_since_epoch())
-            .count());
-}
 
 CampaignEntry
 entryFromOutput(std::size_t job, const TrialOutput &output)
@@ -183,12 +163,10 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
     }
 
     CrashInjector injector;
-    const bool host_watchdog = campaign_.trialTimeoutMs > 0;
 
-    // One attempt of one trial. Returns whether the attempt overran
-    // the host wall-clock watchdog.
+    // One attempt of one trial.
     auto attemptOnce = [&](std::size_t job, CorePool *core_pool,
-                           unsigned attempt, TrialOutput &output) -> bool {
+                           unsigned attempt, TrialOutput &output) {
         const std::size_t spec_index = job / reps;
         const unsigned rep = static_cast<unsigned>(job % reps);
         TrialControl control;
@@ -205,7 +183,6 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
             ctx.tracer = tracers[job].get();
         }
 
-        const std::uint64_t start_ms = host_watchdog ? hostNowMs() : 0;
         output = fn(ctx);
         output.completed = true;
         output.censored = false;
@@ -218,34 +195,17 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
             output.censorReason = control.censorReason.empty()
                 ? "cycle-limit" : control.censorReason;
         }
-        bool host_overrun = false;
-        if (host_watchdog &&
-            hostNowMs() - start_ms > campaign_.trialTimeoutMs) {
-            host_overrun = true;
-            output.censored = true;
-            output.censorReason = output.censorReason.empty()
-                ? "host-timeout"
-                : output.censorReason + "+host-timeout";
-        }
-        return host_overrun;
     };
 
     // One trial end to end: the first attempt, then serial retries
-    // (attempts 1..retries) while censored — each under a fresh derived
-    // seed, host-level overruns backing off exponentially first — and
-    // the journal append of the surviving attempt.
+    // (attempts 1..retries) while censored, each under a fresh derived
+    // seed, and the journal append of the surviving attempt.
     auto work = [&](std::size_t job, CorePool *core_pool) {
         TrialOutput output;
-        bool host_overrun = attemptOnce(job, core_pool, 0, output);
+        attemptOnce(job, core_pool, 0, output);
         for (unsigned attempt = 1;
-             output.censored && attempt <= campaign_.retries; ++attempt) {
-            // Host-level overruns get exponential backoff before the
-            // retry (host contention tends to be transient); a
-            // simulated-cycle trip re-runs immediately.
-            if (host_overrun)
-                backoffBeforeRetry(attempt);
-            host_overrun = attemptOnce(job, core_pool, attempt, output);
-        }
+             output.censored && attempt <= campaign_.retries; ++attempt)
+            attemptOnce(job, core_pool, attempt, output);
         outputs[job / reps][job % reps] = output;
         if (journal != nullptr)
             journal->append(entryFromOutput(job, output));

@@ -12,8 +12,8 @@
  * setCampaign() layers fault tolerance on top (see campaign.hh):
  * journaling every completed trial to a crash-consistent manifest,
  * resuming a killed campaign without recomputing journaled trials,
- * censoring trials that blow a simulated-cycle or host wall-clock
- * budget (with deterministic-seed retries), and forking crash-isolated
+ * censoring trials that blow a simulated-cycle budget (with
+ * deterministic-seed retries), and forking crash-isolated
  * subprocess shards whose deaths re-queue their trial ranges.
  */
 
@@ -119,7 +119,7 @@ struct TrialOutput
     // Campaign bookkeeping, filled by the runner (not the trial fn).
     bool completed = false;      //!< false = never finished (lost shard)
     bool censored = false;       //!< finished but hit a watchdog budget
-    std::string censorReason;    //!< "cycle-limit", "host-timeout", ...
+    std::string censorReason;    //!< e.g. "cycle-limit"
     unsigned attempt = 0;        //!< retry attempt that produced this
     std::uint64_t seedUsed = 0;  //!< seed of that attempt
 

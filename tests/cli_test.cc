@@ -240,6 +240,16 @@ TEST(CliErrorTest, UnknownArgumentIsFatal)
                 "fatal: unknown argument '--frobnicate'");
 }
 
+TEST(CliErrorTest, HostWallClockTimeoutIsGone)
+{
+    // Censoring by host milliseconds made results depend on host speed;
+    // only the simulated-cycle budget (--trial-timeout-cycles) remains.
+    const HarnessCli cli = makeCli();
+    EXPECT_EXIT(parseArgs(cli, {"cli_test", "--trial-timeout-ms", "5"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: unknown argument '--trial-timeout-ms'");
+}
+
 TEST(CliErrorTest, StrayPositionalAfterScaleIsFatal)
 {
     // Only one positional scale is accepted; a second one is an error,

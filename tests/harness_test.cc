@@ -125,8 +125,12 @@ TEST(SessionTest, VariantReachesAttack)
     ExperimentSpec spec;
     spec.attack = "unxpec-wide";
     Session session(spec, 1);
-    EXPECT_TRUE(session.unxpec().config().useEvictionSets);
-    EXPECT_EQ(session.unxpec().config().inBranchLoads, 8u);
+    UnxpecConfig wide;
+    wide.useEvictionSets = true;
+    wide.inBranchLoads = 8;
+    Core core(Session::configFor(spec, 1));
+    EXPECT_EQ(session.unxpec().program().listing(),
+              UnxpecAttack(core, wide).program().listing());
 }
 
 // --- attack determinism -------------------------------------------------

@@ -156,8 +156,7 @@ TEST(UnxpecTest, MultiSampleMatchesSingleOnQuietMachine)
     UnxpecAttack attack(core);
     const double threshold = attack.calibrate(4);
     const std::vector<int> secret = {1, 0, 0, 1, 1};
-    const LeakResult multi =
-        attack.leakMultiSample(secret, threshold, 3);
+    const LeakResult multi = attack.leak(secret, threshold, 3);
     EXPECT_DOUBLE_EQ(multi.accuracy, 1.0);
     EXPECT_EQ(multi.guesses, secret);
 }
