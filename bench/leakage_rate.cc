@@ -59,12 +59,11 @@ main(int argc, char **argv)
 
     TextTable table({"variant", "mistrain iters", "cycles/sample",
                      "samples/s", "Kbps (1 sample/bit)"});
-    unsigned censored = 0, missing = 0;
+    unsigned censored = 0;
     for (const ResultRow &row : result.rows) {
         censored += row.censoredTrials;
-        missing += row.missingTrials;
-        // A row can lose every trial to censoring or a dead shard; its
-        // metrics are then absent, not zero.
+        // A row can lose every trial to censoring; its metrics are
+        // then absent, not zero.
         const MetricSeries *cycles = row.metric("cycles_per_sample");
         const MetricSeries *rate = row.metric("samples_per_sec");
         table.addRow(
@@ -78,9 +77,6 @@ main(int argc, char **argv)
     if (censored > 0)
         std::cout << "\n(" << censored
                   << " censored trials excluded from the means)\n";
-    if (result.incomplete)
-        std::cout << "\nWARNING: campaign incomplete — " << missing
-                  << " trials never finished; rates above are partial.\n";
 
     std::cout << "\nBoth variants sample at the same rate (priming is "
                  "amortized: rollback re-primes the sets).\n"

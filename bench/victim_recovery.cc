@@ -17,9 +17,9 @@
  * Artifacts: <out>.json (schema unxpec-matrix-v1, with the optional
  * recovered_bits_per_sec field per cell; BENCH_victim.json is a
  * checked-in copy CI diffs) and <out>.md. The sweep rides the
- * ordinary harness: --matrix sweeps the whole defense zoo, --threads /
- * --shards / --resume work because the campaign is just a labeled spec
- * sweep.
+ * ordinary harness: --matrix sweeps the whole defense zoo, and
+ * --threads / --campaign / --resume work because the campaign is just
+ * a labeled spec sweep.
  */
 
 #include <fstream>

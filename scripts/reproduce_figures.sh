@@ -17,8 +17,7 @@
 #   SCALE      "full" (paper sizes) or "quick"  (default: full)
 #   CAMPAIGN   1 = journal each bench's trials  (default: 1)
 #   RESUME     1 = resume from existing journals (default: 0)
-#   SHARDS     crash-isolated subprocess workers per bench (default: 1)
-#   RETRIES    retry budget for censored trials / crashed shards (default: 2)
+#   RETRIES    retry budget for censored trials (default: 2)
 
 set -euo pipefail
 
@@ -28,7 +27,6 @@ THREADS=${THREADS:-0}
 SCALE=${SCALE:-full}
 CAMPAIGN=${CAMPAIGN:-1}
 RESUME=${RESUME:-0}
-SHARDS=${SHARDS:-1}
 RETRIES=${RETRIES:-2}
 
 BENCH="$BUILD_DIR/bench"
@@ -45,9 +43,6 @@ run() {
     shift
     local args=("$@" --threads "$THREADS" --retries "$RETRIES"
                 --json "$OUT_DIR/$name.json" --csv "$OUT_DIR/$name.csv")
-    if [ "$SHARDS" -gt 1 ]; then
-        args+=(--shards "$SHARDS")
-    fi
     if [ "$CAMPAIGN" = 1 ]; then
         local manifest="$OUT_DIR/$name.campaign.jsonl"
         if [ "$RESUME" = 1 ] && [ -f "$manifest" ]; then

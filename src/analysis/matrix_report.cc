@@ -6,80 +6,15 @@
 #include <locale>
 #include <sstream>
 
-#include "sim/log.hh"
-
 namespace unxpec {
 
 namespace {
-
-/** Locale-pinned round-trip rendering (see result_sink.cc). */
-std::string
-numToString(double value)
-{
-    if (!std::isfinite(value))
-        return "null";
-    std::ostringstream oss;
-    oss.imbue(std::locale::classic());
-    oss.precision(std::numeric_limits<double>::max_digits10);
-    oss << value;
-    return oss.str();
-}
-
-/** Fixed-precision rendering for the human-facing markdown table. */
-std::string
-numFixed(double value, int digits)
-{
-    std::ostringstream oss;
-    oss.imbue(std::locale::classic());
-    oss.setf(std::ios::fixed);
-    oss.precision(digits);
-    oss << value;
-    return oss.str();
-}
 
 void
 appendUnique(std::vector<std::string> &names, const std::string &name)
 {
     if (std::find(names.begin(), names.end(), name) == names.end())
         names.push_back(name);
-}
-
-/** The substring between `key` and the following ',' or '}'. */
-std::string
-fieldText(const std::string &line, const std::string &key)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos)
-        fatal("matrix JSON: missing field '", key, "' in: ", line);
-    std::size_t begin = at + needle.size();
-    while (begin < line.size() && line[begin] == ' ')
-        ++begin;
-    std::size_t end = begin;
-    bool quoted = end < line.size() && line[end] == '"';
-    if (quoted) {
-        end = line.find('"', begin + 1);
-        if (end == std::string::npos)
-            fatal("matrix JSON: unterminated string in: ", line);
-        return line.substr(begin + 1, end - begin - 1);
-    }
-    while (end < line.size() && line[end] != ',' && line[end] != '}')
-        ++end;
-    return line.substr(begin, end - begin);
-}
-
-double
-fieldNum(const std::string &line, const std::string &key)
-{
-    const std::string text = fieldText(line, key);
-    if (text == "null")
-        return std::numeric_limits<double>::quiet_NaN();
-    std::istringstream iss(text);
-    iss.imbue(std::locale::classic());
-    double value = 0.0;
-    if (!(iss >> value))
-        fatal("matrix JSON: bad number '", text, "' for '", key, "'");
-    return value;
 }
 
 /** A row statistic that tolerates a censored (metric-less) row. */
@@ -206,22 +141,23 @@ MatrixReport::writeJson(std::ostream &os) const
     const std::locale prev = os.imbue(std::locale::classic());
     os << "{\n";
     os << "  \"schema\": \"unxpec-matrix-v1\",\n";
-    os << "  \"experiment\": \"" << experiment << "\",\n";
+    os << "  \"experiment\": " << jsonStr(experiment) << ",\n";
     os << "  \"master_seed\": " << masterSeed << ",\n";
     os << "  \"reps\": " << reps << ",\n";
     os << "  \"cells\": [\n";
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const MatrixCell &c = cells[i];
-        os << "    {\"defense\": \"" << c.defense << "\", \"receiver\": \""
-           << c.receiver << "\", \"auc\": " << numToString(c.auc)
-           << ", \"delta_cycles\": " << numToString(c.deltaCycles)
-           << ", \"overhead_pct\": " << numToString(c.overheadPct)
-           << ", \"cycles_per_sample\": " << numToString(c.cyclesPerSample);
+        os << "    {\"defense\": " << jsonStr(c.defense)
+           << ", \"receiver\": " << jsonStr(c.receiver)
+           << ", \"auc\": " << jsonNum(c.auc)
+           << ", \"delta_cycles\": " << jsonNum(c.deltaCycles)
+           << ", \"overhead_pct\": " << jsonNum(c.overheadPct)
+           << ", \"cycles_per_sample\": " << jsonNum(c.cyclesPerSample);
         // Optional field: only victim cells carry a recovery rate, and
         // omitting it keeps classic artifacts byte-identical.
         if (std::isfinite(c.recoveredBitsPerSec)) {
             os << ", \"recovered_bits_per_sec\": "
-               << numToString(c.recoveredBitsPerSec);
+               << jsonNum(c.recoveredBitsPerSec);
         }
         os << ", \"trials\": " << c.trials << "}"
            << (i + 1 < cells.size() ? "," : "") << "\n";
@@ -280,7 +216,7 @@ MatrixReport::writeMarkdown(std::ostream &os) const
         for (const MatrixCell &c : cells) {
             if (std::isfinite(c.recoveredBitsPerSec)) {
                 os << "- `" << c.defense << "/" << c.receiver << "`: "
-                   << numFixed(c.recoveredBitsPerSec, 1) << " bits/s\n";
+                   << numFixedOrDash(c.recoveredBitsPerSec, 1) << " bits/s\n";
             }
         }
     }
@@ -296,47 +232,6 @@ MatrixReport::writeMarkdown(std::ostream &os) const
           "that only hides *cache* state once the multiplier is "
           "non-pipelined. Only the pipelined-FU column of defenses "
           "closes both.\n";
-}
-
-MatrixReport
-MatrixReport::fromJsonText(const std::string &text)
-{
-    MatrixReport report;
-    std::istringstream lines(text);
-    std::string line;
-    bool sawSchema = false;
-    while (std::getline(lines, line)) {
-        if (line.find("\"schema\"") != std::string::npos) {
-            if (fieldText(line, "schema") != "unxpec-matrix-v1")
-                fatal("matrix JSON: unexpected schema in: ", line);
-            sawSchema = true;
-        } else if (line.find("\"experiment\"") != std::string::npos) {
-            report.experiment = fieldText(line, "experiment");
-        } else if (line.find("\"master_seed\"") != std::string::npos) {
-            report.masterSeed =
-                static_cast<std::uint64_t>(fieldNum(line, "master_seed"));
-        } else if (line.find("\"reps\"") != std::string::npos) {
-            report.reps = static_cast<unsigned>(fieldNum(line, "reps"));
-        } else if (line.find("\"defense\"") != std::string::npos) {
-            MatrixCell cell;
-            cell.defense = fieldText(line, "defense");
-            cell.receiver = fieldText(line, "receiver");
-            cell.auc = fieldNum(line, "auc");
-            cell.deltaCycles = fieldNum(line, "delta_cycles");
-            cell.overheadPct = fieldNum(line, "overhead_pct");
-            cell.cyclesPerSample = fieldNum(line, "cycles_per_sample");
-            if (line.find("\"recovered_bits_per_sec\"") !=
-                std::string::npos) {
-                cell.recoveredBitsPerSec =
-                    fieldNum(line, "recovered_bits_per_sec");
-            }
-            cell.trials = static_cast<unsigned>(fieldNum(line, "trials"));
-            report.cells.push_back(std::move(cell));
-        }
-    }
-    if (!sawSchema)
-        fatal("matrix JSON: no unxpec-matrix-v1 schema line found");
-    return report;
 }
 
 } // namespace unxpec

@@ -83,20 +83,13 @@ struct MatrixReport
      *  the file comment). Rows without a '/' label are skipped. */
     static MatrixReport fromResult(const ExperimentResult &result);
 
-    /** JSON artifact, schema "unxpec-matrix-v1": one cell per line so
-     *  fromJsonText can parse it without a JSON library. */
+    /** JSON artifact, schema "unxpec-matrix-v1", one cell per line
+     *  (scripts/check_bench.py reads it back). */
     void writeJson(std::ostream &os) const;
 
     /** Markdown table: defenses as rows, one AUC / delta / overhead
      *  column group per receiver family. */
     void writeMarkdown(std::ostream &os) const;
-
-    /**
-     * Parse writeJson's own output (the golden-diff path in CI). This
-     * is a line-oriented reader for exactly that format, not a general
-     * JSON parser; fatal() on malformed input.
-     */
-    static MatrixReport fromJsonText(const std::string &text);
 };
 
 } // namespace unxpec

@@ -1,6 +1,7 @@
 #include "analysis/result_sink.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <locale>
@@ -10,13 +11,6 @@
 
 namespace unxpec {
 
-namespace {
-
-/**
- * Full round-trip-precision decimal rendering, pinned to the classic
- * locale so the artifact format survives LC_NUMERIC=de_DE (where the
- * global locale would print a decimal *comma* and group digits).
- */
 std::string
 numToString(double value)
 {
@@ -27,21 +21,11 @@ numToString(double value)
     return oss.str();
 }
 
-/** JSON number: full round-trip precision, null when non-finite. */
 std::string
 jsonNum(double value)
 {
     if (!std::isfinite(value))
         return "null";
-    return numToString(value);
-}
-
-/** CSV number: full round-trip precision, empty cell when non-finite. */
-std::string
-csvNum(double value)
-{
-    if (!std::isfinite(value))
-        return "";
     return numToString(value);
 }
 
@@ -68,6 +52,17 @@ jsonStr(const std::string &s)
     }
     out += "\"";
     return out;
+}
+
+namespace {
+
+/** CSV number: full round-trip precision, empty cell when non-finite. */
+std::string
+csvNum(double value)
+{
+    if (!std::isfinite(value))
+        return "";
+    return numToString(value);
 }
 
 /** CSV cell: quote when it contains separators, quotes, or newlines. */

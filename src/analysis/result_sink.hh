@@ -9,12 +9,14 @@
  * runs and CI can diff and track.
  *
  * Schema v2 (fault-tolerant campaigns) extends v1 with trial
- * accounting: a top-level "incomplete" flag (true when a sharded
- * campaign gave up on some trials), per-row "trials" /
+ * accounting: a top-level "incomplete" flag, per-row "trials" /
  * "censored_trials" / "retried_trials" / "missing_trials" counts, and
  * a per-metric "nonfinite" count of NaN/Inf samples the summary
  * statistics skipped. v1 consumers that index rows[].metrics by name
- * keep working unchanged — v2 only adds fields.
+ * keep working unchanged — v2 only adds fields. The campaign runner
+ * finishes every trial it starts (a killed run is finished with
+ * --resume), so "incomplete" is always false and "missing_trials"
+ * always 0; both keys stay for the schema's existing readers.
  */
 
 #ifndef UNXPEC_ANALYSIS_RESULT_SINK_HH
@@ -53,7 +55,7 @@ struct ResultRow
     unsigned trials = 0;         //!< completed and contributing
     unsigned censoredTrials = 0; //!< timed out / truncated, excluded
     unsigned retriedTrials = 0;  //!< contributing trials that needed a retry
-    unsigned missingTrials = 0;  //!< never completed (crashed shard)
+    unsigned missingTrials = 0;  //!< always 0; kept for the v2 schema
 
     /** Metric by name; nullptr when absent. */
     const MetricSeries *metric(const std::string &name) const;
@@ -74,11 +76,8 @@ struct ExperimentResult
     unsigned reps = 1;
     unsigned threads = 1;
     std::string mode;           //!< defense registry key (or "mixed")
-    /**
-     * True when the campaign gave up on some trials (crashed shards
-     * past the retry budget): the rows are partial results, flagged
-     * rather than silently dropped.
-     */
+    /** Always false: every trial of a run finishes. Kept for the v2
+     *  schema's "incomplete" key. */
     bool incomplete = false;
     std::vector<ResultRow> rows;
 
@@ -88,6 +87,21 @@ struct ExperimentResult
     const ResultRow &
     rowAt(const std::vector<std::pair<std::string, double>> &coords) const;
 };
+
+/**
+ * Full round-trip-precision decimal rendering (max_digits10), pinned
+ * to the classic locale so every artifact survives LC_NUMERIC=de_DE
+ * (where the global locale would print a decimal *comma* and group
+ * digits). Non-finite values print as the stream renders them.
+ */
+std::string numToString(double value);
+
+/** JSON number: numToString, or null when non-finite. */
+std::string jsonNum(double value);
+
+/** JSON string literal: quoted, with quotes, backslashes and control
+ *  characters escaped. */
+std::string jsonStr(const std::string &s);
 
 /**
  * Emit the result as JSON. `includeValues` controls whether raw

@@ -1,9 +1,5 @@
 #include "harness/campaign.hh"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -12,24 +8,20 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <locale>
-#include <sstream>
 
+#include "analysis/result_sink.hh"
 #include "sim/log.hh"
 
 namespace unxpec {
 
 namespace {
 
-// --- number formatting ---------------------------------------------------
-//
 // Manifest values must survive a write/parse round trip bit-exactly:
-// resume splices journaled metrics into the result, and the ISSUE-level
-// guarantee is that a resumed run's JSON is byte-identical to an
-// uninterrupted one. max_digits10 decimal digits round-trip every
-// finite double; non-finite values (JSON has no literal for them) are
-// stored as the strings "nan" / "inf" / "-inf".
-
+// resume splices journaled metrics into the result, so a resumed run's
+// JSON is byte-identical to an uninterrupted one. numToString's
+// max_digits10 digits round-trip every finite double; non-finite
+// values (JSON has no literal for them) are stored as the strings
+// "nan" / "inf" / "-inf".
 std::string
 numToken(double value)
 {
@@ -37,36 +29,7 @@ numToken(double value)
         return "\"nan\"";
     if (std::isinf(value))
         return value > 0 ? "\"inf\"" : "\"-inf\"";
-    std::ostringstream oss;
-    oss.imbue(std::locale::classic());
-    oss.precision(std::numeric_limits<double>::max_digits10);
-    oss << value;
-    return oss.str();
-}
-
-std::string
-escapeString(const std::string &s)
-{
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += "\"";
-    return out;
+    return numToString(value);
 }
 
 // --- minimal JSON reader -------------------------------------------------
@@ -496,7 +459,7 @@ campaignHeaderLine(const CampaignHeader &header)
     std::string line = "{\"schema\":\"";
     line += kManifestSchema;
     line += "\",\"experiment\":";
-    line += escapeString(header.experiment);
+    line += jsonStr(header.experiment);
     line += ",\"master_seed\":";
     line += std::to_string(header.masterSeed);
     line += ",\"specs\":";
@@ -541,13 +504,13 @@ campaignEntryLine(const CampaignEntry &entry)
     line += ",\"censored\":";
     line += entry.censored ? "true" : "false";
     line += ",\"reason\":";
-    line += escapeString(entry.censorReason);
+    line += jsonStr(entry.censorReason);
     line += ",\"metrics\":[";
     for (std::size_t m = 0; m < entry.metrics.size(); ++m) {
         if (m != 0)
             line += ",";
         line += "[";
-        line += escapeString(entry.metrics[m].first);
+        line += jsonStr(entry.metrics[m].first);
         line += ",";
         line += numToken(entry.metrics[m].second);
         line += "]";
@@ -557,7 +520,7 @@ campaignEntryLine(const CampaignEntry &entry)
         if (s != 0)
             line += ",";
         line += "[";
-        line += escapeString(entry.series[s].first);
+        line += jsonStr(entry.series[s].first);
         line += ",[";
         const std::vector<double> &values = entry.series[s].second;
         for (std::size_t v = 0; v < values.size(); ++v) {
@@ -599,7 +562,7 @@ loadCampaignManifest(const std::string &path)
         }
         CampaignEntry entry = parseEntryLine(value, path, lineno);
         const std::size_t job = entry.job;
-        // Last entry wins: a resumed shard re-journals inherited rows.
+        // Last entry wins.
         manifest.entries[job] = std::move(entry);
     }
     if (!saw_header)
@@ -689,62 +652,6 @@ CampaignJournal::flushLocked()
         fatal("cannot rename '", tmp, "' over '", path_,
               "': ", std::strerror(errno));
     }
-}
-
-int
-spawnShardWorker(const std::function<void()> &body)
-{
-    // Flush buffered streams so the child doesn't inherit (and later
-    // re-emit) a copy of the parent's pending output.
-    std::fflush(nullptr);
-    const pid_t pid = ::fork();
-    if (pid < 0)
-        fatal("fork() failed for shard worker: ", std::strerror(errno));
-    if (pid == 0) {
-        body();
-        // _exit, not exit: skip atexit handlers and the stdio flush of
-        // buffers cloned from the parent.
-        ::_exit(0);
-    }
-    return static_cast<int>(pid);
-}
-
-ShardExit
-waitAnyShardWorker()
-{
-    int status = 0;
-    pid_t pid = -1;
-    do {
-        pid = ::waitpid(-1, &status, 0);
-    } while (pid < 0 && errno == EINTR);
-    if (pid < 0)
-        fatal("waitpid() failed reaping shard workers: ",
-              std::strerror(errno));
-
-    ShardExit exit;
-    exit.pid = static_cast<int>(pid);
-    if (WIFEXITED(status)) {
-        exit.exitCode = WEXITSTATUS(status);
-        exit.crashed = exit.exitCode != 0;
-    } else if (WIFSIGNALED(status)) {
-        exit.crashed = true;
-        exit.termSignal = WTERMSIG(status);
-    } else {
-        exit.crashed = true;
-    }
-    return exit;
-}
-
-void
-backoffBeforeRetry(unsigned attempt)
-{
-    if (attempt == 0)
-        return;
-    const unsigned shift = std::min(attempt - 1, 6u);
-    const std::uint64_t ms = std::min<std::uint64_t>(25u << shift, 2000);
-    // lint-ok(wall-clock): host-side backoff between relaunches of
-    // crashed shards; never inside the simulated core.
-    ::usleep(static_cast<useconds_t>(ms * 1000));
 }
 
 CrashInjector::CrashInjector()

@@ -1,7 +1,7 @@
 /**
  * @file
- * Fault-tolerant campaign persistence and process machinery for the
- * TrialRunner. Three cooperating pieces:
+ * Fault-tolerant campaign persistence for the TrialRunner. Two
+ * cooperating pieces:
  *
  *   - checkpoint/resume: every completed trial is journaled to an
  *     append-only manifest (`campaign.jsonl`). The in-memory journal is
@@ -17,24 +17,19 @@
  *     simulated-cycle budget) is retried with a fresh deterministically
  *     derived seed (Rng::deriveRetrySeed) up to the retry budget.
  *
- *   - crash-isolated shards: `--shards K` forks subprocess workers
- *     over disjoint trial ranges. A worker that dies (signal or
- *     nonzero exit) is reaped and its range re-queued — the relaunched
- *     worker resumes from the shard's own journal, so completed trials
- *     are never recomputed. Past the retry budget the campaign
- *     degrades gracefully: missing trials are flagged, not silently
- *     dropped.
+ * A campaign is one process. A trial's first seed is fixed by its job
+ * index, so a trial that crashes the process would crash it again on
+ * a relaunch; what a relaunch survives — an outside kill such as OOM
+ * or preemption — the journal plus --resume already recovers.
  *
- * Everything here is host-side harness infrastructure — simulated time
- * stays inside the deterministic core; the wall-clock appears only in
- * the shard-crash backoff, outside any simulated path.
+ * Everything here is host-side harness infrastructure: simulated time
+ * stays inside the deterministic core, and nothing here reads a clock.
  */
 
 #ifndef UNXPEC_HARNESS_CAMPAIGN_HH
 #define UNXPEC_HARNESS_CAMPAIGN_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -54,10 +49,8 @@ struct CampaignConfig
     std::string experiment;
     /** Simulated-cycle budget per trial Session; 0 = no budget. */
     std::uint64_t trialTimeoutCycles = 0;
-    /** Retry budget for censored trials and crashed shards. */
+    /** Retry budget for censored trials. */
     unsigned retries = 0;
-    /** Subprocess shard workers; 1 = run in-process. */
-    unsigned shards = 1;
 
     bool journaling() const { return !manifestPath.empty(); }
 };
@@ -115,8 +108,7 @@ std::string campaignHeaderLine(const CampaignHeader &header);
  * Parse a manifest written by CampaignJournal. fatal() when the file
  * cannot be read or a line is structurally invalid (a manifest is
  * always renamed into place whole, so damage means the wrong file).
- * Duplicate jobs keep the last entry (a resumed shard re-journals its
- * inherited entries).
+ * Duplicate jobs keep the last entry.
  */
 CampaignManifest loadCampaignManifest(const std::string &path);
 
@@ -158,43 +150,13 @@ class CampaignJournal
     std::vector<std::string> lines_;
 };
 
-// --- shard process machinery (fork/reap, harness-side only) -------------
-
 /**
- * Fork a shard worker running `body` and then _exit(0). Returns the
- * child pid; fatal() when fork fails. Must be called before the
- * calling process spawns worker threads (the children create their own
- * pools after the fork).
- */
-int spawnShardWorker(const std::function<void()> &body);
-
-/** How a shard worker left. */
-struct ShardExit
-{
-    int pid = -1;
-    bool crashed = false; //!< nonzero exit or terminated by signal
-    int exitCode = 0;
-    int termSignal = 0;   //!< 0 when not signal-terminated
-};
-
-/** Block until any shard worker exits; fatal() with no children. */
-ShardExit waitAnyShardWorker();
-
-/**
- * Exponential host-side backoff before relaunching a crashed shard
- * worker for the `attempt`-th time (1-based): 25 ms doubling per
- * attempt, capped at 2 s.
- */
-void backoffBeforeRetry(unsigned attempt);
-
-/**
- * CI crash injection: UNXPEC_CRASH_AFTER_TRIALS=N std::abort()s the
- * worker process after its N-th completed (journaled) trial of one
- * TrialRunner::run invocation — after the journal flush, so the
- * manifest proves checkpointing survives an abort at the worst
- * moment. Unset or 0 disables. The counter is per run() invocation,
- * so a relaunched shard that resumes (and therefore completes fewer
- * fresh trials) eventually finishes its range.
+ * Crash injection for the durability tests:
+ * UNXPEC_CRASH_AFTER_TRIALS=N std::abort()s the campaign process after
+ * its N-th completed (journaled) trial of one TrialRunner::run
+ * invocation — after the journal flush, so the manifest proves
+ * checkpointing survives an abort at the worst moment, and --resume
+ * of it must reproduce an uninterrupted run. Unset or 0 disables.
  */
 class CrashInjector
 {

@@ -163,10 +163,8 @@ HarnessCli::usage(std::ostream &os) const
        << "  --trial-timeout-cycles N\n"
           "                 censor trials whose simulation exceeds N "
           "simulated cycles\n"
-       << "  --retries N    retry budget for censored trials and "
-          "crashed shards (default 0)\n"
-       << "  --shards K     fork K crash-isolated subprocess workers "
-          "(requires --campaign)\n"
+       << "  --retries N    retry budget for censored trials "
+          "(default 0)\n"
        << "  --matrix       matrix campaigns only: sweep every "
           "registered defense instead of the default subset\n"
        << "  --list-modes   list registered defenses, noise profiles, "
@@ -242,10 +240,6 @@ HarnessCli::parse(int argc, char **argv) const
             options.trialTimeoutCycles = parseU64(arg, value());
         } else if (arg == "--retries") {
             options.retries = parseUnsigned(arg, value());
-        } else if (arg == "--shards") {
-            options.shards = parseUnsigned(arg, value());
-            if (options.shards == 0)
-                fatal("--shards must be >= 1");
         } else if (arg == "--matrix") {
             options.matrix = true;
         } else if (hasScale_ && !sawPositionalInt && isInteger(arg)) {
@@ -262,9 +256,6 @@ HarnessCli::parse(int argc, char **argv) const
     // manifest, so a resumed-then-killed campaign can resume again.
     if (options.campaignPath.empty() && !options.resumePath.empty())
         options.campaignPath = options.resumePath;
-    if (options.shards > 1 && options.campaignPath.empty())
-        fatal("--shards requires --campaign PATH (crashed shard ranges "
-              "are recovered through the manifest)");
     return options;
 }
 
@@ -293,7 +284,6 @@ runExperiment(const HarnessCli &cli, const HarnessOptions &options,
     campaign.experiment = cli.name();
     campaign.trialTimeoutCycles = options.trialTimeoutCycles;
     campaign.retries = options.retries;
-    campaign.shards = options.shards;
     runner.setCampaign(std::move(campaign));
     return runner.runAll(cli.name(), cli.description(), specs, options.reps,
                          options.seed, fn);
@@ -305,15 +295,7 @@ finishExperiment(const ExperimentResult &result,
 {
     const bool wrote = emitArtifacts(result, options.jsonPath,
                                      options.csvPath, std::cout);
-    if (!wrote)
-        return 1;
-    if (result.incomplete) {
-        warn("experiment '", result.experiment,
-             "' is incomplete: some trials never finished (artifacts "
-             "carry partial results and \"incomplete\": true)");
-        return 2;
-    }
-    return 0;
+    return wrote ? 0 : 1;
 }
 
 } // namespace unxpec

@@ -22,8 +22,7 @@
  *                  --campaign PATH unless one was given)
  *   --trial-timeout-cycles N censor trials whose simulation exceeds N
  *                  simulated cycles
- *   --retries N    retry budget for censored trials / crashed shards
- *   --shards K     fork K crash-isolated subprocess workers
+ *   --retries N    retry budget for censored trials
  *   --list-modes   print registered defenses/noises/attacks and exit
  *   --help         usage
  *
@@ -66,7 +65,6 @@ struct HarnessOptions
     std::string resumePath;    //!< empty = fresh campaign
     std::uint64_t trialTimeoutCycles = 0; //!< 0 = no simulated budget
     unsigned retries = 0;
-    unsigned shards = 1;
     /** Matrix campaign: sweep every registered defense x receiver
      *  family instead of the curated default subset. */
     bool matrix = false;
@@ -135,10 +133,7 @@ ExperimentResult runExperiment(const HarnessCli &cli,
 
 /**
  * Emit --json/--csv artifacts (no-op when neither was given). Returns
- * the process exit code: 0 on success, 1 when a file failed to open,
- * 2 when the result is incomplete (a sharded campaign gave up on some
- * trials) — the artifacts are still written so partial results are
- * never lost, and the campaign can be finished with --resume.
+ * the process exit code: 0 on success, 1 when a file failed to open.
  */
 int finishExperiment(const ExperimentResult &result,
                      const HarnessOptions &options);

@@ -10,7 +10,7 @@
  * matrix artifact (analysis/matrix_report.hh).
  *
  * The campaign rides the ordinary harness machinery — journaling,
- * --resume, --shards, --threads all work — because the matrix is just an
+ * --resume, --threads all work — because the matrix is just an
  * ExperimentSpec sweep with a label convention.
  */
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <thread>
 
@@ -56,7 +54,6 @@ outputFromEntry(const CampaignEntry &entry)
     TrialOutput output;
     output.metrics = entry.metrics;
     output.series = entry.series;
-    output.completed = true;
     output.censored = entry.censored;
     output.censorReason = entry.censorReason;
     output.attempt = entry.attempt;
@@ -101,24 +98,6 @@ TrialRunner::run(const std::vector<ExperimentSpec> &specs, unsigned reps,
                " trials restored from ", campaign_.resumePath);
     }
 
-    if (campaign_.shards > 1 && jobs > 1)
-        return runSharded(specs, reps, master_seed, fn, header,
-                          std::move(resumed));
-
-    return runJobs(specs, reps, master_seed, fn, header, resumed, 0, jobs,
-                   campaign_.manifestPath);
-}
-
-std::vector<std::vector<TrialOutput>>
-TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
-                     std::uint64_t master_seed, const TrialFn &fn,
-                     const CampaignHeader &header,
-                     const std::map<std::size_t, CampaignEntry> &resumed,
-                     std::size_t lo, std::size_t hi,
-                     const std::string &manifest_path) const
-{
-    const std::size_t jobs = specs.size() * reps;
-
     std::vector<std::vector<TrialOutput>> outputs(specs.size());
     for (auto &per_spec : outputs)
         per_spec.resize(reps);
@@ -130,21 +109,18 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
         outputs[job / reps][job % reps] = outputFromEntry(entry);
 
     std::unique_ptr<CampaignJournal> journal;
-    if (!manifest_path.empty()) {
-        journal = std::make_unique<CampaignJournal>(manifest_path, header);
-        // A shard's journal carries only its own range; the in-process
-        // journal (lo == 0, hi == jobs) carries everything.
-        for (const auto &[job, entry] : resumed) {
-            if (job >= lo && job < hi)
-                journal->absorb(entry);
-        }
+    if (campaign_.journaling()) {
+        journal = std::make_unique<CampaignJournal>(campaign_.manifestPath,
+                                                    header);
+        for (const auto &[job, entry] : resumed)
+            journal->absorb(entry);
         // Flush immediately so the manifest exists (and is resumable)
         // even if the process dies before the first fresh trial lands.
         journal->flush();
     }
 
     std::vector<std::size_t> pending;
-    for (std::size_t job = lo; job < hi; ++job) {
+    for (std::size_t job = 0; job < jobs; ++job) {
         if (resumed.find(job) == resumed.end())
             pending.push_back(job);
     }
@@ -184,7 +160,6 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
         }
 
         output = fn(ctx);
-        output.completed = true;
         output.censored = false;
         output.censorReason.clear();
         output.attempt = attempt;
@@ -253,145 +228,6 @@ TrialRunner::runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
         worker.join();
     if (tracing)
         writeTraces(specs, reps, outputs, tracers);
-    return outputs;
-}
-
-std::vector<std::vector<TrialOutput>>
-TrialRunner::runSharded(const std::vector<ExperimentSpec> &specs,
-                        unsigned reps, std::uint64_t master_seed,
-                        const TrialFn &fn, const CampaignHeader &header,
-                        std::map<std::size_t, CampaignEntry> resumed) const
-{
-    if (campaign_.manifestPath.empty())
-        fatal("--shards requires --campaign <manifest> (the shard "
-              "journals live beside it)");
-
-    const std::size_t jobs = specs.size() * reps;
-    const unsigned shards = static_cast<unsigned>(
-        std::min<std::size_t>(campaign_.shards, jobs));
-
-    // A merged trace file cannot be stitched across worker processes.
-    TraceConfig child_trace = trace_;
-    if (kTraceEnabled && !trace_.path.empty() && !trace_.split) {
-        warn("--shards: merged trace output is unavailable; use "
-             "--trace-split (tracing disabled for this run)");
-        child_trace.path.clear();
-    }
-
-    struct Shard
-    {
-        std::size_t lo = 0;
-        std::size_t hi = 0;
-        std::string path;
-        unsigned crashes = 0;
-        bool failed = false;
-        int pid = -1;
-    };
-    std::vector<Shard> table(shards);
-    const std::size_t chunk = jobs / shards;
-    const std::size_t extra = jobs % shards;
-    std::size_t cursor = 0;
-    for (unsigned k = 0; k < shards; ++k) {
-        table[k].lo = cursor;
-        table[k].hi = cursor + chunk + (k < extra ? 1 : 0);
-        cursor = table[k].hi;
-        table[k].path =
-            campaign_.manifestPath + ".shard" + std::to_string(k);
-    }
-
-    auto launch = [&](unsigned k) {
-        table[k].pid = spawnShardWorker([&, k] {
-            const Shard &me = table[k];
-            // Merge the campaign-level resume state with whatever this
-            // shard journaled before a previous death: a relaunched
-            // worker never recomputes a journaled trial.
-            std::map<std::size_t, CampaignEntry> known = resumed;
-            if (std::ifstream(me.path).good()) {
-                CampaignManifest prior = loadCampaignManifest(me.path);
-                requireCompatibleManifest(prior, header, me.path);
-                for (auto &[job, entry] : prior.entries)
-                    known[job] = std::move(entry);
-            }
-            TrialRunner worker(threads_);
-            worker.trace_ = child_trace;
-            worker.campaign_ = campaign_;
-            worker.runJobs(specs, reps, master_seed, fn, header, known,
-                           me.lo, me.hi, me.path);
-        });
-    };
-
-    for (unsigned k = 0; k < shards; ++k)
-        launch(k);
-
-    unsigned running = shards;
-    while (running > 0) {
-        const ShardExit exited = waitAnyShardWorker();
-        unsigned k = shards;
-        for (unsigned i = 0; i < shards; ++i) {
-            if (table[i].pid == exited.pid) {
-                k = i;
-                break;
-            }
-        }
-        if (k == shards)
-            continue; // not one of ours (shouldn't happen)
-        Shard &shard = table[k];
-        shard.pid = -1;
-        --running;
-        if (!exited.crashed)
-            continue;
-
-        ++shard.crashes;
-        std::string how = exited.termSignal != 0
-            ? "signal " + std::to_string(exited.termSignal)
-            : "exit code " + std::to_string(exited.exitCode);
-        if (shard.crashes > campaign_.retries) {
-            shard.failed = true;
-            warn("shard ", k, " (trials ", shard.lo, "..", shard.hi - 1,
-                 ") died with ", how, " and exhausted its ",
-                 campaign_.retries,
-                 " retries; unfinished trials will be reported missing");
-            continue;
-        }
-        warn("shard ", k, " (trials ", shard.lo, "..", shard.hi - 1,
-             ") died with ", how, "; relaunching (retry ", shard.crashes,
-             "/", campaign_.retries, ")");
-        backoffBeforeRetry(shard.crashes);
-        launch(k);
-        ++running;
-    }
-
-    // Merge: campaign-level resume state plus every shard journal.
-    // Each shard file is itself crash-consistent, so whatever a dead
-    // worker completed before dying is preserved here.
-    std::map<std::size_t, CampaignEntry> merged = std::move(resumed);
-    for (const Shard &shard : table) {
-        if (!std::ifstream(shard.path).good())
-            continue;
-        CampaignManifest part = loadCampaignManifest(shard.path);
-        requireCompatibleManifest(part, header, shard.path);
-        for (auto &[job, entry] : part.entries)
-            merged[job] = std::move(entry);
-    }
-
-    // The merged manifest supersedes the shard journals.
-    CampaignJournal journal(campaign_.manifestPath, header);
-    for (const auto &[job, entry] : merged)
-        journal.absorb(entry);
-    journal.flush();
-    for (const Shard &shard : table)
-        std::remove(shard.path.c_str());
-
-    std::vector<std::vector<TrialOutput>> outputs(specs.size());
-    for (auto &per_spec : outputs)
-        per_spec.resize(reps);
-    for (const auto &[job, entry] : merged)
-        outputs[job / reps][job % reps] = outputFromEntry(entry);
-    if (merged.size() < jobs) {
-        warn("campaign incomplete: ", jobs - merged.size(), " of ", jobs,
-             " trials missing after shard failures; results are partial "
-             "(resume with --resume ", campaign_.manifestPath, ")");
-    }
     return outputs;
 }
 
@@ -490,12 +326,7 @@ aggregateRow(const ExperimentSpec &spec,
     for (const TrialOutput &output : reps) {
         // Censored trials ran out of budget mid-measurement: their
         // numbers would drag timing means toward the cutoff, so they
-        // are counted, never averaged. Missing trials (lost shard past
-        // the retry budget) are counted separately.
-        if (!output.completed) {
-            ++row.missingTrials;
-            continue;
-        }
+        // are counted, never averaged.
         if (output.censored) {
             ++row.censoredTrials;
             continue;
@@ -539,11 +370,8 @@ TrialRunner::runAll(const std::string &experiment,
         if (spec.defense != result.mode)
             result.mode = "mixed";
     }
-    for (std::size_t i = 0; i < specs.size(); ++i) {
+    for (std::size_t i = 0; i < specs.size(); ++i)
         result.rows.push_back(aggregateRow(specs[i], outputs[i]));
-        if (result.rows.back().missingTrials > 0)
-            result.incomplete = true;
-    }
     return result;
 }
 

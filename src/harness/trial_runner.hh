@@ -12,9 +12,10 @@
  * setCampaign() layers fault tolerance on top (see campaign.hh):
  * journaling every completed trial to a crash-consistent manifest,
  * resuming a killed campaign without recomputing journaled trials,
- * censoring trials that blow a simulated-cycle budget (with
- * deterministic-seed retries), and forking crash-isolated
- * subprocess shards whose deaths re-queue their trial ranges.
+ * and censoring trials that blow a simulated-cycle budget (with
+ * deterministic-seed retries). There is one campaign process; a run
+ * killed from outside (OOM, preemption, Ctrl-C) is finished with
+ * --resume.
  */
 
 #ifndef UNXPEC_HARNESS_TRIAL_RUNNER_HH
@@ -22,7 +23,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -117,7 +117,6 @@ struct TrialOutput
     std::vector<std::pair<std::string, std::vector<double>>> series;
 
     // Campaign bookkeeping, filled by the runner (not the trial fn).
-    bool completed = false;      //!< false = never finished (lost shard)
     bool censored = false;       //!< finished but hit a watchdog budget
     std::string censorReason;    //!< e.g. "cycle-limit"
     unsigned attempt = 0;        //!< retry attempt that produced this
@@ -154,7 +153,7 @@ class TrialRunner
 
     /**
      * Arm the fault-tolerant campaign machinery (journaling, resume,
-     * watchdogs, retries, shards — see campaign.hh). The default
+     * the cycle-budget censor, retries — see campaign.hh). The default
      * (empty) config preserves the plain in-process behaviour exactly.
      */
     void setCampaign(CampaignConfig campaign)
@@ -167,8 +166,7 @@ class TrialRunner
      * Run `reps` trials of every spec. Returns outputs[specIndex][rep],
      * identical for any thread count. Under a campaign config, trials
      * journaled in the resume manifest are spliced in without
-     * recomputation; trials lost to crashed shards past the retry
-     * budget come back with completed == false.
+     * recomputation.
      */
     std::vector<std::vector<TrialOutput>>
     run(const std::vector<ExperimentSpec> &specs, unsigned reps,
@@ -178,9 +176,8 @@ class TrialRunner
      * run() + aggregation: one ResultRow per spec, whose metrics carry
      * the per-rep values (scalar metrics) or the in-order
      * concatenation of all reps' samples (series), each summarized.
-     * Censored and missing trials are excluded from the metrics and
-     * surfaced through the row's trial counts; any missing trial marks
-     * the result incomplete.
+     * Censored trials are excluded from the metrics and surfaced
+     * through the row's trial counts.
      */
     ExperimentResult
     runAll(const std::string &experiment, const std::string &description,
@@ -188,27 +185,6 @@ class TrialRunner
            std::uint64_t master_seed, const TrialFn &fn) const;
 
   private:
-    /**
-     * Execute (and journal) the jobs in [lo, hi) that `resumed` does
-     * not already cover; every resumed entry is spliced into the
-     * returned outputs. The workhorse behind both the in-process path
-     * and each forked shard.
-     */
-    std::vector<std::vector<TrialOutput>>
-    runJobs(const std::vector<ExperimentSpec> &specs, unsigned reps,
-            std::uint64_t master_seed, const TrialFn &fn,
-            const CampaignHeader &header,
-            const std::map<std::size_t, CampaignEntry> &resumed,
-            std::size_t lo, std::size_t hi,
-            const std::string &manifest_path) const;
-
-    /** Fork `campaign_.shards` workers over disjoint job ranges. */
-    std::vector<std::vector<TrialOutput>>
-    runSharded(const std::vector<ExperimentSpec> &specs, unsigned reps,
-               std::uint64_t master_seed, const TrialFn &fn,
-               const CampaignHeader &header,
-               std::map<std::size_t, CampaignEntry> resumed) const;
-
     void writeTraces(const std::vector<ExperimentSpec> &specs,
                      unsigned reps,
                      const std::vector<std::vector<TrialOutput>> &outputs,

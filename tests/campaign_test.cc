@@ -2,10 +2,10 @@
  * @file
  * The fault-tolerant campaign layer: manifest round-trips (including
  * non-finite values), checkpoint/resume bit-identity, watchdog
- * censoring with deterministic retry seeds, crash-isolated shard
- * workers, resume provenance guards (spec order, legacy headers), and
- * the injected-crash → resume → identical-result loop the CI smoke job
- * exercises end to end.
+ * censoring with deterministic retry seeds, resume provenance guards
+ * (spec order, legacy headers), and the injected-crash → resume →
+ * identical-result loop the campaign_crash_resume ctest exercises end
+ * to end.
  */
 
 #include <gtest/gtest.h>
@@ -41,7 +41,7 @@ tmpPath(const std::string &name)
 /**
  * Deterministic pure-computation trial: metrics and samples are a
  * function of the trial seed only, so any execution strategy (serial,
- * parallel, sharded, resumed) must reproduce them bit-exactly.
+ * parallel, resumed) must reproduce them bit-exactly.
  */
 TrialOutput
 pureTrial(const TrialContext &ctx)
@@ -445,7 +445,6 @@ TEST(CampaignWatchdogTest, RetriesUseDerivedSeedsAndAreCounted)
     EXPECT_EQ(seeds_seen[2], Rng::deriveRetrySeed(42, 0, 2));
 
     const TrialOutput &out = outputs[0][0];
-    EXPECT_TRUE(out.completed);
     EXPECT_FALSE(out.censored);
     EXPECT_EQ(out.attempt, 2u);
     EXPECT_EQ(out.seedUsed, seeds_seen[2]);
@@ -472,110 +471,44 @@ TEST(CampaignWatchdogTest, ExhaustedRetriesLeaveTrialCensored)
     EXPECT_EQ(outputs[0][0].censorReason, "always-bad");
 }
 
-// --- crash-isolated shards ----------------------------------------------
+// --- injected crash -> resume ------------------------------------------
 
-TEST(CampaignShardTest, ShardedRunMatchesLocalByteForByte)
-{
-    const std::string manifest = tmpPath("shards.jsonl");
-    const std::vector<ExperimentSpec> specs = twoSpecs();
-
-    TrialRunner plain(1);
-    const std::string reference = resultJson(
-        plain.runAll("fig_test", "d", specs, 3, 42, pureTrial));
-
-    TrialRunner sharded(1);
-    CampaignConfig config;
-    config.manifestPath = manifest;
-    config.experiment = "fig_test";
-    config.shards = 3;
-    sharded.setCampaign(config);
-    const std::string result = resultJson(
-        sharded.runAll("fig_test", "d", specs, 3, 42, pureTrial));
-    EXPECT_EQ(result, reference);
-
-    // The shard journals were merged into the manifest and removed.
-    const CampaignManifest merged = loadCampaignManifest(manifest);
-    EXPECT_EQ(merged.entries.size(), 6u);
-    EXPECT_FALSE(std::ifstream(manifest + ".shard0").good());
-    std::remove(manifest.c_str());
-}
-
-TEST(CampaignShardTest, CrashedShardsAreRelaunchedAndFinish)
+TEST(CampaignCrashTest, InjectedAbortLeavesManifestThatResumesIdentically)
 {
     const std::string manifest = tmpPath("crash.jsonl");
-    const std::vector<ExperimentSpec> specs = twoSpecs();
-
-    TrialRunner plain(1);
-    const std::string reference = resultJson(
-        plain.runAll("fig_test", "d", specs, 3, 42, pureTrial));
-
-    // Every shard worker aborts after journaling 2 trials; with 2
-    // shards x 3 trials and a retry budget, the relaunched workers
-    // resume from their shard journals and finish the range.
-    ASSERT_EQ(setenv("UNXPEC_CRASH_AFTER_TRIALS", "2", 1), 0);
-    TrialRunner sharded(1);
-    CampaignConfig config;
-    config.manifestPath = manifest;
-    config.experiment = "fig_test";
-    config.shards = 2;
-    config.retries = 3;
-    sharded.setCampaign(config);
-    const ExperimentResult result =
-        sharded.runAll("fig_test", "d", specs, 3, 42, pureTrial);
-    unsetenv("UNXPEC_CRASH_AFTER_TRIALS");
-
-    EXPECT_FALSE(result.incomplete);
-    EXPECT_EQ(resultJson(result), reference);
     std::remove(manifest.c_str());
-}
-
-TEST(CampaignShardTest, ExhaustedShardDegradesGracefullyThenResumes)
-{
-    const std::string manifest = tmpPath("degrade.jsonl");
     const std::vector<ExperimentSpec> specs = twoSpecs();
 
     TrialRunner plain(1);
     const std::string reference = resultJson(
         plain.runAll("fig_test", "d", specs, 3, 42, pureTrial));
 
-    // No retries: each shard dies after 1 journaled trial and stays
-    // dead. The campaign must degrade gracefully — partial rows,
-    // missing counts, incomplete flag — instead of crashing or
-    // fabricating data.
-    ASSERT_EQ(setenv("UNXPEC_CRASH_AFTER_TRIALS", "1", 1), 0);
-    TrialRunner sharded(1);
+    // The campaign process aborts right after journaling its second
+    // trial; the environment is set inside the dying statement only.
     CampaignConfig config;
     config.manifestPath = manifest;
     config.experiment = "fig_test";
-    config.shards = 2;
-    config.retries = 0;
-    sharded.setCampaign(config);
-    const ExperimentResult partial =
-        sharded.runAll("fig_test", "d", specs, 3, 42, pureTrial);
-    unsetenv("UNXPEC_CRASH_AFTER_TRIALS");
+    EXPECT_DEATH(
+        {
+            setenv("UNXPEC_CRASH_AFTER_TRIALS", "2", 1);
+            TrialRunner crashing(1);
+            crashing.setCampaign(config);
+            crashing.runAll("fig_test", "d", specs, 3, 42, pureTrial);
+        },
+        "crash injection");
 
-    EXPECT_TRUE(partial.incomplete);
-    unsigned done = 0, missing = 0;
-    for (const ResultRow &row : partial.rows) {
-        done += row.trials;
-        missing += row.missingTrials;
-    }
-    EXPECT_EQ(done, 2u);    // one per shard before the abort
-    EXPECT_EQ(missing, 4u);
-    EXPECT_NE(resultJson(partial).find("\"incomplete\": true"),
-              std::string::npos);
+    // The flush precedes the abort, so both trials survive it.
+    EXPECT_EQ(loadCampaignManifest(manifest).entries.size(), 2u);
 
-    // Resume the wreckage without crash injection: the journaled
-    // trials are reused and the final result matches the reference
-    // byte for byte.
+    // Resuming the wreckage reuses the journaled trials and matches
+    // the uninterrupted run byte for byte.
     TrialRunner resumed(1);
     config.resumePath = manifest;
-    config.retries = 0;
     resumed.setCampaign(config);
-    const ExperimentResult fixed =
-        resumed.runAll("fig_test", "d", specs, 3, 42, pureTrial);
-    EXPECT_FALSE(fixed.incomplete);
-    EXPECT_EQ(resultJson(fixed), reference);
+    EXPECT_EQ(resultJson(
+                  resumed.runAll("fig_test", "d", specs, 3, 42, pureTrial)),
+              reference);
+    EXPECT_EQ(loadCampaignManifest(manifest).entries.size(), 6u);
     std::remove(manifest.c_str());
 }
 

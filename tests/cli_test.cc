@@ -192,36 +192,6 @@ TEST(CliErrorTest, OversizedCoresIsFatal)
                 "fatal: --cores must be in \\[1, 16\\]");
 }
 
-// --- crash-isolated shards ----------------------------------------------
-
-TEST(CliErrorTest, ShardsParse)
-{
-    const HarnessCli cli = makeCli();
-    EXPECT_EQ(parseArgs(cli, {"cli_test"}).shards, 1u);
-    EXPECT_EQ(parseArgs(cli, {"cli_test", "--shards", "3", "--campaign",
-                              "/tmp/unxpec_cli_test.jsonl"})
-                  .shards,
-              3u);
-}
-
-TEST(CliErrorTest, ZeroShardsIsFatal)
-{
-    // 0 shard workers would mean a campaign that executes nothing;
-    // reject at parse time instead of hanging in waitpid downstream.
-    const HarnessCli cli = makeCli();
-    EXPECT_EXIT(parseArgs(cli, {"cli_test", "--shards", "0"}),
-                ::testing::ExitedWithCode(1),
-                "fatal: --shards must be >= 1");
-}
-
-TEST(CliErrorTest, ShardsWithoutCampaignIsFatal)
-{
-    const HarnessCli cli = makeCli();
-    EXPECT_EXIT(parseArgs(cli, {"cli_test", "--shards", "2"}),
-                ::testing::ExitedWithCode(1),
-                "fatal: --shards requires --campaign PATH");
-}
-
 // --- argument shape -----------------------------------------------------
 
 TEST(CliErrorTest, MissingValueIsFatal)
@@ -248,6 +218,16 @@ TEST(CliErrorTest, HostWallClockTimeoutIsGone)
     EXPECT_EXIT(parseArgs(cli, {"cli_test", "--trial-timeout-ms", "5"}),
                 ::testing::ExitedWithCode(1),
                 "fatal: unknown argument '--trial-timeout-ms'");
+}
+
+TEST(CliErrorTest, SubprocessShardsAreGone)
+{
+    // A campaign is one process; a run killed from outside is finished
+    // with --resume, so there is no worker-count flag.
+    const HarnessCli cli = makeCli();
+    EXPECT_EXIT(parseArgs(cli, {"cli_test", "--shards", "2"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: unknown argument '--shards'");
 }
 
 TEST(CliErrorTest, StrayPositionalAfterScaleIsFatal)
