@@ -34,11 +34,19 @@ class CallGraph:
         for qual in model.functions:
             by_short[qual.split("::")[-1]].append(qual)
         self._by_short = by_short
+        # Calls with no inferred receiver whose method name several
+        # modeled functions share: (caller, name, line, candidates).
+        # They draw no edge, so the checks report them as warnings.
+        self.ambiguous: List[Tuple[str, str, int, List[str]]] = []
         for qual, fn in model.functions.items():
-            for name, recv_cls, _line in fn.calls:
+            for name, recv_cls, line in fn.calls:
                 callee = self._resolve(fn, name, recv_cls)
                 if callee is not None:
                     self.edges[qual].add(callee)
+                elif recv_cls is None and len(by_short.get(name, [])) > 1:
+                    self.ambiguous.append(
+                        (qual, name, line, sorted(by_short[name]))
+                    )
 
     def _resolve(
         self, caller: Function, name: str, recv_cls: Optional[str]

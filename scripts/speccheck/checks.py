@@ -102,6 +102,8 @@ def run_checks(
         _check_determinism(model, baseline, res)
     if enabled("hotpath"):
         _check_hotpath(model, graph, baseline, res)
+    if any(enabled(name) for name in ("undo", "pairing", "hotpath")):
+        _warn_ambiguous_calls(model, graph, res)
 
     for stale in baseline.unused():
         res.warnings.append(f"unused baseline entry: {stale}")
@@ -257,3 +259,25 @@ def _check_hotpath(model, graph, baseline, res: Results) -> None:
                     "baseline entry",
                 )
             )
+
+
+def _warn_ambiguous_calls(model, graph, res: Results) -> None:
+    """One warning per call that draws no edge because its receiver
+    is unknown and several modeled functions share its name, inside
+    the closures the checks walk (elsewhere a missing edge changes no
+    result)."""
+    walked = cg.hot_functions(graph, model, HOT_ENTRIES)
+    walked |= cg.paired_functions(graph, model)
+    seen = set()
+    for caller, name, line, candidates in graph.ambiguous:
+        if caller not in walked or (caller, name, line) in seen:
+            continue
+        seen.add((caller, name, line))
+        fn = model.functions[caller]
+        res.warnings.append(
+            f"{fn.file}:{line}: {short(caller)} calls {name}() on a "
+            f"receiver of unknown type; {len(candidates)} modeled "
+            f"functions share the name ("
+            + ", ".join(short(c) for c in candidates)
+            + "), so the call graph draws no edge"
+        )

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from cpplex import ID, PP, STR, Token, tokenize
 from model import (
+    EXTERNAL_RECEIVER,
     AnnotationError,
     Field,
     Model,
@@ -1061,7 +1062,9 @@ class _BodyScanner:
         recv_cls = None
         member_call = j >= 0 and body[j].text in (".", "->")
         if member_call:
-            recv_cls, _conf = self._receiver_class(body, i, env)
+            recv_cls, confident = self._receiver_class(body, i, env)
+            if recv_cls is None and confident:
+                recv_cls = EXTERNAL_RECEIVER
             k = j - 1
             if (
                 k >= 0
@@ -1078,7 +1081,15 @@ class _BodyScanner:
         elif j >= 0 and body[j].text == "::":
             k = j - 1
             if k >= 0 and body[k].kind == ID:
-                recv_cls = self.p.resolve_short(body[k].text)
+                qualifier = body[k].text
+                recv_cls = self.p.resolve_short(qualifier)
+                if qualifier == "std":
+                    recv_cls = EXTERNAL_RECEIVER
+                elif recv_cls is None:
+                    # A namespace: keep it on the name, which the
+                    # call graph looks up from the caller's namespace
+                    # outwards (audit::fail -> unxpec::audit::fail).
+                    name = f"{qualifier}::{name}"
 
         self.fn.calls.append((name, recv_cls, line))
 

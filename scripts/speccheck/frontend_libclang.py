@@ -23,7 +23,7 @@ import os
 from typing import Dict, List, Optional, Set
 
 from cache import ParseCache
-from model import Model
+from model import EXTERNAL_RECEIVER, Model
 
 # Method names whose call allocates in steady state (mirrors the
 # builtin frontend's _ALLOC_CALLS — keep the two in sync).
@@ -206,6 +206,14 @@ class _TuExtractor:
             "CLASS_DECL", "STRUCT_DECL", "CLASS_TEMPLATE",
         ):
             recv = _qualified(parent)
+        elif parent is not None and parent.kind.name == "NAMESPACE":
+            # The exact callee: a std function lies outside the model,
+            # any other is looked up by its qualified name.
+            qual = _qualified(ref)
+            if qual.startswith("std::"):
+                recv = EXTERNAL_RECEIVER
+            else:
+                name = qual
         facts["calls"].append((name, recv, line))
         if name in ALLOC_CALLS:
             facts["allocs"].append((name, line))

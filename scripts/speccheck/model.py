@@ -24,6 +24,12 @@ class AnnotationError(Exception):
     """Malformed annotation text (bad kind, unknown mode, ...)."""
 
 
+# Receiver of a call whose type the frontend inferred but the model
+# does not hold (std::vector::size, ...): the call graph draws no edge
+# and has nothing to report.
+EXTERNAL_RECEIVER = "<external>"
+
+
 @dataclass(frozen=True)
 class Transition:
     kind: str  # "spec" | "commit" | "reset"
@@ -92,7 +98,11 @@ class Function:
     transitions: List[Transition] = field(default_factory=list)
     rollbacks: List[Rollback] = field(default_factory=list)
     # Call sites: (callee-name, receiver-class-or-None, line).  The
-    # callee name is unqualified; resolution happens in callgraph.py.
+    # callee name is unqualified, or qualified by the namespace the
+    # call names; resolution happens in callgraph.py.  A receiver of
+    # None means the receiver could not be inferred; EXTERNAL_RECEIVER
+    # means it was, and its type lies outside the model (a std
+    # container, say).
     calls: List[Tuple[str, Optional[str], int]] = field(
         default_factory=list
     )

@@ -273,7 +273,7 @@ Core::skipIdle()
         wake = std::min(wake, commitStallUntil_);
     if (!decodeQueue_.empty() && !rob_.full()) {
         const FetchedInst &front = decodeQueue_.front();
-        if (!isMem(front.inst.op) ||
+        if (!isMem(program_->at(front.pc).op) ||
             LoadStoreQueue::occupancy(rob_) < lsq_.capacity())
             wake = std::min(wake, front.availCycle);
     }
@@ -419,7 +419,6 @@ Core::tryIssue(RobEntry &entry)
         }
         entry.effAddr = addr;
         rob_.markIssued(entry);
-        entry.issueCycle = now_;
         ++loads_;
         if (gate.gate == LoadGate::Forward) {
             entry.result = gate.forwardValue;
@@ -457,7 +456,6 @@ Core::tryIssue(RobEntry &entry)
             entry.srcValue[0] + static_cast<Addr>(entry.inst.imm);
         entry.storeValue = entry.srcValue[1];
         rob_.markIssued(entry);
-        entry.issueCycle = now_;
         entry.readyCycle = now_ + 1;
         return true;
     }
@@ -479,7 +477,6 @@ Core::tryIssue(RobEntry &entry)
         entry.effAddr = addr;
         hier_.flushLine(addr);
         rob_.markIssued(entry);
-        entry.issueCycle = now_;
         entry.readyCycle = now_ + cfg_.core.clflushLatency;
         return true;
     }
@@ -490,7 +487,6 @@ Core::tryIssue(RobEntry &entry)
             return false;
         }
         rob_.markIssued(entry);
-        entry.issueCycle = now_;
         entry.readyCycle = now_ + 1;
         return true;
     }
@@ -505,7 +501,6 @@ Core::tryIssue(RobEntry &entry)
         }
         entry.result = now_;
         rob_.markIssued(entry);
-        entry.issueCycle = now_;
         entry.readyCycle = now_ + 1;
         return true;
     }
@@ -513,7 +508,6 @@ Core::tryIssue(RobEntry &entry)
     // ALU ops and conditional branches.
     executeEntry(entry);
     rob_.markIssued(entry);
-    entry.issueCycle = now_;
     const unsigned latency = op == Opcode::MUL
         ? cfg_.core.mulLatency : cfg_.core.intAluLatency;
     if (op == Opcode::MUL && !cfg_.core.mulPipelined) {
@@ -727,7 +721,8 @@ Core::tickDispatch()
         const FetchedInst &fetched = decodeQueue_.front();
         if (fetched.availCycle > now_)
             break;
-        if (isMem(fetched.inst.op) &&
+        const Instruction &inst = program_->at(fetched.pc);
+        if (isMem(inst.op) &&
             LoadStoreQueue::occupancy(rob_) >= lsq_.capacity()) {
             break;
         }
@@ -736,12 +731,11 @@ Core::tickDispatch()
         // admit it (rob.hh).
         RobEntry &entry = rob_.claim(nextSeq_++);
         entry.pc = fetched.pc;
-        entry.inst = fetched.inst;
+        entry.inst = inst;
         entry.predictedTaken = fetched.predictedTaken;
-        entry.dispatchCycle = now_;
 
-        const Opcode op = entry.inst.op;
-        const RegIndex sources[2] = {entry.inst.rs1, entry.inst.rs2};
+        const Opcode op = inst.op;
+        const RegIndex sources[2] = {inst.rs1, inst.rs2};
         const bool reads[2] = {readsRs1(op), readsRs2(op)};
         for (unsigned slot = 0; slot < 2; ++slot) {
             if (!reads[slot])
@@ -765,7 +759,7 @@ Core::tickDispatch()
         }
 
         if (writesReg(op))
-            rat_[entry.inst.rd] = entry.seq;
+            rat_[inst.rd] = entry.seq;
 
         // Instructions with no work complete at dispatch.
         if (op == Opcode::NOP || op == Opcode::HALT || op == Opcode::JMP) {
@@ -774,8 +768,7 @@ Core::tickDispatch()
             entry.readyCycle = now_;
             if (op == Opcode::JMP) {
                 entry.resolvedTaken = true;
-                entry.actualNextPc =
-                    static_cast<std::size_t>(entry.inst.target);
+                entry.actualNextPc = static_cast<std::size_t>(inst.target);
             }
         }
 
@@ -807,7 +800,6 @@ Core::tickFetch(const Program &program)
 
         FetchedInst fetched_inst;
         fetched_inst.pc = fetchPC_;
-        fetched_inst.inst = inst;
         fetched_inst.availCycle = avail;
 
         if (kTraceEnabled && eventTrace_ != nullptr &&

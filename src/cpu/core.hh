@@ -191,10 +191,15 @@ class Core
     void auditInvariants() const;
 
   private:
+    /**
+     * One decode-queue slot: where the instruction is and what fetch
+     * decided about it, not the instruction itself. Dispatch reads the
+     * instruction from program_->at(pc) and copies it once, into its
+     * RobEntry.
+     */
     struct FetchedInst
     {
         std::size_t pc = 0;
-        Instruction inst;
         bool predictedTaken = false;
         Cycle availCycle = 0;
     };

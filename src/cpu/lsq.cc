@@ -22,12 +22,6 @@ traceGate(const ReorderBuffer &rob, TraceKind kind, SeqNum seq, Addr addr)
 
 } // namespace
 
-unsigned
-LoadStoreQueue::occupancy(const ReorderBuffer &rob)
-{
-    return rob.memCount();
-}
-
 LoadGateResult
 LoadStoreQueue::gateLoad(const ReorderBuffer &rob, SeqNum seq, Addr addr,
                          unsigned size)

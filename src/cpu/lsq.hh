@@ -48,7 +48,11 @@ class LoadStoreQueue
     unsigned capacity() const { return capacity_; }
 
     /** Number of in-flight memory instructions in the ROB. */
-    static unsigned occupancy(const ReorderBuffer &rob);
+    static unsigned
+    occupancy(const ReorderBuffer &rob)
+    {
+        return rob.memCount();
+    }
 
     /**
      * May the load `seq` (address `addr`, `size` bytes) issue?

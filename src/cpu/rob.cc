@@ -2,24 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/log.hh"
-#include "sim/trace.hh"
-
 namespace unxpec {
-
-namespace {
-
-/** Lifecycle instant through the ROB's tracer, if one is attached. */
-inline void
-traceLifecycle(Tracer *tracer, TraceKind kind, const RobEntry &entry)
-{
-    if (kTraceEnabled && tracer != nullptr &&
-        tracer->enabled(kTraceCatCpu)) {
-        tracer->instant(kind, entry.seq, kAddrInvalid, entry.pc);
-    }
-}
-
-} // namespace
 
 ReorderBuffer::ReorderBuffer(unsigned capacity)
     : capacity_(capacity),
@@ -35,95 +18,6 @@ ReorderBuffer::ReorderBuffer(unsigned capacity)
 {
     if (capacity == 0)
         panic("ReorderBuffer: capacity must be positive");
-}
-
-RobEntry &
-ReorderBuffer::claim(SeqNum seq)
-{
-    if (full())
-        panic("ReorderBuffer::claim on full ROB");
-    if (count_ == 0)
-        headSeq_ = seq;
-    else if (seq != headSeq_ + count_)
-        panic("ReorderBuffer::claim: non-consecutive sequence number");
-    RobEntry &entry = at(count_);
-    entry = RobEntry{};
-    entry.seq = seq;
-    return entry;
-}
-
-RobEntry &
-ReorderBuffer::admit()
-{
-    const std::size_t slot = slotAt(count_);
-    RobEntry &entry = slots_[slot];
-    ++count_;
-
-    // The entry now owns this slot: clear whatever dependent bits a
-    // squashed or committed former occupant left in its producer row.
-    std::fill_n(depMask_.begin() + slot * maskWords_, maskWords_, 0);
-
-    if (!entry.issued) {
-        setSlot(unissued_, slot);
-        if (entry.srcReady[0] && entry.srcReady[1])
-            setSlot(readyUnissued_, slot);
-        else
-            registerDependents(entry);
-    } else if (!entry.done) {
-        setSlot(outstanding_, slot);
-    }
-    const Opcode op = entry.inst.op;
-    if (isMem(op)) {
-        ++memCount_;
-        if (!entry.done)
-            setSlot(pendingMem_, slot);
-    }
-    if (isStore(op) || op == Opcode::FENCE)
-        setSlot(storeFences_, slot);
-    if (isCondBranch(op) && !entry.done)
-        setSlot(unresolvedBranches_, slot);
-
-    traceLifecycle(tracer_, TraceKind::Dispatch, entry);
-    return entry;
-}
-
-void
-ReorderBuffer::popFront()
-{
-    const RobEntry &head = slots_[headSlot_];
-    // Commit retires only done entries, so of the slot sets only the
-    // stores/fences set can hold the head; the mem count can too.
-    if (isMem(head.inst.op))
-        --memCount_;
-    clearSlot(storeFences_, headSlot_);
-    traceLifecycle(tracer_, TraceKind::Commit, head);
-    headSlot_ = slotAt(1);
-    ++headSeq_;
-    --count_;
-}
-
-void
-ReorderBuffer::markIssued(RobEntry &entry)
-{
-    const std::size_t slot = slotOf(entry);
-    entry.issued = true;
-    clearSlot(unissued_, slot);
-    clearSlot(readyUnissued_, slot);
-    if (!entry.done)
-        setSlot(outstanding_, slot);
-    traceLifecycle(tracer_, TraceKind::Issue, entry);
-}
-
-void
-ReorderBuffer::markDone(RobEntry &entry)
-{
-    const std::size_t slot = slotOf(entry);
-    entry.done = true;
-    clearSlot(outstanding_, slot);
-    clearSlot(pendingMem_, slot);
-    clearSlot(unresolvedBranches_, slot);
-    wakeDependents(entry);
-    traceLifecycle(tracer_, TraceKind::Writeback, entry);
 }
 
 void
@@ -218,7 +112,7 @@ ReorderBuffer::squashYoungerThan(SeqNum seq)
     const Range<true> squashed(this, keep, count_ - keep);
     count_ = keep;
     for (const RobEntry &entry : squashed)
-        traceLifecycle(tracer_, TraceKind::Squash, entry);
+        traceLifecycle(TraceKind::Squash, entry);
     return squashed;
 }
 

@@ -8,9 +8,16 @@
  * (still in their slots) so the cleanup engine can inspect their
  * memory records.
  *
- * Dispatch is in place: claim() resets the free slot after the
+ * Dispatch is in place: claim() readies the free slot after the
  * youngest entry, the core fills the entry where it lies, and admit()
  * puts it in flight. No RobEntry is built elsewhere and copied in.
+ * claim() does not reset the whole entry, whose MemAccessRecord alone
+ * is over a third of it: it resets the few fields that are read before
+ * dispatch or issue writes them and leaves the rest, memRecord
+ * included, stale (RobEntry lists both kinds). memRecord is read only
+ * behind hasMemRecord. claim, admit, markIssued, markDone and popFront
+ * run once per instruction, so they are defined here for the tick
+ * loops to inline.
  *
  * Hot-path layout: alongside the slots the ROB keeps six per-slot
  * bitsets, one bit per slot (capacity / 64 words each): unissued
@@ -71,6 +78,7 @@
 #ifndef UNXPEC_CPU_ROB_HH
 #define UNXPEC_CPU_ROB_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -79,13 +87,31 @@
 #include "cpu/isa.hh"
 #include "memory/hierarchy.hh"
 #include "sim/annotate.hh"
+#include "sim/audit.hh"
+#include "sim/log.hh"
+#include "sim/trace.hh"
 #include "sim/types.hh"
 
 namespace unxpec {
 
-class Tracer;
-
-/** One in-flight instruction. */
+/**
+ * One in-flight instruction. ReorderBuffer::claim() resets only seq,
+ * srcReady, issued, done, speculative, orderBlocker, mispredicted and
+ * hasMemRecord. Every other field keeps what the slot's previous
+ * occupant left in it until dispatch or issue writes it, and nothing
+ * reads it before then:
+ *   - dispatch writes pc, inst and predictedTaken, the producer of each
+ *     pending operand (read only while its srcReady is false), and the
+ *     srcValue of each operand the instruction reads;
+ *   - issue, or dispatch for the instructions that complete there,
+ *     writes readyCycle, effAddr and storeValue, and result when the
+ *     instruction writes a register;
+ *   - the branch paths write resolvedTaken and actualNextPc;
+ *   - memRecord is valid only while hasMemRecord is true, and every
+ *     reader checks hasMemRecord first. UNXPEC_AUDIT builds fill a
+ *     claimed entry's memRecord with kStaleMemRecord, so that a read
+ *     without the check changes a golden.
+ */
 struct RobEntry
 {
     SeqNum seq = kSeqNone;
@@ -101,8 +127,6 @@ struct RobEntry
 
     bool issued = false;
     bool done = false;
-    Cycle dispatchCycle = 0;
-    Cycle issueCycle = 0;
     Cycle readyCycle = kCycleNever;
     std::uint64_t result = 0;
 
@@ -125,6 +149,35 @@ struct RobEntry
     Addr effAddr = 0;
     std::uint64_t storeValue = 0;
 };
+
+/**
+ * What an UNXPEC_AUDIT build writes into each claimed entry's stale
+ * memRecord: every flag that steers commit or rollback set, and
+ * addresses no program uses. A read of memRecord that skips the
+ * hasMemRecord check then commits, installs or undoes the wrong line,
+ * and the goldens CI's audit job runs change.
+ */
+inline constexpr MemAccessRecord kStaleMemRecord = [] {
+    MemAccessRecord record;
+    record.lineAddr = 0x5a5a5a5a5a5a5a40;
+    record.write = true;
+    record.speculative = true;
+    record.seq = 0x5a5a5a5a;
+    record.merged = true;
+    record.invisible = true;
+    record.shadow = true;
+    record.mshrOnly = true;
+    record.ready = kCycleNever;
+    record.l1Installed = true;
+    record.l1Victim = 0x5a5a5a5a5a5a5a80;
+    record.l1VictimValid = true;
+    record.l1VictimDirty = true;
+    record.l2Installed = true;
+    record.l2Victim = 0x5a5a5a5a5a5a5ac0;
+    record.l2VictimValid = true;
+    record.snoopDowngrade = true;
+    return record;
+}();
 
 /** Circular in-order buffer of in-flight instructions. */
 class ReorderBuffer
@@ -201,15 +254,39 @@ class ReorderBuffer
     unsigned capacity() const { return capacity_; }
 
     /**
-     * In-place dispatch, step one: reset the free slot after the
-     * youngest entry to a default RobEntry carrying `seq` and return
-     * it for the caller to fill. `seq` must follow the youngest
-     * entry's (any seq when the ROB is empty) and the ROB must not be
-     * full. The entry is not in flight — find() does not see it —
-     * until admit().
+     * In-place dispatch, step one: ready the free slot after the
+     * youngest entry for `seq` and return it for the caller to fill.
+     * The entry gets `seq`; srcReady both true; issued, done,
+     * speculative, mispredicted and hasMemRecord false; orderBlocker
+     * kSeqNone. Its other fields are stale until written (see
+     * RobEntry). `seq` must follow the youngest entry's (any seq when
+     * the ROB is empty) and the ROB must not be full. The entry is not
+     * in flight — find() does not see it — until admit().
      */
     UNXPEC_TRANSITION("spec")
-    RobEntry &claim(SeqNum seq);
+    RobEntry &
+    claim(SeqNum seq)
+    {
+        if (full())
+            panic("ReorderBuffer::claim on full ROB");
+        if (count_ == 0)
+            headSeq_ = seq;
+        else if (seq != headSeq_ + count_)
+            panic("ReorderBuffer::claim: non-consecutive sequence number");
+        RobEntry &entry = at(count_);
+        entry.seq = seq;
+        entry.srcReady[0] = true;
+        entry.srcReady[1] = true;
+        entry.issued = false;
+        entry.done = false;
+        entry.speculative = false;
+        entry.orderBlocker = kSeqNone;
+        entry.mispredicted = false;
+        entry.hasMemRecord = false;
+        if constexpr (kAuditEnabled)
+            entry.memRecord = kStaleMemRecord;
+        return entry;
+    }
 
     /**
      * In-place dispatch, step two: put the claimed entry in flight and
@@ -217,7 +294,41 @@ class ReorderBuffer
      * that complete at dispatch (NOP/HALT/JMP) arrive issued and done.
      */
     UNXPEC_TRANSITION("spec")
-    RobEntry &admit();
+    RobEntry &
+    admit()
+    {
+        const std::size_t slot = slotAt(count_);
+        RobEntry &entry = slots_[slot];
+        ++count_;
+
+        // The entry now owns this slot: clear whatever dependent bits a
+        // squashed or committed former occupant left in its producer
+        // row.
+        std::fill_n(depMask_.begin() + slot * maskWords_, maskWords_, 0);
+
+        if (!entry.issued) {
+            setSlot(unissued_, slot);
+            if (entry.srcReady[0] && entry.srcReady[1])
+                setSlot(readyUnissued_, slot);
+            else
+                registerDependents(entry);
+        } else if (!entry.done) {
+            setSlot(outstanding_, slot);
+        }
+        const Opcode op = entry.inst.op;
+        if (isMem(op)) {
+            ++memCount_;
+            if (!entry.done)
+                setSlot(pendingMem_, slot);
+        }
+        if (isStore(op) || op == Opcode::FENCE)
+            setSlot(storeFences_, slot);
+        if (isCondBranch(op) && !entry.done)
+            setSlot(unresolvedBranches_, slot);
+
+        traceLifecycle(TraceKind::Dispatch, entry);
+        return entry;
+    }
 
     /** Append a ready-made entry: claim, copy, admit. */
     RobEntry &
@@ -233,7 +344,21 @@ class ReorderBuffer
 
     /** Retire the oldest entry. */
     UNXPEC_TRANSITION("commit")
-    void popFront();
+    void
+    popFront()
+    {
+        const RobEntry &head = slots_[headSlot_];
+        // Commit retires only done entries, so of the slot sets only
+        // the stores/fences set can hold the head; the mem count can
+        // too.
+        if (isMem(head.inst.op))
+            --memCount_;
+        clearSlot(storeFences_, headSlot_);
+        traceLifecycle(TraceKind::Commit, head);
+        headSlot_ = slotAt(1);
+        ++headSeq_;
+        --count_;
+    }
 
     /** Entry for a sequence number, nullptr if not in flight. */
     RobEntry *
@@ -263,11 +388,31 @@ class ReorderBuffer
      * entry.issued so the slot sets stay coherent.
      */
     UNXPEC_TRANSITION("spec")
-    void markIssued(RobEntry &entry);
+    void
+    markIssued(RobEntry &entry)
+    {
+        const std::size_t slot = slotOf(entry);
+        entry.issued = true;
+        clearSlot(unissued_, slot);
+        clearSlot(readyUnissued_, slot);
+        if (!entry.done)
+            setSlot(outstanding_, slot);
+        traceLifecycle(TraceKind::Issue, entry);
+    }
 
     /** Mark an entry done (same contract as markIssued). */
     UNXPEC_TRANSITION("spec")
-    void markDone(RobEntry &entry);
+    void
+    markDone(RobEntry &entry)
+    {
+        const std::size_t slot = slotOf(entry);
+        entry.done = true;
+        clearSlot(outstanding_, slot);
+        clearSlot(pendingMem_, slot);
+        clearSlot(unresolvedBranches_, slot);
+        wakeDependents(entry);
+        traceLifecycle(TraceKind::Writeback, entry);
+    }
 
     /**
      * Park the operand-ready, unissued `entry` on `blocker`, an older
@@ -552,6 +697,16 @@ class ReorderBuffer
             if (w == lo_word)
                 return kNoSlot;
             bits = word(--w);
+        }
+    }
+
+    /** Lifecycle instant through the tracer, if one is attached. */
+    void
+    traceLifecycle(TraceKind kind, const RobEntry &entry) const
+    {
+        if (kTraceEnabled && tracer_ != nullptr &&
+            tracer_->enabled(kTraceCatCpu)) {
+            tracer_->instant(kind, entry.seq, kAddrInvalid, entry.pc);
         }
     }
 

@@ -612,14 +612,14 @@ void
 CampaignJournal::absorb(const CampaignEntry &entry)
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    lines_.push_back(campaignEntryLine(entry));
+    lines_[entry.job] = campaignEntryLine(entry);
 }
 
 void
 CampaignJournal::append(const CampaignEntry &entry)
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    lines_.push_back(campaignEntryLine(entry));
+    lines_[entry.job] = campaignEntryLine(entry);
     flushLocked();
 }
 
@@ -639,7 +639,7 @@ CampaignJournal::flushLocked()
         if (!out)
             fatal("cannot open campaign journal '", tmp, "' for writing");
         out << headerLine_ << "\n";
-        for (const std::string &line : lines_)
+        for (const auto &[job, line] : lines_)
             out << line << "\n";
         out.flush();
         if (!out.good())

@@ -125,9 +125,11 @@ void requireCompatibleManifest(const CampaignManifest &manifest,
 /**
  * The append-only trial journal. Entries accumulate in memory;
  * every append() rewrites `<path>.tmp` and atomically renames it over
- * `<path>`, so the on-disk manifest is a complete prefix of the
- * campaign at every instant. Thread-safe: TrialRunner workers append
- * concurrently.
+ * `<path>`, so the on-disk manifest holds every trial finished so far
+ * at every instant. The file lists the entries in job order, not in
+ * the order workers finished them, so a finished manifest is the same
+ * file at any --threads and after a crash and --resume. Thread-safe:
+ * TrialRunner workers append concurrently.
  */
 class CampaignJournal
 {
@@ -147,7 +149,8 @@ class CampaignJournal
     std::mutex mutex_;
     std::string path_;
     std::string headerLine_;
-    std::vector<std::string> lines_;
+    /** Entry lines keyed by job (one per job; a repeat replaces). */
+    std::map<std::size_t, std::string> lines_;
 };
 
 /**

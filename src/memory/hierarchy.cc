@@ -464,17 +464,8 @@ MemoryHierarchy::cancelPendingFill(const MemAccessRecord &record)
 }
 
 Cycle
-MemoryHierarchy::fetchReady(Addr addr, Cycle now)
+MemoryHierarchy::fetchMiss(Addr line, Cycle now)
 {
-    const Addr line = lineAlign(addr);
-
-    if (const auto look = l1i_.lookup(line); look.line != nullptr) {
-        // Resident (possibly still filling): data at the later of the
-        // lookup and the fill arrival.
-        ++l1i_.hits();
-        l1i_.touchAt(look.set, look.way);
-        return std::max(now + cfg_.l1i.hitLatency, look.line->fillCycle);
-    }
     ++l1i_.misses();
 
     Cycle ready = now + cfg_.l1i.hitLatency;

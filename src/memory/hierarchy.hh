@@ -10,6 +10,7 @@
 #ifndef UNXPEC_MEMORY_HIERARCHY_HH
 #define UNXPEC_MEMORY_HIERARCHY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 
@@ -176,8 +177,25 @@ class MemoryHierarchy
     /** The SafeSpec shadow L1 (tests and stats). */
     const ShadowL1 &shadow() const { return shadow_; }
 
-    /** Instruction-fetch path through the L1I (never speculativly tracked). */
-    Cycle fetchReady(Addr addr, Cycle now);
+    /**
+     * Instruction-fetch path through the L1I (never speculatively
+     * tracked). The hit path runs once per fetched instruction and is
+     * defined here to inline into the fetch loop; a miss goes to
+     * fetchMiss.
+     */
+    Cycle
+    fetchReady(Addr addr, Cycle now)
+    {
+        const Addr line = lineAlign(addr);
+        if (const auto look = l1i_.lookup(line); look.line != nullptr) {
+            // Resident (possibly still filling): data at the later of
+            // the lookup and the fill arrival.
+            ++l1i_.hits();
+            l1i_.touchAt(look.set, look.way);
+            return std::max(now + cfg_.l1i.hitLatency, look.line->fillCycle);
+        }
+        return fetchMiss(line, now);
+    }
 
     /**
      * clflush semantics: evict the line from every level. @return true
@@ -290,6 +308,9 @@ class MemoryHierarchy
     const SystemConfig &config() const { return cfg_; }
 
   private:
+    /** fetchReady's L1I miss: fill `line` from L2 or memory. */
+    Cycle fetchMiss(Addr line, Cycle now);
+
     /** Write-hit bookkeeping: dirty bit + S->M upgrade, invalidating
      *  remote copies through the engine in Machine configs. */
     UNXPEC_TRANSITION("commit")

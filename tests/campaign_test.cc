@@ -17,6 +17,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -471,6 +472,54 @@ TEST(CampaignWatchdogTest, ExhaustedRetriesLeaveTrialCensored)
     EXPECT_EQ(outputs[0][0].censorReason, "always-bad");
 }
 
+// --- manifest order -----------------------------------------------------
+
+/** The whole file at `path`. */
+std::string
+fileText(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/** Journal twoSpecs() x 3 reps (seed 42) to `manifest` on `threads`
+ *  workers running `fn`. */
+void
+journalRun(const std::string &manifest, unsigned threads, const TrialFn &fn)
+{
+    TrialRunner runner(threads);
+    CampaignConfig config;
+    config.manifestPath = manifest;
+    config.experiment = "fig_test";
+    runner.setCampaign(config);
+    runner.runAll("fig_test", "d", twoSpecs(), 3, 42, fn);
+}
+
+TEST(CampaignJournalTest, ManifestListsTrialsInJobOrderAtAnyThreadCount)
+{
+    const std::string serial = tmpPath("order_serial.jsonl");
+    const std::string threaded = tmpPath("order_threaded.jsonl");
+    std::remove(serial.c_str());
+    std::remove(threaded.c_str());
+    journalRun(serial, 1, pureTrial);
+
+    // Job 0 finishes last on purpose: its trial waits until the other
+    // five are journaled, so the workers append in the order 1..5, 0.
+    journalRun(threaded, 4, [&](const TrialContext &ctx) {
+        if (ctx.specIndex == 0 && ctx.rep == 0) {
+            while (manifestLines(threaded).size() < 6)
+                std::this_thread::yield();
+        }
+        return pureTrial(ctx);
+    });
+    EXPECT_EQ(manifestLines(threaded).size(), 7u);
+    EXPECT_EQ(fileText(threaded), fileText(serial));
+    std::remove(serial.c_str());
+    std::remove(threaded.c_str());
+}
+
 // --- injected crash -> resume ------------------------------------------
 
 TEST(CampaignCrashTest, InjectedAbortLeavesManifestThatResumesIdentically)
@@ -482,6 +531,9 @@ TEST(CampaignCrashTest, InjectedAbortLeavesManifestThatResumesIdentically)
     TrialRunner plain(1);
     const std::string reference = resultJson(
         plain.runAll("fig_test", "d", specs, 3, 42, pureTrial));
+    const std::string uninterrupted = tmpPath("uninterrupted.jsonl");
+    std::remove(uninterrupted.c_str());
+    journalRun(uninterrupted, 1, pureTrial);
 
     // The campaign process aborts right after journaling its second
     // trial; the environment is set inside the dying statement only.
@@ -509,7 +561,10 @@ TEST(CampaignCrashTest, InjectedAbortLeavesManifestThatResumesIdentically)
                   resumed.runAll("fig_test", "d", specs, 3, 42, pureTrial)),
               reference);
     EXPECT_EQ(loadCampaignManifest(manifest).entries.size(), 6u);
+    // The resumed manifest is the uninterrupted run's, byte for byte.
+    EXPECT_EQ(fileText(manifest), fileText(uninterrupted));
     std::remove(manifest.c_str());
+    std::remove(uninterrupted.c_str());
 }
 
 } // namespace

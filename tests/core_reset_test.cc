@@ -13,9 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "attack/unxpec.hh"
+#include "cpu/assembler.hh"
 #include "cpu/core.hh"
 #include "harness/session.hh"
 #include "harness/trial_runner.hh"
@@ -118,6 +121,78 @@ TEST(CoreResetTest, StatsAndMicroarchStateMatchFreshConstruction)
     EXPECT_EQ(reused.hierarchy().l2().residentLines(),
               fresh.hierarchy().l2().residentLines());
     EXPECT_EQ(reused.now(), fresh.now());
+}
+
+/** Every counter of the core, its cleanup engine, L1D and L2. */
+std::string
+statsText(Core &core)
+{
+    std::ostringstream os;
+    core.stats().dump(os);
+    core.cleanup().stats().dump(os);
+    core.hierarchy().l1d().stats().dump(os);
+    core.hierarchy().l2().stats().dump(os);
+    return os.str();
+}
+
+/**
+ * Four loads on the wrong path of a mispredicted branch (a fresh
+ * predictor says not taken; the branch waits on a miss and is taken)
+ * right before HALT: the correct path reuses one of their ROB slots,
+ * so three squashed loads' memory records outlive the run.
+ */
+const char *const kSquashedLoadsTail = R"(
+.data buf 4096
+    li r1, buf
+    li r3, 0
+    load8 r2, [r1+0]
+    beq r2, r3, done
+    load8 r4, [r1+512]
+    load8 r5, [r1+1024]
+    load8 r6, [r1+1536]
+    load8 r7, [r1+2048]
+done:
+    halt
+)";
+
+TEST(CoreResetTest, StaleRobSlotsFromSquashedLoadsChangeNothing)
+{
+    // ReorderBuffer::claim leaves a reused slot's memory record stale.
+    // Under each defense whose loads carry a distinct record kind
+    // (invisible, shadow, parked MSHR fill), an attack and then the
+    // tail above leave squashed loads' records in the ROB; after
+    // reset, an mcf_r run dispatches into those slots and must match a
+    // freshly built core exactly.
+    const Program tail = Assembler::assemble(kSquashedLoadsTail);
+    for (const CleanupMode mode :
+         {CleanupMode::InvisiSpec, CleanupMode::SafeSpec,
+          CleanupMode::CacheSquash}) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        SystemConfig cfg = SystemConfig::makeDefault();
+        cfg.cleanupMode = mode;
+        cfg.seed = 5;
+        Core fresh(cfg);
+        const RunResult expected = synthRun(fresh, "mcf_r");
+
+        SystemConfig other = cfg;
+        other.seed = 11;
+        Core reused(other);
+        attackTrace(reused, 4);
+        reused.predictor().reset();
+        const std::uint64_t before =
+            reused.stats().findCounter("mispredicts")->value();
+        ASSERT_TRUE(reused.run(tail).halted);
+        ASSERT_EQ(reused.stats().findCounter("mispredicts")->value(),
+                  before + 1);
+        reused.reset(5);
+        const RunResult got = synthRun(reused, "mcf_r");
+
+        EXPECT_EQ(got.cycles, expected.cycles);
+        EXPECT_EQ(got.instructions, expected.instructions);
+        EXPECT_EQ(got.regs, expected.regs);
+        EXPECT_EQ(got.halted, expected.halted);
+        EXPECT_EQ(statsText(reused), statsText(fresh));
+    }
 }
 
 // --- TrialRunner pooling ------------------------------------------------

@@ -476,5 +476,57 @@ TEST(RobSlotTest, WalkStopsWhenTheVisitorSaysSo)
     EXPECT_EQ(readySeqs(rob), seqRange(9, 10));
 }
 
+TEST(RobSlotTest, ClaimReadiesAReusedSlotAfterASquashedLoad)
+{
+    // Slot 1 first holds a speculative load that issued, recorded its
+    // access, and was squashed with every field claim() resets set
+    // away from its default.
+    ReorderBuffer rob(4);
+    RobEntry &branch = rob.claim(0);
+    branch.inst.op = Opcode::BLT;
+    rob.admit();
+    RobEntry &load = rob.claim(1);
+    load.inst.op = Opcode::LOAD;
+    load.producer[0] = 0;
+    load.srcReady[0] = false;
+    rob.admit();
+    rob.markIssued(load);
+    rob.markDone(load);
+    load.srcReady[1] = false;
+    load.speculative = true;
+    load.orderBlocker = 0;
+    load.mispredicted = true;
+    load.hasMemRecord = true;
+    load.memRecord.lineAddr = 0x1000;
+    load.memRecord.invisible = true;
+    ASSERT_EQ(rob.squashYoungerThan(0).size(), 1u);
+
+    RobEntry &reused = rob.claim(1);
+    ASSERT_EQ(&reused, &load);
+    EXPECT_EQ(reused.seq, 1u);
+    EXPECT_TRUE(reused.srcReady[0]);
+    EXPECT_TRUE(reused.srcReady[1]);
+    EXPECT_FALSE(reused.issued);
+    EXPECT_FALSE(reused.done);
+    EXPECT_FALSE(reused.speculative);
+    EXPECT_EQ(reused.orderBlocker, kSeqNone);
+    EXPECT_FALSE(reused.mispredicted);
+    EXPECT_FALSE(reused.hasMemRecord);
+    // The stale record is poisoned in audit builds, so that a read of
+    // it without the hasMemRecord check shows in the goldens.
+    if constexpr (kAuditEnabled) {
+        EXPECT_EQ(reused.memRecord.lineAddr, kStaleMemRecord.lineAddr);
+        EXPECT_TRUE(reused.memRecord.invisible);
+        EXPECT_TRUE(reused.memRecord.shadow);
+        EXPECT_TRUE(reused.memRecord.mshrOnly);
+    }
+
+    // The reused slot goes back in flight like a fresh one.
+    reused.inst.op = Opcode::ADD;
+    rob.admit();
+    EXPECT_EQ(readySeqs(rob), seqRange(0, 1));
+    rob.auditInvariants(0);
+}
+
 } // namespace
 } // namespace unxpec

@@ -11,7 +11,11 @@ exactly that property:
 * unpaired   — rogue mutations outside any transition/rollback, one
                direct and two through reference parameters;
 * incomplete — squash path missing one field (undo-completeness);
-* unordered  — nondeterministic unordered_map range-for walk.
+* unordered  — nondeterministic unordered_map range-for walk;
+* ambiguous_call — a call with an untyped receiver to a method name
+               two classes declare: exit 0, and the one warning names
+               every candidate (a typed receiver and a namespace-
+               qualified call of the same name resolve and warn not).
 
 One fixture per per-file lint rule must exit 1 and report that rule
 and no other:
@@ -35,13 +39,16 @@ and no other:
 The last cases run speccheck over a scratch tree, to prove the default
 scope (src bench tests examples, minus the fixtures), and over the real
 tree, which must be clean, so a regression that silently breaks the
-gate (or new unbaselined residue state) fails ctest, not just CI.
+gate (or new unbaselined residue state) fails ctest, not just CI. The
+real tree's hot-path list must hold the per-instruction funnels that
+are defined in headers (HEADER_FUNNELS).
 
 Run from the repo root:  python3 tests/speccheck/run_fixtures.py
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -70,6 +77,15 @@ RULE_FIXTURES = {
     "unjustified": {
         "unjustified-suppression", "determinism:float-cycle",
     },
+}
+
+# Per-instruction functions defined in headers for the tick loops to
+# inline; the hot-path closure must still reach each of them.
+HEADER_FUNNELS = {
+    "ReorderBuffer::claim", "ReorderBuffer::admit",
+    "ReorderBuffer::markIssued", "ReorderBuffer::markDone",
+    "ReorderBuffer::popFront", "LoadStoreQueue::occupancy",
+    "MemoryHierarchy::fetchReady",
 }
 
 FINDING_RE = re.compile(r"^  \S+:\d+: \[(?P<label>[^\]]+)\] ", re.M)
@@ -192,6 +208,19 @@ def main() -> int:
         "determinism:unordered-iteration" in out, out,
     )
 
+    code, out = fixture("ambiguous_call")
+    check("ambiguous_call fixture exits 0", code == 0, out)
+    warnings = [
+        line for line in out.splitlines() if line.startswith("  warning:")
+    ]
+    check(
+        "ambiguous call is one warning naming every candidate",
+        len(warnings) == 1
+        and "mini.cc:20: MiniCache::squash calls drop()" in warnings[0]
+        and "(Ledger::drop, Shadow::drop, util::drop)" in warnings[0],
+        out,
+    )
+
     for name, want in RULE_FIXTURES.items():
         code, out = fixture(name)
         check(f"{name} fixture exits 1", code == 1, out)
@@ -212,8 +241,17 @@ def main() -> int:
 
     check_default_scope()
 
-    code, out = run_speccheck()
-    check("real src bench tests examples tree is clean", code == 0, out)
+    with tempfile.TemporaryDirectory() as scratch:
+        report = os.path.join(scratch, "report.json")
+        code, out = run_speccheck("--report", report)
+        check("real src bench tests examples tree is clean", code == 0, out)
+        with open(report, encoding="utf-8") as fh:
+            hot = set(json.load(fh)["hot_functions"])
+    check(
+        "hot path reaches the funnels defined in headers",
+        HEADER_FUNNELS <= hot,
+        ", ".join(sorted(HEADER_FUNNELS - hot)),
+    )
 
     print(
         f"speccheck fixtures: "
