@@ -89,7 +89,7 @@ CleanupEngine::rollback(MemoryHierarchy &hierarchy, const CleanupJob &job,
         // clearLog keeps capacity, so warm trials append heap-free.
         if (logEnabled_)
             // lint-ok(steady-alloc): reserved after warm-up
-            log_.push_back({squash, 0, 0, 0, 0, 0});
+            log_.push_back({squash, 0, 0, 0, 0, 0, 0});
         return squash;
     }
 
@@ -111,7 +111,7 @@ CleanupEngine::rollback(MemoryHierarchy &hierarchy, const CleanupJob &job,
         if (logEnabled_) {
             // lint-ok(steady-alloc): clearLog keeps capacity
             log_.push_back({squash, 0, 0, 0, 0,
-                            static_cast<unsigned>(job.pending.size())});
+                            static_cast<unsigned>(job.pending.size()), 0});
         }
         return squash;
     }
@@ -218,7 +218,7 @@ CleanupEngine::rollback(MemoryHierarchy &hierarchy, const CleanupJob &job,
         if (logEnabled_) {
             // lint-ok(steady-alloc): clearLog keeps capacity
             log_.push_back({squash, 0, l1_inv, l2_inv, restored,
-                            static_cast<unsigned>(job.inflight.size())});
+                            static_cast<unsigned>(job.inflight.size()), 0});
         }
         return squash;
     }
@@ -275,7 +275,8 @@ CleanupEngine::rollback(MemoryHierarchy &hierarchy, const CleanupJob &job,
     if (logEnabled_) {
         // lint-ok(steady-alloc): clearLog keeps capacity (warm trials)
         log_.push_back({squash, lastStall_, l1_inv, l2_inv, restored,
-                        static_cast<unsigned>(job.inflight.size())});
+                        static_cast<unsigned>(job.inflight.size()),
+                        start - squash});
     }
     return stall_until;
 }

@@ -45,6 +45,9 @@ struct SquashLog
     unsigned l2Invalidations = 0;
     unsigned restores = 0;
     unsigned inflightDropped = 0;
+    /** T4: cycles the rollback waited for older correct-path loads
+     *  before touching cache state (part of `stall`). */
+    Cycle drainWait = 0;
 };
 
 /** Applies and times the cache-state rollback for one squash. */

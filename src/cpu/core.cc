@@ -425,7 +425,6 @@ Core::tryIssue(RobEntry &entry)
             entry.readyCycle = now_ + 1;
             return true;
         }
-        entry.speculative = speculative;
         if (speculative && cfg_.cleanupMode == CleanupMode::InvisiSpec) {
             // Invisible scheme: serve from the shadow buffer; no cache
             // state changes until commit.

@@ -96,10 +96,9 @@ namespace unxpec {
 
 /**
  * One in-flight instruction. ReorderBuffer::claim() resets only seq,
- * srcReady, issued, done, speculative, orderBlocker, mispredicted and
- * hasMemRecord. Every other field keeps what the slot's previous
- * occupant left in it until dispatch or issue writes it, and nothing
- * reads it before then:
+ * srcReady, issued, done, orderBlocker, mispredicted and hasMemRecord.
+ * Every other field keeps what the slot's previous occupant left in it
+ * until dispatch or issue writes it, and nothing reads it before then:
  *   - dispatch writes pc, inst and predictedTaken, the producer of each
  *     pending operand (read only while its srcReady is false), and the
  *     srcValue of each operand the instruction reads;
@@ -129,9 +128,6 @@ struct RobEntry
     bool done = false;
     Cycle readyCycle = kCycleNever;
     std::uint64_t result = 0;
-
-    /** Issued while an older conditional branch was unresolved. */
-    UNXPEC_SPEC_STATE bool speculative = false;
 
     /** Older not-yet-done entry this one is parked on (kSeqNone when
      *  not parked); see ReorderBuffer::park. */
@@ -257,9 +253,8 @@ class ReorderBuffer
      * In-place dispatch, step one: ready the free slot after the
      * youngest entry for `seq` and return it for the caller to fill.
      * The entry gets `seq`; srcReady both true; issued, done,
-     * speculative, mispredicted and hasMemRecord false; orderBlocker
-     * kSeqNone. Its other fields are stale until written (see
-     * RobEntry). `seq` must follow the youngest entry's (any seq when
+     * mispredicted and hasMemRecord false; orderBlocker kSeqNone. Its
+     * other fields are stale until written (see RobEntry). `seq` must follow the youngest entry's (any seq when
      * the ROB is empty) and the ROB must not be full. The entry is not
      * in flight — find() does not see it — until admit().
      */
@@ -279,7 +274,6 @@ class ReorderBuffer
         entry.srcReady[1] = true;
         entry.issued = false;
         entry.done = false;
-        entry.speculative = false;
         entry.orderBlocker = kSeqNone;
         entry.mispredicted = false;
         entry.hasMemRecord = false;

@@ -31,14 +31,12 @@ computeAllowedMask(const CacheConfig &cfg, unsigned domain)
 Cache::Cache(const CacheConfig &cfg, Rng &rng, std::uint64_t index_key)
     : cfg_(cfg),
       numSets_(cfg.numSets()),
-      tags_(static_cast<std::size_t>(cfg.numSets()) * cfg.ways,
-            kAddrInvalid),
-      lines_(static_cast<std::size_t>(cfg.numSets()) * cfg.ways,
-             CacheLine{}),
-      repl_(cfg.repl, cfg.numSets(), cfg.ways, rng),
+      rowOf_(cfg.numSets()),
+      tags_((static_cast<std::size_t>(cfg.numSets()) + 1) * cfg.ways),
+      lines_((static_cast<std::size_t>(cfg.numSets()) + 1) * cfg.ways),
+      repl_(cfg.repl, cfg.numSets() + 1, cfg.ways, rng),
       index_(cfg.index, cfg.numSets(), index_key),
       mshr_(cfg.mshrs),
-      touchedMask_((cfg.numSets() + 63) / 64, 0),
       allowedMask_{computeAllowedMask(cfg, 0), computeAllowedMask(cfg, 1)},
       stats_(cfg.name),
       hits_(stats_.counter("hits", "demand hits")),
@@ -56,22 +54,10 @@ Cache::Cache(const CacheConfig &cfg, Rng &rng, std::uint64_t index_key)
     touchedSets_.reserve(numSets_);
 }
 
-Addr &
-Cache::tag(unsigned set, unsigned way)
-{
-    return tags_[static_cast<std::size_t>(set) * cfg_.ways + way];
-}
-
 CacheLine &
 Cache::line(unsigned set, unsigned way)
 {
-    return lines_[static_cast<std::size_t>(set) * cfg_.ways + way];
-}
-
-const CacheLine &
-Cache::line(unsigned set, unsigned way) const
-{
-    return lines_[static_cast<std::size_t>(set) * cfg_.ways + way];
+    return lines_[rowBase(set) + way];
 }
 
 FillResult
@@ -79,24 +65,26 @@ Cache::install(Addr line_addr, Cycle fill_cycle, bool speculative,
                SeqNum installer, unsigned domain)
 {
     const unsigned set = index_.set(line_addr);
+    const unsigned row = claimRow(set);
+    const std::size_t base = static_cast<std::size_t>(row) * cfg_.ways;
     const std::uint64_t mask = allowedMask_[domain == 0 ? 0 : 1];
 
     FillResult result;
     result.set = set;
 
     // Prefer an invalid allowed way.
-    const Addr *tags = tags_.data() + static_cast<std::size_t>(set) * cfg_.ways;
+    Addr *tags = tags_.data() + base;
     unsigned chosen = cfg_.ways;
     for (unsigned way = 0; way < cfg_.ways; ++way) {
-        if ((mask & (1ull << way)) && tags[way] == kAddrInvalid) {
+        if ((mask & (1ull << way)) && tags[way] == kEmptyTag) {
             chosen = way;
             break;
         }
     }
     if (chosen == cfg_.ways) {
-        chosen = repl_.victim(set, mask);
-        CacheLine &victim = line(set, chosen);
-        result.victimLine = victim.lineAddr;
+        chosen = repl_.victim(row, mask);
+        const CacheLine &victim = lines_[base + chosen];
+        result.victimLine = ~tags[chosen];
         result.victimValid = true;
         result.victimDirty = victim.dirty;
         result.victimSpeculative = victim.speculative;
@@ -113,17 +101,15 @@ Cache::install(Addr line_addr, Cycle fill_cycle, bool speculative,
         }
     }
 
-    CacheLine &slot = line(set, chosen);
-    slot.lineAddr = line_addr;
+    CacheLine &slot = lines_[base + chosen];
     slot.valid = true;
     slot.dirty = false;
     slot.speculative = speculative;
-    slot.installer = speculative ? installer : kSeqNone;
+    slot.installer = speculative ? installer : 0;
     slot.fillCycle = fill_cycle;
     coh::onFill(slot);
-    tag(set, chosen) = line_addr;
-    repl_.fill(set, chosen);
-    markTouched(set);
+    tags[chosen] = tagKey(line_addr);
+    repl_.fill(row, chosen);
 
     if (kTraceEnabled && tracer_ != nullptr &&
         tracer_->enabled(kTraceCatCache)) {
@@ -148,17 +134,17 @@ Cache::installAt(unsigned set, unsigned way, Addr line_addr, bool dirty,
 {
     if (set >= numSets_ || way >= cfg_.ways)
         panic("Cache::installAt out of range");
-    CacheLine &slot = line(set, way);
-    slot.lineAddr = line_addr;
+    const unsigned row = claimRow(set);
+    const std::size_t idx = static_cast<std::size_t>(row) * cfg_.ways + way;
+    CacheLine &slot = lines_[idx];
     slot.valid = true;
     slot.dirty = dirty;
     slot.speculative = false;
-    slot.installer = kSeqNone;
+    slot.installer = 0;
     slot.fillCycle = fill_cycle;
     coh::onRestore(slot, dirty);
-    tag(set, way) = line_addr;
-    repl_.fill(set, way);
-    markTouched(set);
+    tags_[idx] = tagKey(line_addr);
+    repl_.fill(row, way);
     if (kTraceEnabled && tracer_ != nullptr &&
         tracer_->enabled(kTraceCatCache)) {
         tracer_->instantAt(fill_cycle, TraceKind::CacheRestore, kSeqNone,
@@ -172,12 +158,12 @@ Cache::installAt(unsigned set, unsigned way, Addr line_addr, bool dirty,
 bool
 Cache::invalidate(Addr line_addr)
 {
-    const int way = findWay(line_addr);
+    const std::size_t base = rowBase(index_.set(line_addr));
+    const int way = findWayAt(base, line_addr);
     if (way < 0)
         return false;
-    const unsigned set = index_.set(line_addr);
-    line(set, static_cast<unsigned>(way)).reset();
-    tag(set, static_cast<unsigned>(way)) = kAddrInvalid;
+    lines_[base + static_cast<unsigned>(way)].reset();
+    tags_[base + static_cast<unsigned>(way)] = kEmptyTag;
     ++invalidations_;
     if (kTraceEnabled && tracer_ != nullptr &&
         tracer_->enabled(kTraceCatCache)) {
@@ -192,10 +178,11 @@ Cache::invalidateAt(unsigned set, unsigned way, Addr line_addr)
 {
     if (set >= numSets_ || way >= cfg_.ways)
         panic("Cache::invalidateAt out of range");
-    CacheLine &candidate = line(set, way);
-    if (candidate.valid && candidate.lineAddr == line_addr) {
+    const std::size_t idx = rowBase(set) + way;
+    CacheLine &candidate = lines_[idx];
+    if (candidate.valid && tags_[idx] == tagKey(line_addr)) {
         candidate.reset();
-        tag(set, way) = kAddrInvalid;
+        tags_[idx] = kEmptyTag;
         ++invalidations_;
         if (kTraceEnabled && tracer_ != nullptr &&
             tracer_->enabled(kTraceCatCache)) {
@@ -222,7 +209,7 @@ Cache::commitSpeculative(Addr line_addr, SeqNum installer)
     CacheLine *hit = probeMutable(line_addr);
     if (hit != nullptr && hit->speculative && hit->installer == installer) {
         hit->speculative = false;
-        hit->installer = kSeqNone;
+        hit->installer = 0;
         // Apply the coherence downgrade CleanupSpec delayed while the
         // installer was speculative.
         coh::onCommit(*hit);
@@ -232,10 +219,10 @@ Cache::commitSpeculative(Addr line_addr, SeqNum installer)
 unsigned
 Cache::setOccupancy(unsigned set) const
 {
-    const Addr *tags = tags_.data() + static_cast<std::size_t>(set) * cfg_.ways;
+    const Addr *tags = tags_.data() + rowBase(set);
     unsigned occupancy = 0;
     for (unsigned way = 0; way < cfg_.ways; ++way) {
-        if (tags[way] != kAddrInvalid)
+        if (tags[way] != kEmptyTag)
             ++occupancy;
     }
     return occupancy;
@@ -244,12 +231,15 @@ Cache::setOccupancy(unsigned set) const
 std::vector<Addr>
 Cache::residentLines() const
 {
+    // Row 0 and the rows past the claimed ones hold nothing.
+    const Addr *first = tags_.data() + cfg_.ways;
+    const Addr *last = first + touchedSets_.size() * cfg_.ways;
     std::vector<Addr> resident;
     // lint-ok(steady-alloc): audit/debug helper, not a tick path
-    resident.reserve(tags_.size());
-    for (const Addr tag_addr : tags_) {
-        if (tag_addr != kAddrInvalid)
-            resident.push_back(tag_addr); // lint-ok(steady-alloc): audit
+    resident.reserve(static_cast<std::size_t>(last - first));
+    for (const Addr *key = first; key != last; ++key) {
+        if (*key != kEmptyTag)
+            resident.push_back(~*key); // lint-ok(steady-alloc): audit
     }
     std::sort(resident.begin(), resident.end());
     return resident;
@@ -258,14 +248,13 @@ Cache::residentLines() const
 void
 Cache::reset()
 {
-    for (const unsigned set : touchedSets_) {
-        const std::size_t first = static_cast<std::size_t>(set) * cfg_.ways;
-        std::fill_n(tags_.begin() + first, cfg_.ways, kAddrInvalid);
-        for (unsigned way = 0; way < cfg_.ways; ++way)
-            lines_[first + way].reset();
-        repl_.clearSet(set);
-        touchedMask_[set / 64] = 0;
-    }
+    // The claimed rows are rows 1..touchedSets_.size(), contiguous.
+    const std::size_t used = touchedSets_.size() * cfg_.ways;
+    tags_.clear(cfg_.ways, used);
+    lines_.clear(cfg_.ways, used);
+    repl_.clearRows(1, static_cast<unsigned>(touchedSets_.size()));
+    for (const unsigned set : touchedSets_)
+        rowOf_[set] = 0;
     touchedSets_.clear();
     mshr_.clear();
 }

@@ -14,6 +14,15 @@
  * replacement dispatch are enum branches (SetIndexer /
  * ReplacementState), not virtual calls, so the common modulo+LRU case
  * inlines.
+ *
+ * Storage rows: the per-way arrays (tags, lines, LRU stamps) are
+ * ZeroArrays whose zero bytes are the empty way, laid out in rows of
+ * `ways` entries. Row 0 is never written and stands in for every set
+ * not written since the last reset; a set's first write claims the
+ * next free row, and reset() returns the claimed rows (a contiguous
+ * prefix) to zero. A build therefore maps no page of the arrays, and a
+ * trial faults in only the pages its own sets fill, at the front of
+ * the arrays, which the next trial reuses.
  */
 
 #ifndef UNXPEC_MEMORY_CACHE_HH
@@ -26,6 +35,7 @@
 #include "memory/cache_line.hh"
 #include "memory/mshr.hh"
 #include "memory/replacement.hh"
+#include "memory/zero_array.hh"
 #include "sim/annotate.hh"
 #include "sim/config.hh"
 #include "sim/rng.hh"
@@ -57,12 +67,11 @@ class Cache
     const CacheLine *
     probe(Addr line_addr) const
     {
-        const int way = findWay(line_addr);
+        const std::size_t base = rowBase(index_.set(line_addr));
+        const int way = findWayAt(base, line_addr);
         if (way < 0)
             return nullptr;
-        return &lines_[static_cast<std::size_t>(index_.set(line_addr)) *
-                           cfg_.ways +
-                       static_cast<unsigned>(way)];
+        return &lines_[base + static_cast<unsigned>(way)];
     }
 
     CacheLine *
@@ -90,18 +99,21 @@ class Cache
     {
         LookupResult result;
         result.set = index_.set(line_addr);
-        const int way = findWayInSet(result.set, line_addr);
+        const std::size_t base = rowBase(result.set);
+        const int way = findWayAt(base, line_addr);
         if (way >= 0) {
             result.way = static_cast<unsigned>(way);
-            result.line = &lines_[static_cast<std::size_t>(result.set) *
-                                      cfg_.ways +
-                                  result.way];
+            result.line = &lines_[base + result.way];
         }
         return result;
     }
 
     /** Replacement-policy hit update using lookup() coordinates. */
-    void touchAt(unsigned set, unsigned way) { repl_.touch(set, way); }
+    void
+    touchAt(unsigned set, unsigned way)
+    {
+        repl_.touch(rowOf_[set], way);
+    }
 
     /** True when the line is resident and its fill has landed. */
     bool
@@ -115,9 +127,10 @@ class Cache
     void
     touch(Addr line_addr)
     {
-        const int way = findWay(line_addr);
+        const unsigned set = index_.set(line_addr);
+        const int way = findWayAt(rowBase(set), line_addr);
         if (way >= 0)
-            repl_.touch(index_.set(line_addr), static_cast<unsigned>(way));
+            repl_.touch(rowOf_[set], static_cast<unsigned>(way));
     }
 
     /**
@@ -177,17 +190,17 @@ class Cache
 
     /**
      * Check, by full scan, that the cache is in freshly constructed
-     * state: every tag invalid, every line default, every LRU stamp
-     * and the LRU tick zero, the MSHR file and the touched-set list
-     * empty (sim/audit.hh; run after each Core::reset). Throws
-     * AuditError.
+     * state: every tag empty, every line default, every LRU stamp,
+     * row assignment and the LRU tick zero, the MSHR file and the
+     * touched-set list empty (sim/audit.hh; run after each
+     * Core::reset). Throws AuditError.
      */
     void auditFresh(Cycle now) const;
 
     /**
      * Drop all content and outstanding misses (cold cache). Only the
-     * sets written since the last reset are cleared: their tags,
-     * lines and LRU stamps.
+     * rows claimed since the last reset are cleared: their tags, lines
+     * and LRU stamps.
      */
     UNXPEC_TRANSITION("reset")
     void reset();
@@ -221,66 +234,76 @@ class Cache
 
   private:
     /**
-     * Way holding `line_addr`, -1 on miss. The scan touches only the
-     * contiguous tag array; invalid ways hold kAddrInvalid, which no
-     * line-aligned address can equal, so no valid-bit check is needed.
+     * Tag-array entry of a resident line: its address complemented, so
+     * that an empty way holds 0 (kEmptyTag). Only kAddrInvalid, which
+     * no line-aligned address equals, has the key 0.
      */
-    int
-    findWay(Addr line_addr) const
+    static Addr tagKey(Addr line_addr) { return ~line_addr; }
+    static constexpr Addr kEmptyTag = 0;
+
+    /** Array index of way 0 of `set`'s row (row 0 while unwritten). */
+    std::size_t
+    rowBase(unsigned set) const
     {
-        return findWayInSet(index_.set(line_addr), line_addr);
+        return static_cast<std::size_t>(rowOf_[set]) * cfg_.ways;
     }
 
+    /**
+     * Way of the row at `base` holding `line_addr`, -1 on miss. The
+     * scan touches only the contiguous tag array and compares the key,
+     * so no valid-bit check is needed; probing kAddrInvalid would
+     * match an empty way and is refused.
+     */
     int
-    findWayInSet(unsigned set, Addr line_addr) const
+    findWayAt(std::size_t base, Addr line_addr) const
     {
         if (line_addr == kAddrInvalid)
             return -1;
-        const Addr *tags =
-            tags_.data() + static_cast<std::size_t>(set) * cfg_.ways;
+        const Addr key = tagKey(line_addr);
+        const Addr *tags = tags_.data() + base;
         for (unsigned way = 0; way < cfg_.ways; ++way) {
-            if (tags[way] == line_addr)
+            if (tags[way] == key)
                 return static_cast<int>(way);
         }
         return -1;
     }
 
     /**
-     * Record that `set` was written, once per set between resets. Only
-     * install and installAt make a line valid (and stamp it), and every
-     * other write needs a valid line, so the recorded sets are all a
+     * Row of `set`, claiming the next free row on the set's first
+     * write since the last reset. Only install and installAt make a
+     * line valid (and stamp it), and every other write needs a valid
+     * line, so row 0 is never written and the claimed rows are all a
      * reset has to clear.
      */
-    void
-    markTouched(unsigned set)
+    unsigned
+    claimRow(unsigned set)
     {
-        std::uint64_t &word = touchedMask_[set / 64];
-        const std::uint64_t bit = std::uint64_t{1} << (set % 64);
-        if ((word & bit) != 0)
-            return;
-        word |= bit;
-        touchedSets_.push_back(set); // lint-ok(steady-alloc): reserved
+        std::uint32_t &row = rowOf_[set];
+        if (row == 0) {
+            touchedSets_.push_back(set); // lint-ok(steady-alloc): reserved
+            row = static_cast<std::uint32_t>(touchedSets_.size());
+        }
+        return row;
     }
 
-    Addr &tag(unsigned set, unsigned way);
     CacheLine &line(unsigned set, unsigned way);
-    const CacheLine &line(unsigned set, unsigned way) const;
 
     CacheConfig cfg_;
     unsigned numSets_;
+    /** Row of each set: 0 until written since the last reset, then
+     *  its position on touchedSets_ plus one. */
+    ZeroArray<std::uint32_t> rowOf_;
     /** Transient installs land in both arrays; the tags are what a
      *  Flush+Reload receiver times, so they are speculative state the
-     *  undo must restore exactly. */
-    UNXPEC_SPEC_STATE std::vector<Addr> tags_; //!< SoA tags (probe scan)
-    UNXPEC_SPEC_STATE std::vector<CacheLine> lines_; //!< per-way metadata
-    ReplacementState repl_;
+     *  undo must restore exactly. numSets_ + 1 rows each. */
+    UNXPEC_SPEC_STATE ZeroArray<Addr> tags_; //!< tagKey per way (probe scan)
+    UNXPEC_SPEC_STATE ZeroArray<CacheLine> lines_; //!< per-way metadata
+    ReplacementState repl_; //!< LRU stamps by row
     SetIndexer index_;
     MshrFile mshr_;
-    /** Sets written since the last reset, each listed once (reserved
-     *  to numSets_ at construction). */
+    /** Sets written since the last reset, in the order they claimed
+     *  rows 1, 2, ... (reserved to numSets_ at construction). */
     std::vector<unsigned> touchedSets_;
-    /** One bit per set: already on touchedSets_. */
-    std::vector<std::uint64_t> touchedMask_;
     /** Allowed-way masks per security domain (depends only on config). */
     std::uint64_t allowedMask_[2];
     Tracer *tracer_ = nullptr;
@@ -294,7 +317,8 @@ class Cache
     Counter &restores_;
 
     friend class MemoryHierarchy;
-    /** Test-only corruption hook for proving the auditor fires. */
+    /** Test-only access: corruption hooks that prove the auditor fires
+     *  (audit_test), raw-state comparison (cache_fresh_test). */
     friend struct AuditTap;
 };
 

@@ -19,21 +19,31 @@ namespace unxpec {
  * Coherence state of a line (MESI-style, single-writer). CleanupSpec
  * delays "unsafe" downgrades (M/E to S) requested while the owning
  * load is still speculative, so coherence-state probes (Yao et al.,
- * HPCA'18) cannot observe speculative activity.
+ * HPCA'18) cannot observe speculative activity. Invalid is the zero
+ * enumerator: an all-zero CacheLine is an empty way.
  */
 enum class CohState : std::uint8_t
 {
+    Invalid,
     Modified,
     Exclusive,
     Shared,
-    Invalid,
 };
 
-/** State of one cache way. */
+/**
+ * State of one cache way. Its address lives only in the cache's tag
+ * array. The empty way is `CacheLine{}`, and its bytes are all zero
+ * (ZeroArray checks this), so a freshly allocated line array is empty.
+ */
 struct CacheLine
 {
-    /** Line address (byte address with offset bits cleared). */
-    Addr lineAddr = kAddrInvalid;
+    /**
+     * Sequence number of the installing load while `speculative`, 0
+     * otherwise (read it only when `speculative` is set).
+     */
+    UNXPEC_SPEC_STATE SeqNum installer = 0;
+    /** Cycle at which the fill actually lands in the array. */
+    Cycle fillCycle = 0;
     bool valid = false;
     bool dirty = false;
     /**
@@ -42,10 +52,6 @@ struct CacheLine
      * bit is cleared when the installer commits.
      */
     UNXPEC_SPEC_STATE bool speculative = false;
-    /** Sequence number of the installing load while speculative. */
-    UNXPEC_SPEC_STATE SeqNum installer = kSeqNone;
-    /** Cycle at which the fill actually lands in the array. */
-    Cycle fillCycle = 0;
     /** Coherence state (Exclusive on a clean fill, Modified on write). */
     UNXPEC_SPEC_STATE CohState coh = CohState::Invalid;
     /** A cross-core sharer asked for this line while it was
@@ -58,10 +64,9 @@ struct CacheLine
     void
     reset()
     {
-        lineAddr = kAddrInvalid;
-        valid = dirty = speculative = false;
-        installer = kSeqNone;
+        installer = 0;
         fillCycle = 0;
+        valid = dirty = speculative = false;
         coh = CohState::Invalid;
         pendingDowngrade = false;
     }

@@ -75,12 +75,12 @@ MemoryHierarchy::setCoherence(CoherenceEngine *engine, unsigned core_id)
 }
 
 void
-MemoryHierarchy::writeHit(CacheLine &hit)
+MemoryHierarchy::writeHit(CacheLine &hit, Addr line)
 {
     hit.dirty = true;
     // S -> M upgrade: other cores' copies must go first.
     if (coh_ != nullptr && hit.coh == CohState::Shared)
-        coh_->invalidateRemote(coreId_, hit.lineAddr);
+        coh_->invalidateRemote(coreId_, line);
     coh::onLocalWrite(hit);
 }
 
@@ -113,7 +113,7 @@ MemoryHierarchy::access(Addr addr, Cycle now, bool write, bool speculative,
             ++l1d_.hits();
             l1d_.touchAt(l1look.set, l1look.way);
             if (write)
-                writeHit(*hit);
+                writeHit(*hit, line);
             traceAccess(tracer_, TraceKind::CacheHit, kTraceL1D, record,
                         now);
             return record;
@@ -126,7 +126,7 @@ MemoryHierarchy::access(Addr addr, Cycle now, bool write, bool speculative,
                                     now + cfg_.l1d.hitLatency);
             ++l1d_.misses();
             if (write)
-                writeHit(*hit);
+                writeHit(*hit, line);
             traceAccess(tracer_, TraceKind::MshrMerge, kTraceL1D, record,
                         now);
             return record;
@@ -137,7 +137,7 @@ MemoryHierarchy::access(Addr addr, Cycle now, bool write, bool speculative,
         record.ready = std::max(hit->fillCycle, now + cfg_.l1d.hitLatency);
         ++l1d_.misses();
         if (write)
-            writeHit(*hit);
+            writeHit(*hit, line);
         traceAccess(tracer_, TraceKind::MshrMerge, kTraceL1D, record, now);
         return record;
     }
@@ -590,13 +590,13 @@ MemoryHierarchy::dropSpeculativeMark(const MemAccessRecord &record, bool l1,
     if (l1 && record.l1Installed) {
         if (CacheLine *line = l1d_.probeMutable(record.lineAddr)) {
             line->speculative = false;
-            line->installer = kSeqNone;
+            line->installer = 0;
         }
     }
     if (l2 && record.l2Installed) {
         if (CacheLine *line = l2p_->probeMutable(record.lineAddr)) {
             line->speculative = false;
-            line->installer = kSeqNone;
+            line->installer = 0;
         }
     }
 }

@@ -314,7 +314,7 @@ class MemoryHierarchy
     /** Write-hit bookkeeping: dirty bit + S->M upgrade, invalidating
      *  remote copies through the engine in Machine configs. */
     UNXPEC_TRANSITION("commit")
-    void writeHit(CacheLine &hit);
+    void writeHit(CacheLine &hit, Addr line);
 
     /** Install `line` as a committed fill available at `now` into L2
      *  and L1 (skipping levels that already hold it) — the shared tail

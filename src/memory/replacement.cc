@@ -5,7 +5,7 @@
 namespace unxpec {
 
 unsigned
-ReplacementState::victim(unsigned set, std::uint64_t allowed_mask)
+ReplacementState::victim(unsigned row, std::uint64_t allowed_mask)
 {
     if (policy_ == ReplPolicy::LRU) {
         unsigned best = 0;
@@ -15,7 +15,7 @@ ReplacementState::victim(unsigned set, std::uint64_t allowed_mask)
             if (!(allowed_mask & (1ull << way)))
                 continue;
             const auto stamp =
-                stamps_[static_cast<std::size_t>(set) * ways_ + way];
+                stamps_[static_cast<std::size_t>(row) * ways_ + way];
             if (!found || stamp < best_stamp) {
                 best = way;
                 best_stamp = stamp;

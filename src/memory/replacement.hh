@@ -14,11 +14,10 @@
 #ifndef UNXPEC_MEMORY_REPLACEMENT_HH
 #define UNXPEC_MEMORY_REPLACEMENT_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "memory/zero_array.hh"
 #include "sim/config.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
@@ -29,62 +28,63 @@ namespace unxpec {
  * Replacement metadata for one cache: LRU timestamps or the shared Rng
  * for uniformly random victims, selected by a two-value enum.
  * Invalid ways are always preferred as victims by the cache itself;
- * victim() is consulted only when every allowed way is valid.
+ * victim() is consulted only when every allowed way is valid. State is
+ * kept per storage row, the cache's place for a set's ways (see
+ * Cache).
  */
 class ReplacementState
 {
   public:
-    ReplacementState(ReplPolicy policy, unsigned num_sets, unsigned ways,
+    ReplacementState(ReplPolicy policy, unsigned rows, unsigned ways,
                      Rng &rng)
         : policy_(policy), ways_(ways), rng_(rng),
           stamps_(policy == ReplPolicy::LRU
-                      ? static_cast<std::size_t>(num_sets) * ways
+                      ? static_cast<std::size_t>(rows) * ways
                       : 0)
     {
     }
 
-    /** Record a hit on (set, way). */
+    /** Record a hit on (row, way). */
     void
-    touch(unsigned set, unsigned way)
+    touch(unsigned row, unsigned way)
     {
         if (policy_ == ReplPolicy::LRU)
-            stamps_[static_cast<std::size_t>(set) * ways_ + way] = ++tick_;
+            stamps_[static_cast<std::size_t>(row) * ways_ + way] = ++tick_;
     }
 
-    /** Record a fill into (set, way). */
-    void fill(unsigned set, unsigned way) { touch(set, way); }
+    /** Record a fill into (row, way). */
+    void fill(unsigned row, unsigned way) { touch(row, way); }
 
     /**
-     * Choose a victim way within `set` among ways whose bit is set in
+     * Choose a victim way within `row` among ways whose bit is set in
      * `allowed_mask` (never zero).
      */
-    unsigned victim(unsigned set, std::uint64_t allowed_mask);
+    unsigned victim(unsigned row, std::uint64_t allowed_mask);
 
-    /** Forget the history of one set (a cache reset of a set it
-     *  wrote). */
+    /** Forget the history of `count` rows from `first` on (a cache
+     *  reset of the rows it wrote). */
     void
-    clearSet(unsigned set)
+    clearRows(unsigned first, unsigned count)
     {
         if (policy_ == ReplPolicy::LRU) {
-            std::fill_n(stamps_.begin() +
-                            static_cast<std::ptrdiff_t>(set) * ways_,
-                        ways_, 0);
+            stamps_.clear(static_cast<std::size_t>(first) * ways_,
+                          static_cast<std::size_t>(count) * ways_);
         }
     }
 
-    /** Restart the LRU clock: with every set cleared, this is
+    /** Restart the LRU clock: with every row cleared, this is
      *  freshly-constructed state (Core::reset). */
     void restartClock() { tick_ = 0; }
 
     ReplPolicy policy() const { return policy_; }
 
-    /** LRU timestamp of (set, way), 0 under non-LRU policies (audit). */
+    /** LRU timestamp of (row, way), 0 under non-LRU policies (audit). */
     std::uint64_t
-    auditStamp(unsigned set, unsigned way) const
+    auditStamp(unsigned row, unsigned way) const
     {
         if (policy_ != ReplPolicy::LRU)
             return 0;
-        return stamps_[static_cast<std::size_t>(set) * ways_ + way];
+        return stamps_[static_cast<std::size_t>(row) * ways_ + way];
     }
 
     /** Current LRU tick — an upper bound on every stamp (audit). */
@@ -95,7 +95,7 @@ class ReplacementState
     unsigned ways_;
     Rng &rng_;
     std::uint64_t tick_ = 0;
-    std::vector<std::uint64_t> stamps_; // numSets * ways (LRU only)
+    ZeroArray<std::uint64_t> stamps_; // rows * ways (LRU only)
 
     /** Test-only corruption hook for proving the auditor fires. */
     friend struct AuditTap;

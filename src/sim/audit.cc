@@ -275,58 +275,66 @@ Cache::auditInvariants(Cycle now) const
     const std::string who_str = "cache:" + cfg_.name;
     const char *const who = who_str.c_str();
 
-    // Touched-set list: each set at most once, mirrored by the mask.
-    std::vector<unsigned> listed = touchedSets_;
-    std::sort(listed.begin(), listed.end());
-    if (std::adjacent_find(listed.begin(), listed.end()) != listed.end())
-        audit::fail(who, now, "touched-set list names a set twice");
-    for (unsigned set = 0; set < numSets_; ++set) {
-        const bool marked = (touchedMask_[set / 64] >> (set % 64)) & 1;
-        if (marked != std::binary_search(listed.begin(), listed.end(), set)) {
+    // Row table: the k-th touched set owns row k + 1, and no other set
+    // owns a row.
+    std::size_t owners = 0;
+    for (unsigned set = 0; set < numSets_; ++set)
+        owners += rowOf_[set] != 0;
+    if (owners != touchedSets_.size()) {
+        audit::fail(who, now,
+                    "row table gives " + std::to_string(owners) +
+                        " sets a row, touched-set list names " +
+                        std::to_string(touchedSets_.size()));
+    }
+    for (std::size_t k = 0; k < touchedSets_.size(); ++k) {
+        const unsigned set = touchedSets_[k];
+        if (set >= numSets_ || rowOf_[set] != k + 1) {
             audit::fail(who, now,
-                        "touched-set mask and list disagree on set " +
+                        "row table and touched-set list disagree on set " +
                             std::to_string(set));
         }
     }
 
-    for (unsigned set = 0; set < numSets_; ++set) {
-        std::vector<Addr> seen;
-        std::vector<std::uint64_t> stamps;
-        // A set a reset would skip must still be in constructed state.
-        const bool touched = (touchedMask_[set / 64] >> (set % 64)) & 1;
-        for (unsigned way = 0; !touched && way < cfg_.ways; ++way) {
-            const std::size_t idx =
-                static_cast<std::size_t>(set) * cfg_.ways + way;
-            if (tags_[idx] != kAddrInvalid || !(lines_[idx] == CacheLine{}) ||
-                repl_.auditStamp(set, way) != 0) {
+    // Row 0 stands in for every unwritten set and the rows past the
+    // claimed ones are the next to claim: a reset skips them all, so
+    // they must still be in constructed state.
+    const std::size_t rows = static_cast<std::size_t>(numSets_) + 1;
+    for (std::size_t row = 0; row < rows; ++row) {
+        if (row != 0 && row <= touchedSets_.size())
+            continue;
+        for (unsigned way = 0; way < cfg_.ways; ++way) {
+            const std::size_t idx = row * cfg_.ways + way;
+            if (tags_[idx] != kEmptyTag || !(lines_[idx] == CacheLine{}) ||
+                repl_.auditStamp(static_cast<unsigned>(row), way) != 0) {
                 audit::fail(who, now,
-                            "set " + std::to_string(set) +
-                                " was written but is not on the "
-                                "touched-set list");
+                            "row " + std::to_string(row) +
+                                " was written but no set on the "
+                                "touched-set list owns it");
             }
         }
+    }
+
+    for (std::size_t k = 0; k < touchedSets_.size(); ++k) {
+        const unsigned set = touchedSets_[k];
+        const auto row = static_cast<unsigned>(k + 1);
+        std::vector<Addr> seen;
+        std::vector<std::uint64_t> stamps;
         for (unsigned way = 0; way < cfg_.ways; ++way) {
             const std::size_t idx =
-                static_cast<std::size_t>(set) * cfg_.ways + way;
+                static_cast<std::size_t>(row) * cfg_.ways + way;
             const CacheLine &slot = lines_[idx];
             const std::string where = " at set " + std::to_string(set) +
                                       " way " + std::to_string(way);
 
             // SoA mirror: the tag array probe() scans must agree with
             // the line metadata it hands out pointers into.
-            const Addr expect_tag =
-                slot.valid ? slot.lineAddr : kAddrInvalid;
-            if (tags_[idx] != expect_tag) {
+            if (slot.valid != (tags_[idx] != kEmptyTag)) {
                 audit::fail(who, now,
                             "tag array diverged from line metadata" +
-                                where + ": tag " +
-                                std::to_string(tags_[idx]) + ", line " +
-                                std::to_string(slot.lineAddr) +
-                                (slot.valid ? " (valid)" : " (invalid)"));
-            }
-            if (slot.valid != (slot.lineAddr != kAddrInvalid)) {
-                audit::fail(who, now,
-                            "valid bit inconsistent with lineAddr" + where);
+                                where + ": tag key " +
+                                std::to_string(tags_[idx]) +
+                                (slot.valid ? ", line valid"
+                                            : ", line invalid"));
             }
             if (!slot.valid) {
                 if (slot.speculative) {
@@ -344,31 +352,31 @@ Cache::auditInvariants(Cycle now) const
 
             // Placement: a resident line must live in the set its
             // address indexes to (modulo or CEASER alike).
-            if (index_.set(slot.lineAddr) != set) {
+            const Addr line_addr = ~tags_[idx];
+            if (index_.set(line_addr) != set) {
                 audit::fail(who, now,
-                            "line " + std::to_string(slot.lineAddr) +
+                            "line " + std::to_string(line_addr) +
                                 " resident in set " + std::to_string(set) +
                                 " but indexes to set " +
-                                std::to_string(index_.set(slot.lineAddr)));
+                                std::to_string(index_.set(line_addr)));
             }
             // Uniqueness: a duplicate tag makes the second copy
             // unreachable to probe() — a ghost line.
-            if (std::find(seen.begin(), seen.end(), slot.lineAddr) !=
+            if (std::find(seen.begin(), seen.end(), line_addr) !=
                 seen.end()) {
                 audit::fail(who, now,
-                            "duplicate tag " +
-                                std::to_string(slot.lineAddr) +
+                            "duplicate tag " + std::to_string(line_addr) +
                                 " in set " + std::to_string(set) + ": " +
                                 audit::dumpList("resident", seen));
             }
-            seen.push_back(slot.lineAddr);
+            seen.push_back(line_addr);
 
             // Speculative marking coherence (what rollback keys on).
             if (slot.speculative && slot.installer == kSeqNone) {
                 audit::fail(who, now,
                             "speculative line without installer" + where);
             }
-            if (!slot.speculative && slot.installer != kSeqNone) {
+            if (!slot.speculative && slot.installer != 0) {
                 audit::fail(who, now,
                             "non-speculative line keeps installer " +
                                 std::to_string(slot.installer) + where);
@@ -391,7 +399,7 @@ Cache::auditInvariants(Cycle now) const
             }
 
             if (repl_.policy() == ReplPolicy::LRU)
-                stamps.push_back(repl_.auditStamp(set, way));
+                stamps.push_back(repl_.auditStamp(row, way));
         }
 
         // LRU recency stack: every valid way was touched at least once
@@ -457,8 +465,9 @@ Cache::auditInvariants(Cycle now) const
             continue;
         bool any = false;
         bool matched = false;
+        const Addr line_addr = ~tags_[idx];
         for (const MshrEntry &entry : mshr_.entries()) {
-            if (entry.lineAddr != slot.lineAddr)
+            if (entry.lineAddr != line_addr)
                 continue;
             any = true;
             if (entry.readyCycle == slot.fillCycle)
@@ -466,7 +475,7 @@ Cache::auditInvariants(Cycle now) const
         }
         if (any && !matched) {
             audit::fail(who, now,
-                        "line " + std::to_string(slot.lineAddr) +
+                        "line " + std::to_string(line_addr) +
                             " filling at cycle " +
                             std::to_string(slot.fillCycle) +
                             " has MSHR entries but none matches its "
@@ -481,17 +490,17 @@ Cache::auditFresh(Cycle now) const
     const std::string who_str = "reset:" + cfg_.name;
     const char *const who = who_str.c_str();
 
-    for (unsigned set = 0; set < numSets_; ++set) {
+    const std::size_t rows = static_cast<std::size_t>(numSets_) + 1;
+    for (std::size_t row = 0; row < rows; ++row) {
         for (unsigned way = 0; way < cfg_.ways; ++way) {
-            const std::size_t idx =
-                static_cast<std::size_t>(set) * cfg_.ways + way;
-            const std::string where = " at set " + std::to_string(set) +
+            const std::size_t idx = row * cfg_.ways + way;
+            const std::string where = " at row " + std::to_string(row) +
                                       " way " + std::to_string(way);
-            if (tags_[idx] != kAddrInvalid)
+            if (tags_[idx] != kEmptyTag)
                 audit::fail(who, now, "tag survived the reset" + where);
             if (!(lines_[idx] == CacheLine{}))
                 audit::fail(who, now, "line survived the reset" + where);
-            if (repl_.auditStamp(set, way) != 0)
+            if (repl_.auditStamp(static_cast<unsigned>(row), way) != 0)
                 audit::fail(who, now, "LRU stamp survived the reset" + where);
         }
     }
@@ -500,8 +509,8 @@ Cache::auditFresh(Cycle now) const
     if (mshr_.inflight() != 0)
         audit::fail(who, now, "MSHR entries survived the reset");
     if (!touchedSets_.empty() ||
-        std::any_of(touchedMask_.begin(), touchedMask_.end(),
-                    [](std::uint64_t word) { return word != 0; })) {
+        std::any_of(rowOf_.begin(), rowOf_.end(),
+                    [](std::uint32_t row) { return row != 0; })) {
         audit::fail(who, now, "touched-set list survived the reset");
     }
 }
@@ -544,13 +553,14 @@ MemoryHierarchy::auditRollbackComplete(SeqNum branch_seq, Cycle now) const
     // speculative marking from a squashed installer is leftover
     // transient state the undo missed.
     auto check_cache = [&](const Cache &cache) {
-        for (const CacheLine &slot : cache.lines_) {
+        for (std::size_t idx = 0; idx < cache.lines_.size(); ++idx) {
+            const CacheLine &slot = cache.lines_[idx];
             if (slot.valid && slot.speculative &&
                 slot.installer != kSeqNone && slot.installer > branch_seq) {
                 audit::fail(
                     who, now,
                     "cache " + cache.config().name + ": line " +
-                        std::to_string(slot.lineAddr) +
+                        std::to_string(~cache.tags_[idx]) +
                         " still speculative for squashed installer " +
                         std::to_string(slot.installer) +
                         " (squashed everything younger than " +

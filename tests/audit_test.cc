@@ -46,41 +46,38 @@ struct AuditTap
                                  rob.slotOf(*rob.find(seq)));
     }
 
-    /** Make a line valid without recording its set as touched, so a
-     *  reset would skip the set. */
+    /** Make a line valid in the row `set` maps to without claiming a
+     *  row, so an unwritten set writes the shared empty row 0, which
+     *  a reset skips. */
     static void
     installUntracked(Cache &cache, unsigned set, unsigned way,
                      Addr line_addr)
     {
-        const std::size_t idx =
-            static_cast<std::size_t>(set) * cache.cfg_.ways + way;
-        cache.tags_[idx] = line_addr;
-        cache.lines_[idx].lineAddr = line_addr;
+        const std::size_t idx = cache.rowBase(set) + way;
+        cache.tags_[idx] = Cache::tagKey(line_addr);
         cache.lines_[idx].valid = true;
     }
 
-    /** Overwrite a raw tag slot, desyncing the SoA mirror. */
+    /** Empty a tag slot under a valid line, desyncing the SoA
+     *  mirror. */
     static void
-    smashTag(Cache &cache, unsigned set, unsigned way, Addr line_addr)
+    dropTag(Cache &cache, unsigned set, unsigned way)
     {
-        cache.tags_[static_cast<std::size_t>(set) * cache.cfg_.ways + way] =
-            line_addr;
+        cache.tags_[cache.rowBase(set) + way] = Cache::kEmptyTag;
     }
 
     /** LRU stamp of (set, way), via the cache's private state. */
     static std::uint64_t
     stamp(const Cache &cache, unsigned set, unsigned way)
     {
-        return cache.repl_.auditStamp(set, way);
+        return cache.repl_.auditStamp(cache.rowOf_[set], way);
     }
 
     /** Force (set, way) to a chosen LRU stamp. */
     static void
     smashStamp(Cache &cache, unsigned set, unsigned way, std::uint64_t value)
     {
-        cache.repl_
-            .stamps_[static_cast<std::size_t>(set) * cache.cfg_.ways + way] =
-            value;
+        cache.repl_.stamps_[cache.rowBase(set) + way] = value;
     }
 };
 
@@ -242,7 +239,7 @@ TEST(CacheAudit, DetectsTagMirrorDesync)
     Rng rng(1);
     Cache cache(lruConfig(), rng, 0);
     const FillResult fill = cache.install(0x4000, 0, false, kSeqNone);
-    AuditTap::smashTag(cache, fill.set, fill.way, 0x8000);
+    AuditTap::dropTag(cache, fill.set, fill.way);
     EXPECT_THROW(cache.auditInvariants(1), AuditError);
 }
 
@@ -476,7 +473,7 @@ TEST_F(CoherenceAuditTest, DetectsStalePendingDowngrade)
     // (a botched commitSpeculative) leaves the stale bit the audit
     // exists to catch.
     owner->speculative = false;
-    owner->installer = kSeqNone;
+    owner->installer = 0;
     EXPECT_THROW(engine_.auditInvariants(install.ready + 2), AuditError);
     // The real commit path leaves no stale bit.
     owner->speculative = true;
@@ -530,7 +527,7 @@ TEST(CoreAudit, PeriodicAuditRunsThroughIdleSkip)
     Core core(SystemConfig::makeDefault());
     Cache &l2 = core.hierarchy().l2();
     const FillResult fill = l2.install(0x7f0000, 0, false, kSeqNone);
-    AuditTap::smashTag(l2, fill.set, fill.way, 0x7f8000);
+    AuditTap::dropTag(l2, fill.set, fill.way);
 
     ProgramBuilder b;
     const Addr line = b.alloc(64);

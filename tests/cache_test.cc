@@ -128,7 +128,8 @@ TEST_F(CacheTest, SpeculativeMarkingAndCommit)
 
     cache_.commitSpeculative(0x4000, 42);
     EXPECT_FALSE(cache_.probe(0x4000)->speculative);
-    EXPECT_EQ(cache_.probe(0x4000)->installer, kSeqNone);
+    // A committed line keeps no installer (0, the empty line's value).
+    EXPECT_EQ(cache_.probe(0x4000)->installer, 0u);
 }
 
 TEST_F(CacheTest, MarkDirty)

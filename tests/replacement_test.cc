@@ -66,18 +66,18 @@ TEST(LruTest, RespectsAllowedMask)
     EXPECT_EQ(lru.state.victim(0, 0b1110), 1u);
 }
 
-TEST(LruTest, ClearSetAndRestartClockForgetHistory)
+TEST(LruTest, ClearRowsAndRestartClockForgetHistory)
 {
     Lru lru(2, 4);
     lru.state.fill(0, 0);
     lru.state.fill(0, 1);
     lru.state.fill(1, 2);
-    lru.state.clearSet(0);
+    lru.state.clearRows(0, 1);
     lru.state.restartClock();
     EXPECT_EQ(lru.state.auditTick(), 0u);
     EXPECT_EQ(lru.state.auditStamp(0, 1), 0u);
-    // All stamps of set 0 tie at zero again: the lowest allowed way
-    // wins. Set 1 keeps its history.
+    // All stamps of row 0 tie at zero again: the lowest allowed way
+    // wins. Row 1 keeps its history.
     EXPECT_EQ(lru.state.victim(0, 0xF), 0u);
     EXPECT_EQ(lru.state.auditStamp(1, 2), 3u);
 }

@@ -493,7 +493,6 @@ TEST(RobSlotTest, ClaimReadiesAReusedSlotAfterASquashedLoad)
     rob.markIssued(load);
     rob.markDone(load);
     load.srcReady[1] = false;
-    load.speculative = true;
     load.orderBlocker = 0;
     load.mispredicted = true;
     load.hasMemRecord = true;
@@ -508,7 +507,6 @@ TEST(RobSlotTest, ClaimReadiesAReusedSlotAfterASquashedLoad)
     EXPECT_TRUE(reused.srcReady[1]);
     EXPECT_FALSE(reused.issued);
     EXPECT_FALSE(reused.done);
-    EXPECT_FALSE(reused.speculative);
     EXPECT_EQ(reused.orderBlocker, kSeqNone);
     EXPECT_FALSE(reused.mispredicted);
     EXPECT_FALSE(reused.hasMemRecord);
