@@ -13,7 +13,6 @@
 
 #include <iostream>
 
-#include "analysis/perf_report.hh"
 #include "cpu/assembler.hh"
 #include "cpu/core.hh"
 #include "harness/cli.hh"
@@ -74,17 +73,13 @@ main(int argc, char **argv)
               << result.cycles << " cycles for " << result.instructions
               << " instructions\n\n";
 
-    // 4. Distilled performance metrics...
-    std::cout << "Performance report:\n";
-    PerfReport::of(core, result).print(std::cout);
-
-    // 5. ...and the raw gem5-style statistics.
-    std::cout << "\nRaw counters:\n";
+    // 4. The raw gem5-style statistics.
+    std::cout << "Raw counters:\n";
     core.stats().dump(std::cout);
     core.hierarchy().l1d().stats().dump(std::cout);
     core.cleanup().stats().dump(std::cout);
 
-    // 6. The same kernel can be written as plain assembly text.
+    // 5. The same kernel can be written as plain assembly text.
     const Program assembled = Assembler::assemble(R"(
         .data vec 128
         .word vec 0  11

@@ -301,8 +301,6 @@ class _Parser:
             and w not in _KEYWORDS
             and w != "std"
         ]
-        # Smart pointers are transparent: unique_ptr<BranchPredictor>
-        # receivers dispatch on BranchPredictor (virtual-call rule).
         while len(cands) > 1 and cands[0] in (
             "unique_ptr", "shared_ptr", "weak_ptr",
         ):

@@ -98,13 +98,4 @@ printDensity(std::ostream &os, const DensityCurve &a,
        << label_a << "  *=" << label_b << "  #=overlap\n";
 }
 
-void
-printSeries(std::ostream &os, const std::string &title,
-            const std::vector<double> &xs, const std::vector<double> &ys)
-{
-    os << title << "\n";
-    for (std::size_t i = 0; i < xs.size() && i < ys.size(); ++i)
-        os << "  " << xs[i] << "\t" << ys[i] << "\n";
-}
-
 } // namespace unxpec

@@ -1,8 +1,8 @@
 /**
  * @file
  * Plain-text presentation helpers for the bench harnesses: aligned
- * tables, numeric series, and ASCII density sketches so each bench can
- * print the same rows/curves the paper's figures show.
+ * tables and ASCII density sketches so each bench can print the same
+ * rows/curves the paper's figures show.
  */
 
 #ifndef UNXPEC_ANALYSIS_TABLE_HH
@@ -38,11 +38,6 @@ class TextTable
 void printDensity(std::ostream &os, const DensityCurve &a,
                   const std::string &label_a, const DensityCurve &b,
                   const std::string &label_b, unsigned height = 12);
-
-/** Sparkline-ish series print: "x: value" rows. */
-void printSeries(std::ostream &os, const std::string &title,
-                 const std::vector<double> &xs,
-                 const std::vector<double> &ys);
 
 } // namespace unxpec
 

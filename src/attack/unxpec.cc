@@ -254,30 +254,6 @@ UnxpecAttack::leak(const std::vector<int> &secret_bits, double threshold,
     return result;
 }
 
-std::vector<std::uint8_t>
-UnxpecAttack::leakBytes(const std::vector<std::uint8_t> &secret,
-                        double threshold, unsigned samples_per_bit)
-{
-    std::vector<int> bits;
-    bits.reserve(secret.size() * 8);
-    for (const std::uint8_t byte : secret) {
-        for (int bit = 7; bit >= 0; --bit)
-            bits.push_back((byte >> bit) & 1);
-    }
-    const LeakResult result = leak(bits, threshold, samples_per_bit);
-
-    std::vector<std::uint8_t> received;
-    received.reserve(secret.size());
-    for (std::size_t i = 0; i < secret.size(); ++i) {
-        std::uint8_t byte = 0;
-        for (unsigned bit = 0; bit < 8; ++bit)
-            byte = static_cast<std::uint8_t>(
-                (byte << 1) | result.guesses[i * 8 + bit]);
-        received.push_back(byte);
-    }
-    return received;
-}
-
 double
 UnxpecAttack::cyclesPerSample() const
 {

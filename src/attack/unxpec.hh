@@ -142,11 +142,6 @@ class UnxpecAttack
     LeakResult leak(const std::vector<int> &secret_bits, double threshold,
                     unsigned samples_per_bit = 1);
 
-    /** Leak whole bytes (MSB first), `samples_per_bit` per bit. */
-    std::vector<std::uint8_t>
-    leakBytes(const std::vector<std::uint8_t> &secret, double threshold,
-              unsigned samples_per_bit = 1);
-
     /** Mean simulated cycles consumed per measurement (sample). */
     double cyclesPerSample() const;
 

@@ -119,7 +119,7 @@ CleanupEngine::rollback(MemoryHierarchy &hierarchy, const CleanupJob &job,
     // All rollback events are stamped at the squash cycle (the state
     // walk is modeled as atomic; only its *duration* is timed), so the
     // trace shows begin -> per-line work -> end as one tight group.
-    const bool tracing = kTraceEnabled && tracer_ != nullptr &&
+    const bool tracing = tracer_ != nullptr &&
                          tracer_->enabled(kTraceCatCleanup);
     if (tracing && !job.empty()) {
         tracer_->instantAt(squash, TraceKind::RollbackBegin, kSeqNone,

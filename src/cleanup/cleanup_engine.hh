@@ -80,13 +80,6 @@ class CleanupEngine
                             unsigned restores,
                             unsigned l2_restores = 0) const;
 
-    CleanupMode mode() const { return mode_; }
-    const CleanupTiming &timing() const { return timing_; }
-
-    /** Mutable timing (benches sweep constant-time values). */
-    CleanupTiming &timing() { return timing_; }
-    void setMode(CleanupMode mode) { mode_ = mode; }
-
     StatGroup &stats() { return stats_; }
 
     /** Cycles of cleanup stall charged by the most recent rollback. */
@@ -106,15 +99,14 @@ class CleanupEngine
     void setTracer(Tracer *tracer) { tracer_ = tracer; }
 
     /**
-     * Restore freshly-constructed state (Core::reset): mode and timing
-     * back to the configured values, statistics zeroed, logging off.
+     * Restore freshly-constructed state (Core::reset): statistics
+     * zeroed, logging off, tracer detached. Mode and timing are fixed
+     * at construction.
      */
     UNXPEC_TRANSITION("reset")
     void
-    reset(CleanupMode mode, const CleanupTiming &timing)
+    reset()
     {
-        mode_ = mode;
-        timing_ = timing;
         stats_.resetAll();
         lastStall_ = 0;
         logEnabled_ = false;
@@ -123,8 +115,8 @@ class CleanupEngine
     }
 
   private:
-    CleanupMode mode_;
-    CleanupTiming timing_;
+    const CleanupMode mode_;
+    const CleanupTiming timing_;
     Rng &rng_;
 
     StatGroup stats_;

@@ -38,43 +38,4 @@ BimodalPredictor::reset()
     std::fill(counters_.begin(), counters_.end(), 1);
 }
 
-GsharePredictor::GsharePredictor(unsigned table_bits, unsigned history_bits)
-    : tableBits_(table_bits),
-      historyBits_(history_bits),
-      counters_(1u << table_bits, 1)
-{
-}
-
-unsigned
-GsharePredictor::index(std::uint64_t pc) const
-{
-    const std::uint64_t mask = (1u << tableBits_) - 1;
-    const std::uint64_t hist = history_ & ((1u << historyBits_) - 1);
-    return static_cast<unsigned>((pc ^ hist) & mask);
-}
-
-bool
-GsharePredictor::predict(std::uint64_t pc)
-{
-    return counters_[index(pc)] >= 2;
-}
-
-void
-GsharePredictor::update(std::uint64_t pc, bool taken)
-{
-    std::uint8_t &counter = counters_[index(pc)];
-    if (taken)
-        counter = std::min<std::uint8_t>(3, counter + 1);
-    else
-        counter = counter > 0 ? counter - 1 : 0;
-    history_ = (history_ << 1) | (taken ? 1 : 0);
-}
-
-void
-GsharePredictor::reset()
-{
-    std::fill(counters_.begin(), counters_.end(), 1);
-    history_ = 0;
-}
-
 } // namespace unxpec

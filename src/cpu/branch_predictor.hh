@@ -1,10 +1,10 @@
 /**
  * @file
- * Direction predictors. The attack mistrains a branch by executing it
+ * Direction predictor. The attack mistrains a branch by executing it
  * repeatedly with in-bounds operands (Algorithm 1/2 POISON), so the
  * predictor must saturate toward the trained direction and keep
- * predicting it for the out-of-bounds round. A bimodal 2-bit table is
- * the default; gshare is provided as an alternative.
+ * predicting it for the out-of-bounds round. Per-PC 2-bit counters do
+ * exactly that.
  */
 
 #ifndef UNXPEC_CPU_BRANCH_PREDICTOR_HH
@@ -13,61 +13,27 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/stats.hh"
-#include "sim/types.hh"
-
 namespace unxpec {
 
-/** Abstract taken/not-taken direction predictor. */
-class BranchPredictor
-{
-  public:
-    virtual ~BranchPredictor() = default;
-
-    /** Predict the direction of the branch at `pc`. */
-    virtual bool predict(std::uint64_t pc) = 0;
-
-    /** Train with the resolved direction. */
-    virtual void update(std::uint64_t pc, bool taken) = 0;
-
-    /** Forget everything (fresh predictor). */
-    virtual void reset() = 0;
-};
-
 /** Per-PC 2-bit saturating counters. */
-class BimodalPredictor : public BranchPredictor
+class BimodalPredictor
 {
   public:
     explicit BimodalPredictor(unsigned table_bits = 12);
 
-    bool predict(std::uint64_t pc) override;
-    void update(std::uint64_t pc, bool taken) override;
-    void reset() override;
+    /** Predict the direction of the branch at `pc`. */
+    bool predict(std::uint64_t pc);
+
+    /** Train with the resolved direction. */
+    void update(std::uint64_t pc, bool taken);
+
+    /** Forget everything (fresh predictor). */
+    void reset();
 
   private:
     unsigned index(std::uint64_t pc) const;
 
     unsigned tableBits_;
-    std::vector<std::uint8_t> counters_;
-};
-
-/** gshare: global history XOR pc indexes the counter table. */
-class GsharePredictor : public BranchPredictor
-{
-  public:
-    explicit GsharePredictor(unsigned table_bits = 12,
-                             unsigned history_bits = 8);
-
-    bool predict(std::uint64_t pc) override;
-    void update(std::uint64_t pc, bool taken) override;
-    void reset() override;
-
-  private:
-    unsigned index(std::uint64_t pc) const;
-
-    unsigned tableBits_;
-    unsigned historyBits_;
-    std::uint64_t history_ = 0;
     std::vector<std::uint8_t> counters_;
 };
 

@@ -12,12 +12,6 @@ Core::Core(const SystemConfig &cfg, MemoryHierarchy *shared)
     : cfg_((cfg.validate(), cfg)),
       rng_(cfg.seed),
       hier_(cfg, rng_, shared),
-      predictor_(cfg.core.predictor == PredictorKind::Gshare
-                     ? std::unique_ptr<BranchPredictor>(
-                           // lint-ok(steady-alloc): one-time ctor
-                           std::make_unique<GsharePredictor>())
-                     // lint-ok(steady-alloc): one-time ctor
-                     : std::make_unique<BimodalPredictor>()),
       cleanup_(cfg.cleanupMode, cfg.cleanupTiming, rng_),
       lsq_(cfg.core.lsqEntries),
       stats_("cpu"),
@@ -49,8 +43,8 @@ Core::reset(std::uint64_t seed)
     cfg_.seed = seed;
     rng_.seed(seed);
     hier_.reseed(seed);
-    predictor_->reset();
-    cleanup_.reset(cfg_.cleanupMode, cfg_.cleanupTiming);
+    predictor_.reset();
+    cleanup_.reset();
     stats_.resetAll();
 
     program_ = nullptr;
@@ -68,7 +62,6 @@ Core::reset(std::uint64_t seed)
     nextSeq_ = 0;
     committed_ = 0;
     now_ = 0;
-    runActive_ = false;
     runStart_ = 0;
 
     interruptProb_ = 0.0;
@@ -134,7 +127,7 @@ Core::runBegin(const Program &program, const RunOptions &options)
     runOptions_ = options;
     if (options.resetMicroarch) {
         hier_.resetCaches();
-        predictor_->reset();
+        predictor_.reset();
     }
     if (options.loadData)
         program.loadInitialData(hier_.mem());
@@ -161,7 +154,6 @@ Core::runBegin(const Program &program, const RunOptions &options)
         : options.maxCycles;
     runBudgetBinding_ = budgetSet_ && budgetRemaining_ <
         options.maxCycles;
-    runActive_ = true;
 }
 
 bool
@@ -193,7 +185,7 @@ Core::runStep()
     }
     ++now_;
     ++simTicks_;
-    if (kTraceEnabled && eventTrace_ != nullptr)
+    if (eventTrace_ != nullptr)
         eventTrace_->setNow(now_);
 
     // External noise: other honest programs occasionally steal the
@@ -251,7 +243,6 @@ Core::runFinish()
     if (budgetSet_)
         budgetRemaining_ -= std::min(budgetRemaining_, runResult_.cycles);
     program_ = nullptr;
-    runActive_ = false;
     return runResult_;
 }
 
@@ -319,7 +310,7 @@ Core::skipIdle()
     simTicks_ += last - now_;
     skippedCycles_ += last - now_;
     now_ = last;
-    if (kTraceEnabled && eventTrace_ != nullptr)
+    if (eventTrace_ != nullptr)
         eventTrace_->setNow(now_);
 }
 
@@ -329,7 +320,7 @@ Core::advanceTo(Cycle cycle)
     if (cycle <= now_)
         return;
     now_ = cycle;
-    if (kTraceEnabled && eventTrace_ != nullptr)
+    if (eventTrace_ != nullptr)
         eventTrace_->setNow(now_);
 }
 
@@ -557,12 +548,11 @@ Core::resolveBranch(RobEntry &branch)
     branch.actualNextPc = branch.resolvedTaken
         ? static_cast<std::size_t>(branch.inst.target)
         : branch.pc + 1;
-    predictor_->update(branch.pc, branch.resolvedTaken);
+    predictor_.update(branch.pc, branch.resolvedTaken);
 
     const bool mispredicted =
         branch.resolvedTaken != branch.predictedTaken;
-    if (kTraceEnabled && eventTrace_ != nullptr &&
-        eventTrace_->enabled(kTraceCatBranch)) {
+    if (eventTrace_ != nullptr && eventTrace_->enabled(kTraceCatBranch)) {
         std::uint16_t flags = 0;
         if (branch.resolvedTaken)
             flags |= kTraceFlagTaken;
@@ -801,15 +791,14 @@ Core::tickFetch(const Program &program)
         fetched_inst.pc = fetchPC_;
         fetched_inst.availCycle = avail;
 
-        if (kTraceEnabled && eventTrace_ != nullptr &&
-            eventTrace_->enabled(kTraceCatCpu)) {
+        if (eventTrace_ != nullptr && eventTrace_->enabled(kTraceCatCpu)) {
             eventTrace_->instant(TraceKind::Fetch, kSeqNone, kAddrInvalid,
                                  fetched_inst.pc);
         }
 
         if (isCondBranch(inst.op)) {
             fetched_inst.predictedTaken =
-                predictor_->predict(fetchPC_);
+                predictor_.predict(fetchPC_);
             fetchPC_ = fetched_inst.predictedTaken
                 ? static_cast<std::size_t>(inst.target) : fetchPC_ + 1;
         } else if (inst.op == Opcode::JMP) {

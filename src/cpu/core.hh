@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cleanup/cleanup_engine.hh"
@@ -105,8 +104,6 @@ class Core
     void runBegin(const Program &program, const RunOptions &options = {});
     bool runStep();
     RunResult runFinish();
-    /** True between runBegin() and runFinish(). */
-    bool runActive() const { return runActive_; }
 
     /**
      * Clock sync for multi-core scheduling (Machine::syncClocks):
@@ -127,7 +124,7 @@ class Core
     void reset(std::uint64_t seed);
 
     MemoryHierarchy &hierarchy() { return hier_; }
-    BranchPredictor &predictor() { return *predictor_; }
+    BimodalPredictor &predictor() { return predictor_; }
     CleanupEngine &cleanup() { return cleanup_; }
     MainMemory &mem() { return hier_.mem(); }
     Rng &rng() { return rng_; }
@@ -179,7 +176,6 @@ class Core
      * outlive the core or be detached first; Core::reset detaches.
      */
     void setEventTrace(Tracer *tracer);
-    Tracer *eventTrace() const { return eventTrace_; }
 
     /**
      * Whole-machine invariant audit (sim/audit.hh): ROB slot sets vs
@@ -246,7 +242,7 @@ class Core
     SystemConfig cfg_;
     Rng rng_;
     MemoryHierarchy hier_;
-    std::unique_ptr<BranchPredictor> predictor_;
+    BimodalPredictor predictor_;
     CleanupEngine cleanup_;
     LoadStoreQueue lsq_;
 
@@ -298,7 +294,6 @@ class Core
     Cycle runStart_ = 0;
     std::uint64_t runMaxCycles_ = 0;
     bool runBudgetBinding_ = false;
-    bool runActive_ = false;
 
     // Squash scratch (reused per misprediction; capacity persists
     // after warm-up so the squash path stays allocation-free).

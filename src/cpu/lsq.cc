@@ -12,11 +12,9 @@ namespace {
 inline void
 traceGate(const ReorderBuffer &rob, TraceKind kind, SeqNum seq, Addr addr)
 {
-    if (kTraceEnabled) {
-        if (Tracer *tracer = rob.tracer();
-            tracer != nullptr && tracer->enabled(kTraceCatCpu)) {
-            tracer->instant(kind, seq, lineAlign(addr));
-        }
+    if (Tracer *tracer = rob.tracer();
+        tracer != nullptr && tracer->enabled(kTraceCatCpu)) {
+        tracer->instant(kind, seq, lineAlign(addr));
     }
 }
 

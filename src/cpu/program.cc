@@ -42,12 +42,6 @@ ProgramBuilder::alloc(std::size_t bytes, std::size_t align)
 }
 
 void
-ProgramBuilder::initBytes(Addr addr, const std::vector<std::uint8_t> &bytes)
-{
-    inits_.push_back({addr, bytes});
-}
-
-void
 ProgramBuilder::initByte(Addr addr, std::uint8_t value)
 {
     inits_.push_back({addr, {value}});

@@ -68,8 +68,7 @@ class ProgramBuilder
     /** Allocate `bytes` of data, line-aligned by default. */
     Addr alloc(std::size_t bytes, std::size_t align = kLineBytes);
 
-    /** Set initial bytes at an address. */
-    void initBytes(Addr addr, const std::vector<std::uint8_t> &bytes);
+    /** Set initial data at an address. */
     void initByte(Addr addr, std::uint8_t value);
     void initWord64(Addr addr, std::uint64_t value);
 

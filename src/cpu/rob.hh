@@ -698,8 +698,7 @@ class ReorderBuffer
     void
     traceLifecycle(TraceKind kind, const RobEntry &entry) const
     {
-        if (kTraceEnabled && tracer_ != nullptr &&
-            tracer_->enabled(kTraceCatCpu)) {
+        if (tracer_ != nullptr && tracer_->enabled(kTraceCatCpu)) {
             tracer_->instant(kind, entry.seq, kAddrInvalid, entry.pc);
         }
     }

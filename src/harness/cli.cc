@@ -225,9 +225,6 @@ HarnessCli::parse(int argc, char **argv) const
             options.csvPath = value();
         } else if (arg == "--trace") {
             options.tracePath = value();
-            if (!kTraceEnabled)
-                warn("--trace: this binary was built with "
-                     "UNXPEC_TRACE=OFF; no events will be recorded");
         } else if (arg == "--trace-categories") {
             options.traceCategories = parseTraceCategories(value());
         } else if (arg == "--trace-split") {

@@ -94,8 +94,6 @@ TrialRunner::run(const std::vector<ExperimentSpec> &specs, unsigned reps,
             }
         }
         resumed = std::move(manifest.entries);
-        inform("resume: ", resumed.size(), "/", jobs,
-               " trials restored from ", campaign_.resumePath);
     }
 
     std::vector<std::vector<TrialOutput>> outputs(specs.size());
@@ -128,7 +126,7 @@ TrialRunner::run(const std::vector<ExperimentSpec> &specs, unsigned reps,
     // With tracing on, every trial owns a private Tracer (indexed by
     // job, so results stay thread-count independent); the files are
     // written serially after the pool drains.
-    const bool tracing = kTraceEnabled && !trace_.path.empty();
+    const bool tracing = !trace_.path.empty();
     std::vector<std::unique_ptr<Tracer>> tracers;
     if (tracing) {
         tracers.resize(jobs);

@@ -43,12 +43,6 @@ Machine::Machine(const SystemConfig &cfg) : cfg_((cfg.validate(), cfg))
 }
 
 RunResult
-Machine::run(const Program &program, const RunOptions &options)
-{
-    return runOn(0, program, options);
-}
-
-RunResult
 Machine::runOn(unsigned index, const Program &program,
                const RunOptions &options)
 {
@@ -57,12 +51,19 @@ Machine::runOn(unsigned index, const Program &program,
     return cores_[index]->run(program, options);
 }
 
-void
-Machine::syncClocks()
+Cycle
+Machine::latestClock() const
 {
     Cycle latest = 0;
     for (const auto &core : cores_)
         latest = std::max(latest, core->now());
+    return latest;
+}
+
+void
+Machine::syncClocks()
+{
+    const Cycle latest = latestClock();
     for (auto &core : cores_)
         core->advanceTo(latest);
 }
@@ -110,12 +111,8 @@ Machine::auditInvariants() const
 {
     for (const auto &core : cores_)
         core->auditInvariants();
-    if (engine_ != nullptr) {
-        Cycle latest = 0;
-        for (const auto &core : cores_)
-            latest = std::max(latest, core->now());
-        engine_->auditInvariants(latest);
-    }
+    if (engine_ != nullptr)
+        engine_->auditInvariants(latestClock());
 }
 
 } // namespace unxpec

@@ -56,18 +56,12 @@ class Machine
     /** The coherence engine; nullptr on a single-core machine. */
     CoherenceEngine *coherence() { return engine_.get(); }
 
-    /** Run a program on the primary core (single-core compat path). */
-    RunResult run(const Program &program, const RunOptions &options = {});
-
     /**
      * Run a program on one specific core. Clocks are synchronized
      * first so the core observes every older remote fill as landed.
      */
     RunResult runOn(unsigned index, const Program &program,
                     const RunOptions &options = {});
-
-    /** Lift every core's clock to the machine-wide maximum. */
-    void syncClocks();
 
     /**
      * Machine-wide reset: bit-identical to constructing
@@ -96,6 +90,12 @@ class Machine
   private:
     /** Seed for core `index` under machine seed `seed`. */
     static std::uint64_t coreSeed(std::uint64_t seed, unsigned index);
+
+    /** The machine-wide maximum of the cores' clocks. */
+    Cycle latestClock() const;
+
+    /** Lift every core's clock to latestClock(). */
+    void syncClocks();
 
     SystemConfig cfg_;
     std::unique_ptr<CoherenceEngine> engine_;

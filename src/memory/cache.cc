@@ -89,8 +89,7 @@ Cache::install(Addr line_addr, Cycle fill_cycle, bool speculative,
         result.victimDirty = victim.dirty;
         result.victimSpeculative = victim.speculative;
         ++evictions_;
-        if (kTraceEnabled && tracer_ != nullptr &&
-            tracer_->enabled(kTraceCatCache)) {
+        if (tracer_ != nullptr && tracer_->enabled(kTraceCatCache)) {
             tracer_->instant(
                 TraceKind::CacheEvict, installer, result.victimLine, 0,
                 traceLevel_,
@@ -111,8 +110,7 @@ Cache::install(Addr line_addr, Cycle fill_cycle, bool speculative,
     tags[chosen] = tagKey(line_addr);
     repl_.fill(row, chosen);
 
-    if (kTraceEnabled && tracer_ != nullptr &&
-        tracer_->enabled(kTraceCatCache)) {
+    if (tracer_ != nullptr && tracer_->enabled(kTraceCatCache)) {
         // Span from the request (the tracer's current cycle) to the
         // fill's landing; a backdated fill renders as an instant.
         const Cycle start = std::min(tracer_->now(), fill_cycle);
@@ -145,8 +143,7 @@ Cache::installAt(unsigned set, unsigned way, Addr line_addr, bool dirty,
     coh::onRestore(slot, dirty);
     tags_[idx] = tagKey(line_addr);
     repl_.fill(row, way);
-    if (kTraceEnabled && tracer_ != nullptr &&
-        tracer_->enabled(kTraceCatCache)) {
+    if (tracer_ != nullptr && tracer_->enabled(kTraceCatCache)) {
         tracer_->instantAt(fill_cycle, TraceKind::CacheRestore, kSeqNone,
                            line_addr, 0, traceLevel_,
                            dirty
@@ -165,8 +162,7 @@ Cache::invalidate(Addr line_addr)
     lines_[base + static_cast<unsigned>(way)].reset();
     tags_[base + static_cast<unsigned>(way)] = kEmptyTag;
     ++invalidations_;
-    if (kTraceEnabled && tracer_ != nullptr &&
-        tracer_->enabled(kTraceCatCache)) {
+    if (tracer_ != nullptr && tracer_->enabled(kTraceCatCache)) {
         tracer_->instant(TraceKind::CacheInvalidate, kSeqNone, line_addr,
                          0, traceLevel_);
     }
@@ -184,8 +180,7 @@ Cache::invalidateAt(unsigned set, unsigned way, Addr line_addr)
         candidate.reset();
         tags_[idx] = kEmptyTag;
         ++invalidations_;
-        if (kTraceEnabled && tracer_ != nullptr &&
-            tracer_->enabled(kTraceCatCache)) {
+        if (tracer_ != nullptr && tracer_->enabled(kTraceCatCache)) {
             tracer_->instant(TraceKind::CacheInvalidate, kSeqNone,
                              line_addr, 0, traceLevel_);
         }

@@ -20,8 +20,7 @@ inline void
 traceCoh(Tracer *tracer, TraceKind kind, Cycle now, Addr line,
          unsigned owner)
 {
-    if (!(kTraceEnabled && tracer != nullptr &&
-          tracer->enabled(kTraceCatCoherence))) {
+    if (!(tracer != nullptr && tracer->enabled(kTraceCatCoherence))) {
         return;
     }
     tracer->instantAt(now, kind, kSeqNone, line, owner,

@@ -19,8 +19,7 @@ inline void
 traceAccess(Tracer *tracer, TraceKind kind, std::uint8_t level,
             const MemAccessRecord &record, Cycle now)
 {
-    if (!(kTraceEnabled && tracer != nullptr &&
-          tracer->enabled(kTraceCatCache))) {
+    if (!(tracer != nullptr && tracer->enabled(kTraceCatCache))) {
         return;
     }
     std::uint16_t flags = 0;
@@ -484,8 +483,7 @@ MemoryHierarchy::fetchMiss(Addr line, Cycle now)
     l1i_.install(line, ready, false, kSeqNone);
     // Only misses are traced on the I-side: steady-state hits would
     // flood the ring at one event per fetched instruction.
-    if (kTraceEnabled && tracer_ != nullptr &&
-        tracer_->enabled(kTraceCatCache)) {
+    if (tracer_ != nullptr && tracer_->enabled(kTraceCatCache)) {
         tracer_->span(TraceKind::CacheMiss, now, ready - now, kSeqNone,
                       line, 0, kTraceL1I);
     }
@@ -616,7 +614,7 @@ MemoryHierarchy::reseed(std::uint64_t seed)
 {
     cfg_.seed = seed;
     if (ownsShared())
-        mem_.reset(cfg_.memory);
+        mem_.reset();
     // Same key-derivation as the constructor so reseed(s) is
     // indistinguishable from construction with cfg.seed == s.
     l1i_.reseed(seed * 0x9e37u + 1);

@@ -274,7 +274,6 @@ class MemoryHierarchy
     void setCoherence(CoherenceEngine *engine, unsigned core_id);
 
     CoherenceEngine *coherence() { return coh_; }
-    unsigned coreId() const { return coreId_; }
     /** True when this hierarchy's own L2/memory are in use. */
     bool ownsShared() const { return l2_.has_value(); }
 

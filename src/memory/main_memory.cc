@@ -113,9 +113,8 @@ MainMemory::accessLatency()
 }
 
 void
-MainMemory::reset(const MemoryConfig &cfg)
+MainMemory::reset()
 {
-    cfg_ = cfg;
     // Walk the deterministic allocation-order list, not the hash map:
     // the zeroing itself is order-insensitive, but keeping every
     // container walk deterministic is what lets scripts/speccheck forbid

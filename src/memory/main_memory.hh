@@ -47,12 +47,6 @@ class MainMemory
     /** One DRAM access latency in cycles (jitter applied if enabled). */
     Cycle accessLatency();
 
-    /** Adjust the base latency at run time (models DVFS/thermal drift
-     *  shifting the cycles-per-DRAM-access ratio between rounds). */
-    void setAccessLatency(unsigned cycles) { cfg_.accessLatency = cycles; }
-
-    const MemoryConfig &config() const { return cfg_; }
-
     /** Drop all contents (fresh address space). */
     void
     clear()
@@ -63,13 +57,12 @@ class MainMemory
     }
 
     /**
-     * Restore freshly-constructed state without deallocating: reinstate
-     * the given config (undoing setAccessLatency) and zero every
-     * allocated page in place — functionally identical to clear(),
-     * since absent pages read as zero, but allocation-free on reuse
-     * (Core::reset).
+     * Restore freshly-constructed state without deallocating: zero
+     * every allocated page in place — functionally identical to
+     * clear(), since absent pages read as zero, but allocation-free on
+     * reuse (Core::reset).
      */
-    void reset(const MemoryConfig &cfg);
+    void reset();
 
   private:
     static constexpr unsigned kPageBytes = 4096;
@@ -87,7 +80,7 @@ class MainMemory
         cachedPage_ = nullptr;
     }
 
-    MemoryConfig cfg_;
+    const MemoryConfig cfg_;
     Rng &rng_;
     std::unordered_map<Addr, Page> pages_;
     /**

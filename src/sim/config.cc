@@ -195,58 +195,4 @@ SystemConfig::print(std::ostream &os) const
     row("Cleanup mode", toString(cleanupMode));
 }
 
-namespace {
-
-bool
-sameCache(const CacheConfig &a, const CacheConfig &b)
-{
-    return a.name == b.name && a.sizeBytes == b.sizeBytes &&
-           a.ways == b.ways && a.hitLatency == b.hitLatency &&
-           a.mshrs == b.mshrs && a.repl == b.repl && a.index == b.index &&
-           a.nomoReservedWays == b.nomoReservedWays;
-}
-
-bool
-sameCore(const CoreConfig &a, const CoreConfig &b)
-{
-    return a.predictor == b.predictor && a.fetchWidth == b.fetchWidth &&
-           a.issueWidth == b.issueWidth && a.commitWidth == b.commitWidth &&
-           a.robEntries == b.robEntries && a.lsqEntries == b.lsqEntries &&
-           a.intAluLatency == b.intAluLatency &&
-           a.mulLatency == b.mulLatency &&
-           a.mulPipelined == b.mulPipelined &&
-           a.branchRedirectPenalty == b.branchRedirectPenalty &&
-           a.clflushLatency == b.clflushLatency &&
-           a.decodeDepth == b.decodeDepth;
-}
-
-bool
-sameTiming(const CleanupTiming &a, const CleanupTiming &b)
-{
-    return a.mshrCleanCost == b.mshrCleanCost &&
-           a.invFirstL1 == b.invFirstL1 && a.invNextL1 == b.invNextL1 &&
-           a.invFirstL2 == b.invFirstL2 && a.invNextL2 == b.invNextL2 &&
-           a.restoreFirst == b.restoreFirst &&
-           a.restoreNext == b.restoreNext &&
-           a.restoreL2First == b.restoreL2First &&
-           a.restoreL2Next == b.restoreL2Next &&
-           a.constantTimeCycles == b.constantTimeCycles &&
-           a.fuzzyMaxCycles == b.fuzzyMaxCycles;
-}
-
-} // namespace
-
-bool
-equalIgnoringSeed(const SystemConfig &a, const SystemConfig &b)
-{
-    return a.clockGHz == b.clockGHz && sameCore(a.core, b.core) &&
-           sameCache(a.l1i, b.l1i) && sameCache(a.l1d, b.l1d) &&
-           sameCache(a.l2, b.l2) &&
-           a.memory.accessLatency == b.memory.accessLatency &&
-           a.memory.jitterSigma == b.memory.jitterSigma &&
-           a.cleanupMode == b.cleanupMode &&
-           sameTiming(a.cleanupTiming, b.cleanupTiming) &&
-           a.numCores == b.numCores;
-}
-
 } // namespace unxpec

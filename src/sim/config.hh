@@ -84,6 +84,8 @@ struct CacheConfig
     unsigned nomoReservedWays = 0;
 
     unsigned numSets() const { return sizeBytes / (ways * kLineBytes); }
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /**
@@ -116,19 +118,13 @@ struct CleanupTiming
     /** Dummy-cleanup mitigation (paper §VII future work): add a random
      *  stall uniform in [0, fuzzyMaxCycles] to every squash. */
     unsigned fuzzyMaxCycles = 0;
-};
 
-/** Branch-direction predictor flavor. */
-enum class PredictorKind
-{
-    Bimodal, //!< per-PC 2-bit counters (default)
-    Gshare,  //!< global-history XOR PC
+    bool operator==(const CleanupTiming &) const = default;
 };
 
 /** Core pipeline and memory latency parameters. */
 struct CoreConfig
 {
-    PredictorKind predictor = PredictorKind::Bimodal;
     unsigned fetchWidth = 4;
     unsigned issueWidth = 4;
     unsigned commitWidth = 4;
@@ -149,6 +145,8 @@ struct CoreConfig
     unsigned branchRedirectPenalty = 3; //!< fetch bubble after squash
     unsigned clflushLatency = 30;       //!< core-visible clflush cost
     unsigned decodeDepth = 3;           //!< fetch-to-dispatch stages
+
+    bool operator==(const CoreConfig &) const = default;
 };
 
 /** Main-memory (DRAM) model parameters. */
@@ -156,6 +154,8 @@ struct MemoryConfig
 {
     unsigned accessLatency = 100; //!< 50 ns at 2 GHz (Table I)
     double jitterSigma = 0.0;     //!< gaussian latency jitter (cycles)
+
+    bool operator==(const MemoryConfig &) const = default;
 };
 
 /** Complete system configuration (Table I defaults). */
@@ -211,16 +211,25 @@ struct SystemConfig
 
     /** Sanity-check the configuration; fatal() on user errors. */
     void validate() const;
+
+    /** Field-wise equality, seed included. */
+    bool operator==(const SystemConfig &) const = default;
 };
 
 /**
- * Field-wise equality of two system configurations ignoring `seed`.
- * The per-thread Core pool uses this to decide whether a cached Core
- * can be reused via Core::reset (only the seed differs between trials
- * of one spec) or must be rebuilt (a spec tweak produced a genuinely
- * different machine).
+ * Equality of two system configurations ignoring `seed`. A Machine is
+ * a pure function of (config, seed), so the per-thread Machine pool
+ * uses this to decide whether a cached Machine can be reused via
+ * Machine::reset (only the seed differs between trials of one spec) or
+ * must be rebuilt (a spec tweak produced a genuinely different
+ * machine).
  */
-bool equalIgnoringSeed(const SystemConfig &a, const SystemConfig &b);
+inline bool
+equalIgnoringSeed(const SystemConfig &a, SystemConfig b)
+{
+    b.seed = a.seed;
+    return a == b;
+}
 
 } // namespace unxpec
 

@@ -21,12 +21,9 @@ fatalImpl(const std::string &msg)
 }
 
 void
-emit(LogLevel level, const char *tag, const std::string &msg)
+warnImpl(const std::string &msg)
 {
-    // Callers guard on logEnabled() before formatting; re-check here so
-    // direct emit() calls still honour the threshold.
-    if (logEnabled(level))
-        std::cerr << tag << ": " << msg << "\n";
+    std::cerr << "warn: " << msg << "\n";
 }
 
 } // namespace detail

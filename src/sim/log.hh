@@ -1,8 +1,9 @@
 /**
  * @file
- * gem5-style status reporting: panic/fatal for errors, warn/inform for
- * status. panic() flags simulator bugs (aborts); fatal() flags user
- * errors such as bad configuration (exits cleanly with an error code).
+ * gem5-style status reporting: panic/fatal for errors, warn for
+ * suspect conditions. panic() flags simulator bugs (aborts); fatal()
+ * flags user errors such as bad configuration (exits cleanly with an
+ * error code); warn() prints and carries on.
  */
 
 #ifndef UNXPEC_SIM_LOG_HH
@@ -13,31 +14,10 @@
 
 namespace unxpec {
 
-/** Verbosity levels for status messages. */
-enum class LogLevel { Quiet, Warn, Inform, Debug };
-
-namespace detail {
-/** Global verbosity threshold; inline so the level check is a single
- *  load + compare at every (hot-path) call site. */
-inline LogLevel g_logLevel = LogLevel::Warn;
-} // namespace detail
-
-/** Global verbosity threshold (default: Warn). */
-inline void setLogLevel(LogLevel level) { detail::g_logLevel = level; }
-inline LogLevel logLevel() { return detail::g_logLevel; }
-
-/** True when messages at `level` pass the current threshold. */
-inline bool
-logEnabled(LogLevel level)
-{
-    return static_cast<int>(level) <=
-           static_cast<int>(detail::g_logLevel);
-}
-
 namespace detail {
 [[noreturn]] void panicImpl(const std::string &msg);
 [[noreturn]] void fatalImpl(const std::string &msg);
-void emit(LogLevel level, const char *tag, const std::string &msg);
+void warnImpl(const std::string &msg);
 
 template <typename... Args>
 std::string
@@ -65,38 +45,12 @@ fatal(Args &&...args)
     detail::fatalImpl(detail::format(std::forward<Args>(args)...));
 }
 
-// The level is checked *before* the message is formatted: a filtered
-// warn/inform/debugLog costs one load + branch, never an ostringstream.
-// (tests/log_test.cc pins this down.)
-
 /** Warn about suspect but survivable conditions. */
 template <typename... Args>
 void
 warn(Args &&...args)
 {
-    if (logEnabled(LogLevel::Warn))
-        detail::emit(LogLevel::Warn, "warn",
-                     detail::format(std::forward<Args>(args)...));
-}
-
-/** Informational status message. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    if (logEnabled(LogLevel::Inform))
-        detail::emit(LogLevel::Inform, "info",
-                     detail::format(std::forward<Args>(args)...));
-}
-
-/** High-volume debug message. */
-template <typename... Args>
-void
-debugLog(Args &&...args)
-{
-    if (logEnabled(LogLevel::Debug))
-        detail::emit(LogLevel::Debug, "debug",
-                     detail::format(std::forward<Args>(args)...));
+    detail::warnImpl(detail::format(std::forward<Args>(args)...));
 }
 
 } // namespace unxpec

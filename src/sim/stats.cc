@@ -1,47 +1,8 @@
 #include "sim/stats.hh"
 
-#include <algorithm>
-#include <cmath>
 #include <iomanip>
 
 namespace unxpec {
-
-void
-Distribution::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    ++count_;
-    const double delta = v - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (v - mean_);
-    if (keepSamples_)
-        samples_.push_back(v);
-}
-
-void
-Distribution::reset()
-{
-    count_ = 0;
-    mean_ = m2_ = min_ = max_ = 0.0;
-    samples_.clear();
-}
-
-double
-Distribution::variance() const
-{
-    return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double
-Distribution::stddev() const
-{
-    return std::sqrt(variance());
-}
 
 std::string
 StatGroup::fullName(const std::string &name) const
@@ -60,19 +21,6 @@ StatGroup::counter(const std::string &name, const std::string &desc)
     return it->second;
 }
 
-Distribution &
-StatGroup::distribution(const std::string &name, const std::string &desc,
-                        bool keep_samples)
-{
-    const std::string full = fullName(name);
-    auto it = distributions_.find(full);
-    if (it == distributions_.end()) {
-        it = distributions_.emplace(
-            full, Distribution(full, desc, keep_samples)).first;
-    }
-    return it->second;
-}
-
 const Counter *
 StatGroup::findCounter(const std::string &name) const
 {
@@ -85,8 +33,6 @@ StatGroup::resetAll()
 {
     for (auto &[name, counter] : counters_)
         counter.reset();
-    for (auto &[name, dist] : distributions_)
-        dist.reset();
 }
 
 void
@@ -98,17 +44,6 @@ StatGroup::dump(std::ostream &os) const
         if (!counter.desc().empty())
             os << " # " << counter.desc();
         os << "\n";
-    }
-    for (const auto &[name, dist] : distributions_) {
-        os << std::left << std::setw(52) << (name + "::mean") << " "
-           << std::setw(16) << dist.mean();
-        if (!dist.desc().empty())
-            os << " # " << dist.desc();
-        os << "\n";
-        os << std::left << std::setw(52) << (name + "::stdev") << " "
-           << std::setw(16) << dist.stddev() << "\n";
-        os << std::left << std::setw(52) << (name + "::samples") << " "
-           << std::setw(16) << dist.count() << "\n";
     }
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Lightweight statistics package, loosely modeled on gem5's Stats.
  *
- * Modules register named counters and distributions in a StatGroup; the
+ * Modules register named counters in a StatGroup; the
  * group can be dumped in a gem5-flavoured `name value # desc` format,
  * which is what the paper's artifact post-processes (sim_ticks,
  * startCycles, extraCleanupSquashTimeCyclesXX and friends).
@@ -15,7 +15,6 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace unxpec {
 
@@ -44,48 +43,8 @@ class Counter
 };
 
 /**
- * Streaming distribution: tracks count/min/max/mean/variance (Welford)
- * plus the raw samples when sample retention is enabled (used by the
- * analysis layer for KDE and percentiles).
- */
-class Distribution
-{
-  public:
-    Distribution() = default;
-    Distribution(std::string name, std::string desc, bool keep_samples = false)
-        : name_(std::move(name)), desc_(std::move(desc)),
-          keepSamples_(keep_samples) {}
-
-    void sample(double v);
-    void reset();
-
-    std::uint64_t count() const { return count_; }
-    double mean() const { return count_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-    const std::vector<double> &samples() const { return samples_; }
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-
-  private:
-    std::string name_;
-    std::string desc_;
-    bool keepSamples_ = false;
-
-    std::uint64_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    std::vector<double> samples_;
-};
-
-/**
- * A registry of counters and distributions with hierarchical dotted
- * names, dumpable in gem5 stats format.
+ * A registry of counters with hierarchical dotted names, dumpable in
+ * gem5 stats format.
  */
 class StatGroup
 {
@@ -94,11 +53,6 @@ class StatGroup
 
     /** Create (or fetch) a counter under this group's prefix. */
     Counter &counter(const std::string &name, const std::string &desc = "");
-
-    /** Create (or fetch) a distribution under this group's prefix. */
-    Distribution &distribution(const std::string &name,
-                               const std::string &desc = "",
-                               bool keep_samples = false);
 
     /** Look up an existing counter; nullptr when absent. */
     const Counter *findCounter(const std::string &name) const;
@@ -114,7 +68,6 @@ class StatGroup
 
     std::string prefix_;
     std::map<std::string, Counter> counters_;
-    std::map<std::string, Distribution> distributions_;
 };
 
 } // namespace unxpec

@@ -18,12 +18,11 @@
  * Cost model: tracing is a pointer that is null by default. Every
  * instrumentation site guards with
  *
- *     if (kTraceEnabled && tracer != nullptr && tracer->enabled(cat))
+ *     if (tracer != nullptr && tracer->enabled(cat))
  *
- * so a build with UNXPEC_TRACE_ENABLED=0 removes the sites entirely
- * (kTraceEnabled is a constexpr false), and the default build pays one
- * load + branch per site while no tracer is installed. A runtime
- * category mask narrows recording further once a tracer is attached.
+ * so a run pays one load + branch per site while no tracer is
+ * installed. The category mask a tracer is built with narrows
+ * recording further once it is attached.
  */
 
 #ifndef UNXPEC_SIM_TRACE_HH
@@ -36,14 +35,7 @@
 
 #include "sim/types.hh"
 
-#ifndef UNXPEC_TRACE_ENABLED
-#define UNXPEC_TRACE_ENABLED 1
-#endif
-
 namespace unxpec {
-
-/** Compile-time switch: false compiles every trace site away. */
-inline constexpr bool kTraceEnabled = UNXPEC_TRACE_ENABLED != 0;
 
 /** Runtime category bits (combine with |). */
 enum TraceCategory : std::uint32_t
@@ -158,8 +150,6 @@ class Tracer
 
     /** Does the mask admit this category? The hot-path gate. */
     bool enabled(TraceCategory cat) const { return (mask_ & cat) != 0; }
-    std::uint32_t mask() const { return mask_; }
-    void setMask(std::uint32_t mask) { mask_ = mask; }
 
     /**
      * Current cycle, maintained by the owning Core once per tick so
@@ -209,7 +199,7 @@ class Tracer
     void clear();
 
   private:
-    std::uint32_t mask_;
+    const std::uint32_t mask_;
     Cycle now_ = 0;
     std::vector<TraceEvent> ring_;
     std::size_t head_ = 0;  //!< next write slot

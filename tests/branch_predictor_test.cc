@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the direction predictors, including the mistraining
+ * Unit tests for the direction predictor, including the mistraining
  * behaviour the attack depends on.
  */
 
@@ -57,42 +57,6 @@ TEST(BimodalTest, ResetForgets)
         bp.update(0x10, true);
     bp.reset();
     EXPECT_FALSE(bp.predict(0x10));
-}
-
-TEST(GshareTest, LearnsBiasedBranch)
-{
-    GsharePredictor gp;
-    for (int i = 0; i < 64; ++i)
-        gp.update(0x20, true);
-    EXPECT_TRUE(gp.predict(0x20));
-}
-
-TEST(GshareTest, HistoryAffectsIndex)
-{
-    GsharePredictor gp(12, 8);
-    // Alternate pattern on one PC: global history lets gshare separate
-    // the two contexts where bimodal would stay confused.
-    for (int i = 0; i < 200; ++i)
-        gp.update(0x30, i % 2 == 0);
-    // After training, following an even-history update the prediction
-    // should track the learned alternation more often than chance.
-    int correct = 0;
-    for (int i = 0; i < 100; ++i) {
-        const bool actual = i % 2 == 0;
-        if (gp.predict(0x30) == actual)
-            ++correct;
-        gp.update(0x30, actual);
-    }
-    EXPECT_GT(correct, 60);
-}
-
-TEST(GshareTest, ResetClearsHistoryAndTables)
-{
-    GsharePredictor gp;
-    for (int i = 0; i < 16; ++i)
-        gp.update(0x50, true);
-    gp.reset();
-    EXPECT_FALSE(gp.predict(0x50));
 }
 
 } // namespace

@@ -131,9 +131,9 @@ TEST(CalibrationTest, ConstantRollbackOverheadBandMatchesPaper)
 {
     // §VI-E: the per-squash extra stall is exactly the constant when
     // nothing needs rolling back.
-    Core core(SystemConfig::makeDefault());
-    CleanupTiming &timing = core.cleanup().timing();
-    timing.constantTimeCycles = 65;
+    SystemConfig cfg = SystemConfig::makeDefault();
+    cfg.cleanupTiming.constantTimeCycles = 65;
+    Core core(cfg);
 
     UnxpecAttack attack(core, UnxpecConfig{});
     attack.setSecret(0);

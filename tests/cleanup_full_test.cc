@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests of the hypothetical Cleanup_FULL mode (L2 restoration) and
- * predictor-robustness of the attack: both probe corners the paper
- * reasons about — CleanupSpec rejects L2 restoration for cost (§III-A)
- * and the attack does not depend on a specific predictor.
+ * Tests of the hypothetical Cleanup_FULL mode (L2 restoration), a
+ * corner the paper reasons about: CleanupSpec rejects L2 restoration
+ * for cost (§III-A).
  */
 
 #include <gtest/gtest.h>
@@ -89,39 +88,6 @@ TEST(CleanupFullTest, ChannelAtLeastAsWideAsL1L2)
     };
     EXPECT_GE(delta(CleanupMode::Cleanup_FULL),
               delta(CleanupMode::Cleanup_FOR_L1L2));
-}
-
-TEST(PredictorRobustnessTest, AttackWorksWithGshare)
-{
-    SystemConfig cfg = SystemConfig::makeDefault();
-    cfg.core.predictor = PredictorKind::Gshare;
-    Core core(cfg);
-    UnxpecAttack attack(core);
-    attack.setSecret(0);
-    attack.measureOnce();
-    const double zero = attack.measureOnce();
-    attack.setSecret(1);
-    attack.measureOnce();
-    const double one = attack.measureOnce();
-    EXPECT_NEAR(one - zero, 22.0, 3.0);
-}
-
-TEST(PredictorRobustnessTest, GshareConfiguredCoreStillCorrect)
-{
-    SystemConfig cfg = SystemConfig::makeDefault();
-    cfg.core.predictor = PredictorKind::Gshare;
-    Core core(cfg);
-    ProgramBuilder b;
-    b.li(1, 0);
-    b.li(2, 0);
-    b.li(3, 50);
-    const int top = b.label();
-    b.bind(top);
-    b.add(2, 2, 1);
-    b.addi(1, 1, 1);
-    b.blt(1, 3, top);
-    b.halt();
-    EXPECT_EQ(core.run(b.build()).reg(2), 1225u);
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
 
 #include "sim/config.hh"
@@ -102,6 +103,37 @@ TEST(ConfigDeathTest, ValidateRejectsBadGeometry)
     SystemConfig bad_width = SystemConfig::makeDefault();
     bad_width.core.issueWidth = 0;
     EXPECT_DEATH({ bad_width.validate(); }, "width");
+}
+
+TEST(ConfigTest, EqualIgnoringSeedComparesEverythingButTheSeed)
+{
+    // The Machine pool reuses a Machine exactly when this holds, so a
+    // seed-only difference must compare equal and any other must not.
+    const SystemConfig base = SystemConfig::makeDefault();
+    SystemConfig reseeded = base;
+    reseeded.seed = base.seed + 41;
+    EXPECT_TRUE(equalIgnoringSeed(base, reseeded));
+    EXPECT_FALSE(base == reseeded);
+
+    using Tweak = void (*)(SystemConfig &);
+    const Tweak tweaks[] = {
+        [](SystemConfig &c) { c.clockGHz = 3.0; },
+        [](SystemConfig &c) { c.numCores = 2; },
+        [](SystemConfig &c) { c.cleanupMode = CleanupMode::Cleanup_FULL; },
+        [](SystemConfig &c) { c.core.decodeDepth += 1; },
+        [](SystemConfig &c) { c.core.mulPipelined = false; },
+        [](SystemConfig &c) { c.l1i.hitLatency += 1; },
+        [](SystemConfig &c) { c.l1d.nomoReservedWays = 2; },
+        [](SystemConfig &c) { c.l2.index = IndexPolicy::Modulo; },
+        [](SystemConfig &c) { c.memory.jitterSigma = 1.5; },
+        [](SystemConfig &c) { c.cleanupTiming.fuzzyMaxCycles = 40; },
+        [](SystemConfig &c) { c.cleanupTiming.restoreNext = 4.0; },
+    };
+    for (std::size_t i = 0; i < std::size(tweaks); ++i) {
+        SystemConfig changed = reseeded;
+        tweaks[i](changed);
+        EXPECT_FALSE(equalIgnoringSeed(base, changed)) << "tweak " << i;
+    }
 }
 
 TEST(ConfigTest, PrintMentionsEveryModule)

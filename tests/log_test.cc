@@ -1,10 +1,8 @@
 /**
  * @file
- * The logging hot-path contract (sim/log.hh): a warn/inform/debugLog
- * call below the current verbosity threshold must not format its
- * arguments — the level check happens before the ostringstream is
- * built, so a filtered debugLog in a per-access loop costs one load
- * and branch, not a string allocation.
+ * Status reporting (sim/log.hh): warn() always prints, formats its
+ * arguments exactly once, and carries on; fatal() exits with status 1
+ * and panic() aborts, each with its tag on stderr.
  */
 
 #include <gtest/gtest.h>
@@ -29,52 +27,25 @@ operator<<(std::ostream &os, const FormatProbe &probe)
     return os << "probe";
 }
 
-/** Restores the global log level on scope exit. */
-class LogLevelFixture : public ::testing::Test
+TEST(LogTest, WarnFormatsOnceAndPrintsTaggedLine)
 {
-  protected:
-    void SetUp() override { saved_ = logLevel(); }
-    void TearDown() override { setLogLevel(saved_); }
-
-  private:
-    LogLevel saved_ = LogLevel::Warn;
-};
-
-using LogTest = LogLevelFixture;
-
-TEST_F(LogTest, FilteredMessagesAreNeverFormatted)
-{
-    setLogLevel(LogLevel::Warn);
-    FormatProbe probe;
-    debugLog("value=", probe);
-    inform("value=", probe);
-    EXPECT_EQ(probe.streamed, 0);
-
-    setLogLevel(LogLevel::Quiet);
-    warn("value=", probe);
-    EXPECT_EQ(probe.streamed, 0);
-}
-
-TEST_F(LogTest, PassingMessagesFormatOnce)
-{
-    setLogLevel(LogLevel::Debug);
     FormatProbe probe;
     ::testing::internal::CaptureStderr();
-    debugLog("value=", probe);
+    warn("value=", probe, " n=", 3);
     const std::string err = ::testing::internal::GetCapturedStderr();
     EXPECT_EQ(probe.streamed, 1);
-    EXPECT_NE(err.find("probe"), std::string::npos);
+    EXPECT_EQ(err, "warn: value=probe n=3\n");
 }
 
-TEST_F(LogTest, ThresholdOrdering)
+TEST(LogDeathTest, FatalExitsWithStatusOne)
 {
-    setLogLevel(LogLevel::Inform);
-    EXPECT_TRUE(logEnabled(LogLevel::Warn));
-    EXPECT_TRUE(logEnabled(LogLevel::Inform));
-    EXPECT_FALSE(logEnabled(LogLevel::Debug));
+    EXPECT_EXIT(fatal("bad ", 42), ::testing::ExitedWithCode(1),
+                "fatal: bad 42");
+}
 
-    setLogLevel(LogLevel::Quiet);
-    EXPECT_FALSE(logEnabled(LogLevel::Warn));
+TEST(LogDeathTest, PanicAborts)
+{
+    EXPECT_DEATH(panic("broken ", 7), "panic: broken 7");
 }
 
 } // namespace

@@ -49,7 +49,7 @@ TEST(MachineTest, SingleCoreMachineMatchesBareCore)
     const Program program = loopProgram();
 
     Machine machine(cfg);
-    const RunResult via_machine = machine.run(program);
+    const RunResult via_machine = machine.runOn(0, program);
 
     Core bare(cfg);
     const RunResult via_core = bare.run(program);
@@ -130,9 +130,14 @@ TEST(MachineTest, SyncClocksNeverMovesBackwards)
     Machine machine(cfg);
     machine.runOn(0, loopProgram());
     const Cycle c0 = machine.core(0).now();
-    machine.syncClocks();
-    EXPECT_EQ(machine.core(0).now(), c0);
-    EXPECT_EQ(machine.core(1).now(), c0);
+    machine.runOn(1, loopProgram(kLineBytes));
+    const Cycle c1 = machine.core(1).now();
+    EXPECT_GT(c1, c0);
+    // Core 0 is lifted to the later clock before it runs again, and
+    // the sync leaves core 1 where it stood.
+    const RunResult again = machine.runOn(0, loopProgram());
+    EXPECT_EQ(machine.core(0).now(), c1 + again.cycles);
+    EXPECT_EQ(machine.core(1).now(), c1);
 }
 
 TEST(MachineTest, ResetReproducesFreshConstruction)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for counters, distributions, and stat groups.
+ * Unit tests for counters and stat groups.
  */
 
 #include <gtest/gtest.h>
@@ -20,44 +20,6 @@ TEST(CounterTest, IncrementAndAdd)
     EXPECT_EQ(c.value(), 11u);
     c.reset();
     EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(DistributionTest, MomentsAreCorrect)
-{
-    Distribution d("d", "");
-    for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        d.sample(v);
-    EXPECT_EQ(d.count(), 8u);
-    EXPECT_DOUBLE_EQ(d.mean(), 5.0);
-    EXPECT_NEAR(d.stddev(), 2.138, 0.001);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 9.0);
-}
-
-TEST(DistributionTest, KeepsSamplesWhenAsked)
-{
-    Distribution d("d", "", true);
-    d.sample(1.0);
-    d.sample(2.0);
-    ASSERT_EQ(d.samples().size(), 2u);
-    EXPECT_DOUBLE_EQ(d.samples()[1], 2.0);
-}
-
-TEST(DistributionTest, DropsSamplesByDefault)
-{
-    Distribution d("d", "");
-    d.sample(1.0);
-    EXPECT_TRUE(d.samples().empty());
-}
-
-TEST(DistributionTest, ResetClearsEverything)
-{
-    Distribution d("d", "", true);
-    d.sample(5.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_TRUE(d.samples().empty());
 }
 
 TEST(StatGroupTest, CounterIsSharedByName)
@@ -89,10 +51,8 @@ TEST(StatGroupTest, ResetAllZeroesCounters)
 {
     StatGroup group;
     group.counter("a") += 5;
-    group.distribution("d").sample(3.0);
     group.resetAll();
     EXPECT_EQ(group.findCounter("a")->value(), 0u);
-    EXPECT_EQ(group.distribution("d").count(), 0u);
 }
 
 TEST(StatGroupTest, DumpContainsNamesAndValues)

@@ -64,14 +64,6 @@ TEST(PrintDensityTest, MismatchedCurvesHandled)
     EXPECT_NE(oss.str().find("unavailable"), std::string::npos);
 }
 
-TEST(PrintSeriesTest, OneRowPerPoint)
-{
-    std::ostringstream oss;
-    printSeries(oss, "series", {1, 2, 3}, {10, 20, 30});
-    const std::string text = oss.str();
-    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);
-}
-
 // --- matrix report ------------------------------------------------------
 
 MatrixCell

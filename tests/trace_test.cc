@@ -83,8 +83,6 @@ TEST(TraceCategories, ParseAndFormat)
 
 TEST(TraceCategories, MaskGatesRecording)
 {
-    if (!kTraceEnabled)
-        GTEST_SKIP() << "built with UNXPEC_TRACE=OFF";
     SystemConfig cfg = makeDefense("cleanup_l1l2");
     cfg.seed = 7;
     Core core(cfg);
@@ -104,8 +102,6 @@ TEST(TraceCategories, MaskGatesRecording)
 
 TEST(TraceGolden, RollbackSpanOnlyForSecretOne)
 {
-    if (!kTraceEnabled)
-        GTEST_SKIP() << "built with UNXPEC_TRACE=OFF";
     SystemConfig cfg = makeDefense("cleanup_l1l2");
     cfg.seed = 42;
     Core core(cfg);
@@ -168,8 +164,6 @@ TEST(TraceGolden, RollbackSpanOnlyForSecretOne)
 
 TEST(TraceLoadBlocked, OneInstantPerBlockingEpisode)
 {
-    if (!kTraceEnabled)
-        GTEST_SKIP() << "built with UNXPEC_TRACE=OFF";
     // Load C waits behind two stores in turn: the first store's
     // address comes from a DRAM miss (A), the second's from a second
     // miss (B) that itself waits on A. C parks once per store, so the
@@ -300,8 +294,6 @@ slurp(const std::string &path)
 
 TEST(TraceRunner, WrappedTrialTraceCarriesMarker)
 {
-    if (!kTraceEnabled)
-        GTEST_SKIP() << "built with UNXPEC_TRACE=OFF";
     // Drive the wrap through the runner: a tiny per-trial ring capacity
     // (TraceConfig::capacity) guarantees a real trial overflows it, and
     // the exported file must carry the truncation marker end to end.
@@ -329,8 +321,6 @@ TEST(TraceRunner, WrappedTrialTraceCarriesMarker)
 
 TEST(TraceRunner, ParallelTracesMatchSerialByteForByte)
 {
-    if (!kTraceEnabled)
-        GTEST_SKIP() << "built with UNXPEC_TRACE=OFF";
     std::vector<ExperimentSpec> specs(2);
     specs[0].label = "loads=1";
     specs[1].label = "loads=2";
@@ -370,8 +360,6 @@ TEST(TraceRunner, ParallelTracesMatchSerialByteForByte)
 
 TEST(TraceRunner, MergedFileHasOneProcessPerTrial)
 {
-    if (!kTraceEnabled)
-        GTEST_SKIP() << "built with UNXPEC_TRACE=OFF";
     std::vector<ExperimentSpec> specs(1);
     specs[0].label = "loads=1";
 

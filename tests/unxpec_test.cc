@@ -102,8 +102,9 @@ TEST(UnxpecTest, ChannelClosedOnUnsafeBaseline)
 
 TEST(UnxpecTest, ConstantTimeRollbackClosesChannel)
 {
-    Core core(SystemConfig::makeDefault());
-    core.cleanup().timing().constantTimeCycles = 65;
+    SystemConfig cfg = SystemConfig::makeDefault();
+    cfg.cleanupTiming.constantTimeCycles = 65;
+    Core core(cfg);
     UnxpecAttack attack(core);
     attack.setSecret(0);
     attack.measureOnce();
@@ -141,13 +142,20 @@ TEST(UnxpecTest, MoreMistrainingCostsMoreCycles)
               2 * short_attack.cyclesPerSample());
 }
 
-TEST(UnxpecTest, LeakBytesRoundTrip)
+TEST(UnxpecTest, LeakBitsOfBytesRoundTrip)
 {
     Core core(SystemConfig::makeDefault());
     UnxpecAttack attack(core);
     const double threshold = attack.calibrate(4);
-    const std::vector<std::uint8_t> secret = {'u', 'n', 'X', 0x00, 0xFF};
-    EXPECT_EQ(attack.leakBytes(secret, threshold), secret);
+    const std::vector<std::uint8_t> bytes = {'u', 'n', 'X', 0x00, 0xFF};
+    std::vector<int> secret; // MSB first
+    for (const std::uint8_t byte : bytes) {
+        for (int bit = 7; bit >= 0; --bit)
+            secret.push_back((byte >> bit) & 1);
+    }
+    const LeakResult result = attack.leak(secret, threshold);
+    EXPECT_DOUBLE_EQ(result.accuracy, 1.0);
+    EXPECT_EQ(result.guesses, secret);
 }
 
 TEST(UnxpecTest, MultiSampleMatchesSingleOnQuietMachine)
@@ -174,8 +182,9 @@ TEST(UnxpecTest, FuzzyMitigationBlursChannel)
     // §VII future work: dummy cleanup noise should reduce the mean
     // separation relative to the deterministic 22 cycles... actually
     // it keeps the mean but adds variance, raising the error rate.
-    Core core(SystemConfig::makeDefault());
-    core.cleanup().timing().fuzzyMaxCycles = 40;
+    SystemConfig cfg = SystemConfig::makeDefault();
+    cfg.cleanupTiming.fuzzyMaxCycles = 40;
+    Core core(cfg);
     UnxpecAttack attack(core);
     const auto zeros = attack.collect(0, 20);
     const auto ones = attack.collect(1, 20);
