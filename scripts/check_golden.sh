@@ -38,11 +38,13 @@ scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 fail=0
 
-# check <bench> <golden-file> — run with the frozen settings and cmp.
+# check <bench> <golden-file> [bench args...] — run with the frozen
+# settings plus any extra arguments, and cmp.
 check() {
     local bench=$1 ref=$2
+    shift 2
     local out="$scratch/$ref"
-    "$BENCH/$bench" --reps 2 --seed 1 --threads 1 \
+    "$BENCH/$bench" --reps 2 --seed 1 --threads 1 "$@" \
         --json "$out" > /dev/null
     if [ "$REGEN" = 1 ]; then
         cp "$out" "$GOLDEN/$ref"
@@ -60,5 +62,7 @@ check() {
 
 check fig03_timing_difference fig03_seed.json
 check fig13_noisy_host fig13_seed.json
+# fig12 pins the overhead runs, memoized or not, cycle for cycle.
+check fig12_const_rollback_overhead fig12_seed.json --scale 20000
 
 exit $fail

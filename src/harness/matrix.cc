@@ -25,6 +25,18 @@ meanOf(const std::vector<double> &values)
     return total / static_cast<double>(values.size());
 }
 
+/**
+ * The trial's overhead run, mcf_r on its own machine. Claimed before
+ * the attack and read after it (see OverheadClaim).
+ */
+OverheadClaim
+claimWorkloadCycles(const TrialContext &ctx)
+{
+    return OverheadClaim(
+        Session::configFor(ctx.spec, Rng::deriveSeed(ctx.seed, 0)),
+        "mcf_r", Rng::deriveSeed(ctx.seed, 1));
+}
+
 } // namespace
 
 const std::vector<std::string> &
@@ -89,6 +101,7 @@ matrixTrialFn(unsigned samples_per_class)
     return [samples_per_class](const TrialContext &ctx) {
         const bool contention =
             ctx.spec.label.find("/contention") != std::string::npos;
+        OverheadClaim overhead = claimWorkloadCycles(ctx);
 
         std::vector<double> zeros;
         std::vector<double> ones;
@@ -116,11 +129,7 @@ matrixTrialFn(unsigned samples_per_class)
         out.metric("auc", std::max(raw, 1.0 - raw));
         out.metric("delta_cycles", meanOf(ones) - meanOf(zeros));
         out.metric("cycles_per_sample", cycles_per_sample);
-        out.metric("workload_cycles",
-                   postWarmupCycles(
-                       Session::configFor(ctx.spec,
-                                          Rng::deriveSeed(ctx.seed, 0)),
-                       "mcf_r", Rng::deriveSeed(ctx.seed, 1)));
+        out.metric("workload_cycles", overhead.cycles());
         out.samples("latency0", std::move(zeros));
         out.samples("latency1", std::move(ones));
         return out;
@@ -186,6 +195,7 @@ victimTrialFn(unsigned plaintexts)
         const std::string receiver = slash == std::string::npos
             ? ctx.spec.label
             : ctx.spec.label.substr(slash + 1);
+        OverheadClaim overhead = claimWorkloadCycles(ctx);
 
         double fraction = 0.0;
         double recovered_bits = 0.0;
@@ -248,11 +258,7 @@ victimTrialFn(unsigned plaintexts)
         out.metric("recovered_bits_per_sec", rate);
         out.metric("delta_cycles", delta);
         out.metric("cycles_per_sample", cycles_per_sample);
-        out.metric("workload_cycles",
-                   postWarmupCycles(
-                       Session::configFor(ctx.spec,
-                                          Rng::deriveSeed(ctx.seed, 0)),
-                       "mcf_r", Rng::deriveSeed(ctx.seed, 1)));
+        out.metric("workload_cycles", overhead.cycles());
         return out;
     };
 }

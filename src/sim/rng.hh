@@ -6,6 +6,15 @@
  * index keys, DRAM jitter, noise spikes, workload generation) draws from
  * an explicitly seeded Xoshiro256** generator so every experiment is
  * reproducible from its seed.
+ *
+ * The seed reaches a simulated run only through these consumers: the
+ * Core's Rng (ReplPolicy::Random, MemoryConfig::jitterSigma,
+ * CleanupTiming::fuzzyMaxCycles and interrupt noise) and the CEASER
+ * index keys derived from SystemConfig::seed. The overhead memo
+ * (workload/synth_spec.hh, seedFree()) relies on this list to share one
+ * run between seeds, so a new consumer must be added there too. The
+ * memo's guard panics on a missed Rng draw, but it cannot see a new
+ * direct use of the seed.
  */
 
 #ifndef UNXPEC_SIM_RNG_HH
@@ -69,6 +78,9 @@ class Rng
 
     /** Bernoulli trial with probability p of returning true. */
     bool chance(double p) { return uniform() < p; }
+
+    /** Equal state: the two generators yield the same stream. */
+    bool operator==(const Rng &) const = default;
 
   private:
     std::uint64_t state_[4];

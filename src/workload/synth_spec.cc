@@ -1,6 +1,9 @@
 #include "workload/synth_spec.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
+#include <utility>
 
 #include "cpu/core.hh"
 #include "sim/log.hh"
@@ -177,12 +180,16 @@ SynthSpec::generate(const WorkloadProfile &profile, std::uint64_t seed,
     return b.build();
 }
 
+namespace {
+
+std::atomic<std::uint64_t> simulations{0};
+
+/** One overhead run, always simulated; `cfg.seed` is its seed. */
 double
-postWarmupCycles(SystemConfig cfg, const std::string &profile,
-                 std::uint64_t seed, std::uint64_t instructions,
-                 std::uint64_t warmup)
+simulate(const SystemConfig &cfg, const std::string &profile,
+         std::uint64_t instructions, std::uint64_t warmup)
 {
-    cfg.seed = seed;
+    ++simulations;
     RunOptions options;
     options.maxInstructions = instructions;
     options.warmupInstructions = warmup;
@@ -190,7 +197,93 @@ postWarmupCycles(SystemConfig cfg, const std::string &profile,
                                                 kOverheadProgramSeed);
     Core core(cfg);
     const RunResult run = core.run(program, options);
+    // The CEASER keys are the seed's only other way in, and seedFree()
+    // excluded them: a draw here means a seed consumer seedFree() does
+    // not know, and the memo would publish one seed's number for all.
+    if (seedFree(cfg) && !(core.rng() == Rng(cfg.seed)))
+        panic("overhead run on a seed-free config drew from its Rng");
     return static_cast<double>(run.cycles - run.warmupCycles);
+}
+
+/** A memo key: the run's inputs minus its seed. */
+struct MemoKey
+{
+    SystemConfig cfg; //!< seed cleared
+    std::string profile;
+    std::uint64_t instructions;
+    std::uint64_t warmup;
+
+    bool operator==(const MemoKey &) const = default;
+};
+
+/** The memo: every seed-free key claimed in this process. */
+std::mutex memoMutex;
+std::vector<std::pair<MemoKey, std::shared_future<double>>> memoEntries;
+
+} // namespace
+
+bool
+seedFree(const SystemConfig &cfg)
+{
+    for (const CacheConfig *cache : {&cfg.l1i, &cfg.l1d, &cfg.l2}) {
+        if (cache->index == IndexPolicy::Ceaser ||
+            cache->repl == ReplPolicy::Random)
+            return false;
+    }
+    return cfg.memory.jitterSigma == 0.0 &&
+           cfg.cleanupTiming.fuzzyMaxCycles == 0;
+}
+
+OverheadClaim::OverheadClaim(SystemConfig cfg, const std::string &profile,
+                             std::uint64_t seed, std::uint64_t instructions,
+                             std::uint64_t warmup)
+    : cfg_(std::move(cfg)), profile_(profile), instructions_(instructions),
+      warmup_(warmup)
+{
+    cfg_.seed = seed;
+    if (!seedFree(cfg_))
+        return;
+    MemoKey key{cfg_, profile_, instructions_, warmup_};
+    key.cfg.seed = 0;
+    std::promise<double> result;
+    {
+        const std::lock_guard<std::mutex> lock(memoMutex);
+        for (const auto &[other, value] : memoEntries) {
+            if (other == key) {
+                shared_ = value;
+                return;
+            }
+        }
+        shared_ = result.get_future().share();
+        memoEntries.emplace_back(std::move(key), shared_);
+    }
+    // First claimant: simulate outside the lock, so other keys and
+    // this key's later claimants proceed meanwhile. Should it throw,
+    // the dropped promise hands them a broken_promise error instead.
+    result.set_value(simulate(cfg_, profile_, instructions_, warmup_));
+}
+
+double
+OverheadClaim::cycles()
+{
+    if (shared_.valid())
+        return shared_.get();
+    return simulate(cfg_, profile_, instructions_, warmup_);
+}
+
+double
+postWarmupCycles(SystemConfig cfg, const std::string &profile,
+                 std::uint64_t seed, std::uint64_t instructions,
+                 std::uint64_t warmup)
+{
+    return OverheadClaim(std::move(cfg), profile, seed, instructions, warmup)
+        .cycles();
+}
+
+std::uint64_t
+overheadSimulations()
+{
+    return simulations.load();
 }
 
 } // namespace unxpec

@@ -14,6 +14,7 @@
 #define UNXPEC_WORKLOAD_SYNTH_SPEC_HH
 
 #include <cstdint>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -71,16 +72,62 @@ class SynthSpec
 constexpr std::uint64_t kOverheadProgramSeed = 42;
 
 /**
- * Post-warmup cycles of one synthetic workload: a fresh Core on `cfg`,
- * seeded with `seed`, runs the `profile` program (generated from
- * kOverheadProgramSeed) for `instructions` instructions and drops the
- * cycles of the first `warmup`. An overhead is the ratio of two of
- * these, a defense's over the unsafe baseline's.
+ * True when a run on `cfg` never reads its seed: no cache uses
+ * IndexPolicy::Ceaser or ReplPolicy::Random, DRAM has no jitter and
+ * squashes get no fuzzy stall. These are every seed consumer that
+ * src/sim/rng.hh lists except interrupt noise, which no overhead core
+ * gets. Such a run returns the same cycles for every seed, so the
+ * overhead memo may share one simulation between all of them.
+ */
+bool seedFree(const SystemConfig &cfg);
+
+/**
+ * One claim on an overhead run: the post-warmup cycles of a fresh Core
+ * on `cfg`, seeded with `seed`, running the `profile` program
+ * (generated from kOverheadProgramSeed) for `instructions`
+ * instructions after dropping the cycles of the first `warmup`.
+ *
+ * A seed-free configuration goes through a process-wide memo keyed on
+ * the configuration without its seed, the profile and both counts. Its
+ * first claimant simulates in the constructor; every later claimant
+ * shares that result, and cycles() waits only while the first is still
+ * in flight. Any other configuration simulates in cycles(). A trial
+ * therefore claims at its start and reads after its attack: the first
+ * rep of a key pays for the run, the others overlap it.
+ */
+class OverheadClaim
+{
+  public:
+    OverheadClaim(SystemConfig cfg, const std::string &profile,
+                  std::uint64_t seed, std::uint64_t instructions = 40000,
+                  std::uint64_t warmup = 8000);
+
+    /** The post-warmup cycles. Read once: a claim outside the memo
+     *  simulates on every call. */
+    double cycles();
+
+  private:
+    SystemConfig cfg_;
+    std::string profile_;
+    std::uint64_t instructions_;
+    std::uint64_t warmup_;
+    /** The memo's result; invalid when the claim is outside the memo. */
+    std::shared_future<double> shared_;
+};
+
+/**
+ * Post-warmup cycles of one synthetic workload, through the memo when
+ * `cfg` is seed-free (see OverheadClaim). An overhead is the ratio of
+ * two of these, a defense's over the unsafe baseline's.
  */
 double postWarmupCycles(SystemConfig cfg, const std::string &profile,
                         std::uint64_t seed,
                         std::uint64_t instructions = 40000,
                         std::uint64_t warmup = 8000);
+
+/** Overhead simulations this process has run: memo misses plus every
+ *  run of a configuration that is not seed-free. */
+std::uint64_t overheadSimulations();
 
 } // namespace unxpec
 
