@@ -1,13 +1,18 @@
 #include "harness/matrix.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <future>
+#include <memory>
 
 #include "analysis/key_recovery.hh"
 #include "analysis/roc.hh"
 #include "attack/contention.hh"
 #include "attack/victim_attack.hh"
 #include "harness/session.hh"
+#include "sim/log.hh"
 #include "sim/rng.hh"
+#include "sim/shared_memo.hh"
 #include "workload/synth_spec.hh"
 
 namespace unxpec {
@@ -35,6 +40,101 @@ claimWorkloadCycles(const TrialContext &ctx)
     return OverheadClaim(
         Session::configFor(ctx.spec, Rng::deriveSeed(ctx.seed, 0)),
         "mcf_r", Rng::deriveSeed(ctx.seed, 1));
+}
+
+/** Matrix trials simulated in this process (matrixTrialSimulations). */
+std::atomic<std::uint64_t> trialSimulations{0};
+
+/** A matrix-trial memo key: every input of the trial but its seed. */
+struct TrialKey
+{
+    SystemConfig cfg; //!< Session::configFor's config, seed cleared
+    std::string label;
+    std::string attack;
+    std::string noise;
+    UnxpecConfig attackCfg;
+
+    bool operator==(const TrialKey &) const = default;
+};
+
+/** One simulated matrix trial. */
+struct MemoTrial
+{
+    TrialOutput output;
+    /** Some run stopped on a cycle limit (Machine::limitTripped). */
+    bool limitTripped = false;
+};
+
+using TrialMemo = SharedMemo<TrialKey, MemoTrial>;
+
+/**
+ * True when a matrix trial's output is a function of its key alone: no
+ * seed consumer is on (seedFree, and no interrupt noise), it records no
+ * trace, and no cycle budget can cut it short.
+ */
+bool
+memoEligible(const TrialContext &ctx, const SystemConfig &cfg)
+{
+    return seedFree(cfg) &&
+           noiseProfile(ctx.spec.noise).interruptProbPerCycle == 0.0 &&
+           ctx.tracer == nullptr &&
+           (ctx.control == nullptr || ctx.control->timeoutCycles == 0);
+}
+
+/**
+ * One matrix trial, always simulated. With `guard` set (the memo's
+ * first claimant), panic unless every core's Rng is still where
+ * Machine::reset put it: a draw means a seed consumer memoEligible()
+ * does not know, and the memo would publish one seed's trial for all.
+ */
+MemoTrial
+simulateMatrixTrial(const TrialContext &ctx, unsigned samples_per_class,
+                    bool guard)
+{
+    ++trialSimulations;
+    const bool contention =
+        ctx.spec.label.find("/contention") != std::string::npos;
+    OverheadClaim overhead = claimWorkloadCycles(ctx);
+
+    MemoTrial trial;
+    std::vector<double> zeros;
+    std::vector<double> ones;
+    double cycles_per_sample = 0.0;
+    {
+        Session session(ctx);
+        if (contention) {
+            ContentionAttack attack(session.core());
+            zeros = attack.collect(0, samples_per_class);
+            ones = attack.collect(1, samples_per_class);
+            cycles_per_sample = attack.cyclesPerSample();
+        } else {
+            UnxpecAttack &attack = session.unxpec();
+            zeros = attack.collect(0, samples_per_class);
+            ones = attack.collect(1, samples_per_class);
+            cycles_per_sample = attack.cyclesPerSample();
+        }
+        Machine &machine = session.machine();
+        trial.limitTripped = machine.limitTripped();
+        for (unsigned i = 0; guard && i < machine.numCores(); ++i) {
+            if (!(machine.core(i).rng() ==
+                  Rng(Machine::coreSeed(ctx.seed, i))))
+                panic("matrix trial on a seed-free config drew from the "
+                      "Rng of core ", i);
+        }
+    }
+
+    TrialOutput &out = trial.output;
+    // Folded AUC = separability: a receiver can always flip its
+    // decision rule, so a channel where secret=1 reads *faster*
+    // (the unsafe baseline's persistence probe) is just as open.
+    const double raw = RocCurve::of(zeros, ones).auc();
+    out.metric("auc", std::max(raw, 1.0 - raw));
+    out.metric("delta_cycles", meanOf(ones) - meanOf(zeros));
+    out.metric("cycles_per_sample", cycles_per_sample);
+    out.metric("workload_cycles", overhead.cycles());
+    out.samples("latency0", std::move(zeros));
+    out.samples("latency1", std::move(ones));
+    return trial;
 }
 
 } // namespace
@@ -98,42 +198,34 @@ matrixSpecs(const ExperimentSpec &base, bool all_defenses)
 TrialFn
 matrixTrialFn(unsigned samples_per_class)
 {
-    return [samples_per_class](const TrialContext &ctx) {
-        const bool contention =
-            ctx.spec.label.find("/contention") != std::string::npos;
-        OverheadClaim overhead = claimWorkloadCycles(ctx);
-
-        std::vector<double> zeros;
-        std::vector<double> ones;
-        double cycles_per_sample = 0.0;
-        {
-            Session session(ctx);
-            if (contention) {
-                ContentionAttack attack(session.core());
-                zeros = attack.collect(0, samples_per_class);
-                ones = attack.collect(1, samples_per_class);
-                cycles_per_sample = attack.cyclesPerSample();
-            } else {
-                UnxpecAttack &attack = session.unxpec();
-                zeros = attack.collect(0, samples_per_class);
-                ones = attack.collect(1, samples_per_class);
-                cycles_per_sample = attack.cyclesPerSample();
-            }
+    const auto memo = std::make_shared<TrialMemo>();
+    return [samples_per_class, memo](const TrialContext &ctx) {
+        SystemConfig cfg = Session::configFor(ctx.spec, ctx.seed);
+        if (!memoEligible(ctx, cfg))
+            return simulateMatrixTrial(ctx, samples_per_class, false).output;
+        cfg.seed = 0;
+        TrialKey key{std::move(cfg), ctx.spec.label, ctx.spec.attack,
+                     ctx.spec.noise, ctx.spec.attackCfg};
+        const std::shared_future<MemoTrial> shared =
+            memo->claim(std::move(key), [&] {
+                return simulateMatrixTrial(ctx, samples_per_class, true);
+            });
+        const MemoTrial &trial = shared.get();
+        // Replay the first claimant's cycle-limit trip, as its Session
+        // reported it, so every claimant is censored alike.
+        if (trial.limitTripped && ctx.control != nullptr) {
+            ctx.control->censored = true;
+            if (ctx.control->censorReason.empty())
+                ctx.control->censorReason = "cycle-limit";
         }
-
-        TrialOutput out;
-        // Folded AUC = separability: a receiver can always flip its
-        // decision rule, so a channel where secret=1 reads *faster*
-        // (the unsafe baseline's persistence probe) is just as open.
-        const double raw = RocCurve::of(zeros, ones).auc();
-        out.metric("auc", std::max(raw, 1.0 - raw));
-        out.metric("delta_cycles", meanOf(ones) - meanOf(zeros));
-        out.metric("cycles_per_sample", cycles_per_sample);
-        out.metric("workload_cycles", overhead.cycles());
-        out.samples("latency0", std::move(zeros));
-        out.samples("latency1", std::move(ones));
-        return out;
+        return trial.output;
     };
+}
+
+std::uint64_t
+matrixTrialSimulations()
+{
+    return trialSimulations.load();
 }
 
 const std::vector<std::string> &

@@ -17,6 +17,7 @@
 #ifndef UNXPEC_HARNESS_MATRIX_HH
 #define UNXPEC_HARNESS_MATRIX_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -54,8 +55,22 @@ std::vector<ExperimentSpec> matrixSpecs(const ExperimentSpec &base,
  *   workload_cycles   post-warmup cycles of a synthetic SPEC workload
  *                     on the cell's configuration (overhead is derived
  *                     against the unsafe row at report time)
+ *
+ * The returned function owns a memo of whole trials, keyed on
+ * Session::configFor's config without its seed plus the spec's label,
+ * attack, noise and attackCfg. A trial uses it only when its output
+ * cannot depend on the seed: the config is seedFree(), the noise
+ * profile has no interrupts, no tracer records it and no cycle budget
+ * can cut it short. The key's first claimant simulates and panics if
+ * any core drew from its Rng; later claimants (the spec's other reps)
+ * copy its output, waiting only while it is in flight. Any other trial
+ * simulates on every call.
  */
 TrialFn matrixTrialFn(unsigned samples_per_class);
+
+/** Matrix trials this process has simulated: memo misses plus every
+ *  trial outside the memo. */
+std::uint64_t matrixTrialSimulations();
 
 /**
  * Receiver families of the real-secret victim campaign

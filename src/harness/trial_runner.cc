@@ -122,6 +122,18 @@ TrialRunner::run(const std::vector<ExperimentSpec> &specs, unsigned reps,
         if (resumed.find(job) == resumed.end())
             pending.push_back(job);
     }
+    // Dispatch the first pending rep of every spec before the rest.
+    // A spec's reps are consecutive jobs, so in plain job order a pool
+    // would start a memoized cell's reps together, and all but one
+    // would wait on the first (matrixTrialFn). Every later job keeps
+    // job order, and with it the CorePool's run of one spec per worker.
+    std::vector<std::size_t> first_rep(specs.size(), reps);
+    for (const std::size_t job : pending)
+        first_rep[job / reps] = std::min(first_rep[job / reps], job % reps);
+    std::stable_partition(pending.begin(), pending.end(),
+                          [&](std::size_t job) {
+                              return job % reps == first_rep[job / reps];
+                          });
 
     // With tracing on, every trial owns a private Tracer (indexed by
     // job, so results stay thread-count independent); the files are

@@ -166,7 +166,9 @@ class TrialRunner
      * Run `reps` trials of every spec. Returns outputs[specIndex][rep],
      * identical for any thread count. Under a campaign config, trials
      * journaled in the resume manifest are spliced in without
-     * recomputation.
+     * recomputation. Trials start in job order (spec-major), except
+     * that the first pending rep of every spec is dispatched before
+     * all others.
      */
     std::vector<std::vector<TrialOutput>>
     run(const std::vector<ExperimentSpec> &specs, unsigned reps,

@@ -87,10 +87,11 @@ class Machine
 
     const SystemConfig &config() const { return cfg_; }
 
-  private:
-    /** Seed for core `index` under machine seed `seed`. */
+    /** Seed for core `index` under machine seed `seed`: the seed its
+     *  Rng starts from after reset(seed). */
     static std::uint64_t coreSeed(std::uint64_t seed, unsigned index);
 
+  private:
     /** The machine-wide maximum of the cores' clocks. */
     Cycle latestClock() const;
 

@@ -10,11 +10,14 @@
  * The seed reaches a simulated run only through these consumers: the
  * Core's Rng (ReplPolicy::Random, MemoryConfig::jitterSigma,
  * CleanupTiming::fuzzyMaxCycles and interrupt noise) and the CEASER
- * index keys derived from SystemConfig::seed. The overhead memo
- * (workload/synth_spec.hh, seedFree()) relies on this list to share one
- * run between seeds, so a new consumer must be added there too. The
- * memo's guard panics on a missed Rng draw, but it cannot see a new
- * direct use of the seed.
+ * index keys derived from SystemConfig::seed. Two memos rely on this
+ * list to share one simulation between seeds: the overhead memo
+ * (workload/synth_spec.hh, seedFree()) and the matrix-trial memo
+ * (harness/matrix.hh, matrixTrialFn), which also excludes noise
+ * profiles with interrupts. A new consumer must be added to seedFree(),
+ * or to the trial memo's eligibility if only attack trials can reach
+ * it. Both memos' guards panic on a missed Rng draw, but they cannot
+ * see a new direct use of the seed.
  */
 
 #ifndef UNXPEC_SIM_RNG_HH

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <utility>
 
 #include "cpu/core.hh"
 #include "sim/log.hh"
 #include "sim/rng.hh"
+#include "sim/shared_memo.hh"
 
 namespace unxpec {
 
@@ -217,8 +217,7 @@ struct MemoKey
 };
 
 /** The memo: every seed-free key claimed in this process. */
-std::mutex memoMutex;
-std::vector<std::pair<MemoKey, std::shared_future<double>>> memoEntries;
+SharedMemo<MemoKey, double> memo;
 
 } // namespace
 
@@ -245,22 +244,9 @@ OverheadClaim::OverheadClaim(SystemConfig cfg, const std::string &profile,
         return;
     MemoKey key{cfg_, profile_, instructions_, warmup_};
     key.cfg.seed = 0;
-    std::promise<double> result;
-    {
-        const std::lock_guard<std::mutex> lock(memoMutex);
-        for (const auto &[other, value] : memoEntries) {
-            if (other == key) {
-                shared_ = value;
-                return;
-            }
-        }
-        shared_ = result.get_future().share();
-        memoEntries.emplace_back(std::move(key), shared_);
-    }
-    // First claimant: simulate outside the lock, so other keys and
-    // this key's later claimants proceed meanwhile. Should it throw,
-    // the dropped promise hands them a broken_promise error instead.
-    result.set_value(simulate(cfg_, profile_, instructions_, warmup_));
+    shared_ = memo.claim(std::move(key), [this] {
+        return simulate(cfg_, profile_, instructions_, warmup_);
+    });
 }
 
 double
