@@ -55,6 +55,7 @@ main(int argc, char **argv)
                    "workload overhead per (defense, receiver) cell");
     cli.defaultMode("unsafe")
         .scaleOption("receiver samples per secret class per trial", 24)
+        .matrixOption()
         .textArg("output base path (writes BASE.json and BASE.md)",
                  "matrix");
     const HarnessOptions opt = cli.parse(argc, argv);

@@ -71,6 +71,7 @@ main(int argc, char **argv)
                    "exponent bits recovered end to end per defense");
     cli.defaultMode("unsafe")
         .scaleOption("known plaintexts per AES key byte (1..8)", 2)
+        .matrixOption()
         .textArg("output base path (writes BASE.json and BASE.md)",
                  "victim");
     const HarnessOptions opt = cli.parse(argc, argv);

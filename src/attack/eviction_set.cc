@@ -1,11 +1,5 @@
 #include "attack/eviction_set.hh"
 
-#include <algorithm>
-
-#include "memory/cache.hh"
-#include "sim/log.hh"
-#include "sim/rng.hh"
-
 namespace unxpec {
 
 std::vector<Addr>
@@ -29,74 +23,6 @@ EvictionSet::direct(Addr target, unsigned num_sets, unsigned count,
         line += num_sets; // next congruent line
     }
     return set_addresses;
-}
-
-std::vector<Addr>
-EvictionSet::reduce(std::vector<Addr> candidates, Addr target,
-                    unsigned ways, const Oracle &oracle)
-{
-    if (!oracle(candidates, target))
-        return {};
-
-    // Vila et al. group-testing: repeatedly split into ways+1 groups
-    // and discard one whose removal preserves eviction. A minimal
-    // eviction set of `ways` lines always allows such a discard.
-    while (candidates.size() > ways) {
-        const unsigned groups = ways + 1;
-        const std::size_t chunk =
-            (candidates.size() + groups - 1) / groups;
-
-        bool removed = false;
-        for (unsigned g = 0; g < groups && !removed; ++g) {
-            const std::size_t begin =
-                std::min(candidates.size(), g * chunk);
-            const std::size_t end =
-                std::min(candidates.size(), begin + chunk);
-            if (begin == end)
-                continue;
-
-            std::vector<Addr> trimmed;
-            trimmed.reserve(candidates.size() - (end - begin));
-            trimmed.insert(trimmed.end(), candidates.begin(),
-                           candidates.begin() + begin);
-            trimmed.insert(trimmed.end(), candidates.begin() + end,
-                           candidates.end());
-            if (oracle(trimmed, target)) {
-                candidates = std::move(trimmed);
-                removed = true;
-            }
-        }
-        if (!removed) {
-            // No group is removable (can happen with a noisy or
-            // randomized-replacement oracle); give up with what we
-            // have rather than loop forever.
-            break;
-        }
-    }
-    return candidates;
-}
-
-EvictionSet::Oracle
-EvictionSet::modelOracle(const Cache &prototype, std::uint64_t seed)
-{
-    const CacheConfig cfg = prototype.config();
-    return [cfg, seed](const std::vector<Addr> &candidates, Addr target) {
-        // With random replacement a single trial is probabilistic;
-        // majority-vote over several trials.
-        unsigned evicted_votes = 0;
-        constexpr unsigned kTrials = 9;
-        for (unsigned trial = 0; trial < kTrials; ++trial) {
-            Rng rng(seed + trial * 7919);
-            Cache scratch(cfg, rng, seed);
-            scratch.install(lineAlign(target), 0, false, kSeqNone);
-            Cycle when = 1;
-            for (const Addr addr : candidates)
-                scratch.install(lineAlign(addr), when++, false, kSeqNone);
-            if (!scratch.present(lineAlign(target), when))
-                ++evicted_votes;
-        }
-        return evicted_votes * 2 > kTrials;
-    };
 }
 
 } // namespace unxpec

@@ -6,28 +6,21 @@
  * line, which CleanupSpec must then restore — lengthening rollback and
  * enlarging the secret-dependent timing difference (paper §V-B).
  *
- * Two construction paths are provided:
- *  - direct: the L1 uses conventional modulo indexing, so congruent
- *    addresses can be computed outright (the paper's non-SMT threat
- *    model permits this);
- *  - group-testing reduction: the generic O(w·n) algorithm that
- *    shrinks a large candidate pool to a minimal eviction set using
- *    only an eviction oracle, for caches whose mapping is unknown.
+ * The L1 uses conventional modulo indexing, so congruent addresses
+ * are computed outright (the paper's non-SMT threat model permits
+ * this).
  */
 
 #ifndef UNXPEC_ATTACK_EVICTION_SET_HH
 #define UNXPEC_ATTACK_EVICTION_SET_HH
 
-#include <functional>
 #include <vector>
 
 #include "sim/types.hh"
 
 namespace unxpec {
 
-class Cache;
-
-/** Builders for L1 eviction sets. */
+/** Builder for L1 eviction sets. */
 class EvictionSet
 {
   public:
@@ -38,31 +31,6 @@ class EvictionSet
      */
     static std::vector<Addr> direct(Addr target, unsigned num_sets,
                                     unsigned count, Addr pool_base);
-
-    /**
-     * Eviction oracle: does accessing `candidates` (then probing
-     * `target`) evict `target`?
-     */
-    using Oracle =
-        std::function<bool(const std::vector<Addr> &candidates,
-                           Addr target)>;
-
-    /**
-     * Group-testing reduction: shrink `candidates` (which must evict
-     * `target`) to a minimal eviction set of `ways` addresses.
-     * Returns an empty vector when the pool never evicts the target.
-     */
-    static std::vector<Addr> reduce(std::vector<Addr> candidates,
-                                    Addr target, unsigned ways,
-                                    const Oracle &oracle);
-
-    /**
-     * Reference oracle running against a scratch copy of a cache
-     * model: fill with candidates, then check the target was displaced
-     * after being resident. Used by tests and by reduce() demos.
-     */
-    static Oracle modelOracle(const Cache &prototype,
-                              std::uint64_t seed);
 };
 
 } // namespace unxpec

@@ -42,16 +42,6 @@ loadTrialIndex(ProgramBuilder &b)
 }
 
 void
-flushProbe(ProgramBuilder &b, unsigned chain_lines, unsigned loads)
-{
-    for (unsigned j = 0; j < chain_lines; ++j)
-        b.clflush(rChain, static_cast<std::int64_t>(j) * kLineBytes);
-    for (unsigned k = 1; k <= loads; ++k)
-        b.clflush(rP, static_cast<std::int64_t>(k) * kLineBytes);
-    b.load(rTmp1, rP);
-}
-
-void
 boundsCheck(ProgramBuilder &b, unsigned chain_lines, unsigned padding,
             int skip)
 {
@@ -69,17 +59,6 @@ readSecret(ProgramBuilder &b)
 {
     b.add(rTmp2, rA, rIdx);
     b.load(rSecret, rTmp2, 0, 1);
-}
-
-void
-transmit(ProgramBuilder &b, unsigned loads)
-{
-    b.shl(rScaled, rSecret, 6);
-    b.mov(rPtr, rP);
-    for (unsigned k = 1; k <= loads; ++k) {
-        b.add(rPtr, rPtr, rScaled);
-        b.load(rTmp4, rPtr);
-    }
 }
 
 void

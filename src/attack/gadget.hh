@@ -4,11 +4,10 @@
  * built on (paper §V, Algorithm 2): a trial loop whose branch
  * `if (index < f(N))` is mistrained in bounds, then taken out of bounds
  * once, so the transient body reads `secret = A[index]` past the end
- * of A. The rollback-timing channel (UnxpecAttack), the cross-core
- * coherence probe (CrossCoreAttack) and the FU-contention receiver
- * (ContentionAttack) all emit their shared instructions and data
- * layout through these pieces; each keeps its own prologue `li`s,
- * warm-up, transient body and receiver tail.
+ * of A. The rollback-timing channel (UnxpecAttack) and the
+ * FU-contention receiver (ContentionAttack) both emit their shared
+ * instructions and data layout through these pieces; each keeps its
+ * own prologue `li`s, warm-up, transient body and receiver tail.
  *
  * Data layout (allocate(), in this order, each region line-aligned):
  *
@@ -50,8 +49,8 @@ constexpr RegIndex rChain = 19;   // f(N) chain base
 constexpr RegIndex rT0 = 24;      // first timestamp
 constexpr RegIndex rT1 = 25;      // second timestamp
 
-// The probe-array pieces (flushProbe, transmit) also use these; a
-// sender that emits neither is free to use the numbers otherwise.
+// Probe-array registers (the unXpec and Spectre v1 senders); a sender
+// without a probe array is free to use the numbers otherwise.
 constexpr RegIndex rP = 4;        // probe array P base
 constexpr RegIndex rScaled = 11;  // secret * 64
 constexpr RegIndex rPtr = 13;     // walking pointer over P
@@ -77,10 +76,6 @@ void fillIndexTable(ProgramBuilder &b, Addr idx, unsigned trials,
 /** Loop top: rIdx = idxTable[rTrial]. */
 void loadTrialIndex(ProgramBuilder &b);
 
-/** Flush the f(N) chain and P[64*1..64*loads], then reload P[0] so
- *  secret 0 transmits all hits. */
-void flushProbe(ProgramBuilder &b, unsigned chain_lines, unsigned loads);
-
 /**
  * The bounds check: rBound = f(N) (the chase plus `padding` dependent
  * addi's, so resolution covers the transient body), `if (rIdx >=
@@ -92,10 +87,6 @@ void boundsCheck(ProgramBuilder &b, unsigned chain_lines, unsigned padding,
 
 /** rSecret = A[rIdx] (one byte). */
 void readSecret(ProgramBuilder &b);
-
-/** Transient body of the cache senders: load P[rSecret*64*k] for
- *  k = 1..loads, each address chained off the previous one. */
-void transmit(ProgramBuilder &b, unsigned loads);
 
 /** ++rTrial; loop to `loop_top` while rTrial < rTrials; halt. */
 void loopTail(ProgramBuilder &b, int loop_top);

@@ -45,11 +45,6 @@ unxpecVariants()
          "matrix's cache-state receiver (also reads the unsafe "
          "baseline's persistent installs)",
          [](UnxpecConfig &cfg) { cfg.probePersistence = true; }},
-        {"unxpec-xcore",
-         "cross-core variant: a receiver core times coherence "
-         "downgrades of the sender's transient install (needs "
-         "cores >= 2)",
-         [](UnxpecConfig &) {}},
     };
     return variants;
 }
@@ -124,8 +119,13 @@ UnxpecAttack::buildProgram()
     const int skip = b.label();
     b.bind(loop_top);
     loadTrialIndex(b);
-    // Flush the f(N) chain (clflush &N of §VI-A) and P[64*1..64*n].
-    flushProbe(b, c, n);
+    // Flush the f(N) chain (clflush &N of §VI-A) and P[64*1..64*n],
+    // then reload P[0] so secret 0 transmits all hits.
+    for (unsigned j = 0; j < c; ++j)
+        b.clflush(rChain, static_cast<std::int64_t>(j) * kLineBytes);
+    for (unsigned k = 1; k <= n; ++k)
+        b.clflush(rP, static_cast<std::int64_t>(k) * kLineBytes);
+    b.load(rTmp1, rP);
 
     // Measurement stage: fence zeroes out T4, then t0.
     b.fence();
@@ -133,7 +133,12 @@ UnxpecAttack::buildProgram()
 
     // if (index < f(N)) { secret = A[index]; load P[secret*64*k] }.
     boundsCheck(b, c, cfg_.conditionPadding, skip);
-    transmit(b, n);
+    b.shl(rScaled, rSecret, 6);
+    b.mov(rPtr, rP);
+    for (unsigned k = 1; k <= n; ++k) {
+        b.add(rPtr, rPtr, rScaled);
+        b.load(rTmp4, rPtr);
+    }
 
     b.bind(skip);
     b.rdtscp(rT1);

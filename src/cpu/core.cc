@@ -125,10 +125,6 @@ Core::runBegin(const Program &program, const RunOptions &options)
 {
     program_ = &program;
     runOptions_ = options;
-    if (options.resetMicroarch) {
-        hier_.resetCaches();
-        predictor_.reset();
-    }
     if (options.loadData)
         program.loadInitialData(hier_.mem());
 
@@ -310,16 +306,6 @@ Core::skipIdle()
     simTicks_ += last - now_;
     skippedCycles_ += last - now_;
     now_ = last;
-    if (eventTrace_ != nullptr)
-        eventTrace_->setNow(now_);
-}
-
-void
-Core::advanceTo(Cycle cycle)
-{
-    if (cycle <= now_)
-        return;
-    now_ = cycle;
     if (eventTrace_ != nullptr)
         eventTrace_->setNow(now_);
 }

@@ -44,8 +44,6 @@ struct RunOptions
     /** Record the cycle at which this many instructions had committed
      *  (the artifact's system.cpu.fetch.startCycles). */
     std::uint64_t warmupInstructions = 0;
-    /** Cold-start caches and predictor before running. */
-    bool resetMicroarch = false;
     /** Apply the program's initial data image to memory first. */
     bool loadData = true;
     /**
@@ -104,15 +102,6 @@ class Core
     void runBegin(const Program &program, const RunOptions &options = {});
     bool runStep();
     RunResult runFinish();
-
-    /**
-     * Clock sync for multi-core scheduling (Machine::syncClocks):
-     * lift this core's monotonic cycle counter to `cycle` (never
-     * backwards).
-     * Idle cycles spent waiting for other cores do not count as
-     * sim_ticks.
-     */
-    void advanceTo(Cycle cycle);
 
     /**
      * Restore freshly-constructed state for a new seed without

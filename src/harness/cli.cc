@@ -98,6 +98,13 @@ HarnessCli::scaleOption(std::string help, std::uint64_t value)
 }
 
 HarnessCli &
+HarnessCli::matrixOption()
+{
+    hasMatrix_ = true;
+    return *this;
+}
+
+HarnessCli &
 HarnessCli::textArg(std::string help, std::string value)
 {
     hasText_ = true;
@@ -164,10 +171,12 @@ HarnessCli::usage(std::ostream &os) const
           "                 censor trials whose simulation exceeds N "
           "simulated cycles\n"
        << "  --retries N    retry budget for censored trials "
-          "(default 0)\n"
-       << "  --matrix       matrix campaigns only: sweep every "
-          "registered defense instead of the default subset\n"
-       << "  --list-modes   list registered defenses, noise profiles, "
+          "(default 0)\n";
+    if (hasMatrix_) {
+        os << "  --matrix       sweep every registered defense instead "
+              "of the default subset\n";
+    }
+    os << "  --list-modes   list registered defenses, noise profiles, "
           "and attacks\n"
        << "  --help         this text\n";
 }
@@ -237,7 +246,7 @@ HarnessCli::parse(int argc, char **argv) const
             options.trialTimeoutCycles = parseU64(arg, value());
         } else if (arg == "--retries") {
             options.retries = parseUnsigned(arg, value());
-        } else if (arg == "--matrix") {
+        } else if (arg == "--matrix" && hasMatrix_) {
             options.matrix = true;
         } else if (hasScale_ && !sawPositionalInt && isInteger(arg)) {
             options.scale = parseU64("scale", arg);

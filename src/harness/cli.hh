@@ -1,7 +1,8 @@
 /**
  * @file
  * The shared bench/example command line. Every harness-driven binary
- * accepts the same flags:
+ * accepts these flags; --scale and --matrix only where the program
+ * declares them (scaleOption, matrixOption):
  *
  *   --reps N       replications per experiment point
  *   --seed S       master seed (per-trial seeds derive from it)
@@ -23,6 +24,7 @@
  *   --trial-timeout-cycles N censor trials whose simulation exceeds N
  *                  simulated cycles
  *   --retries N    retry budget for censored trials
+ *   --matrix       sweep every registered defense (matrix campaigns)
  *   --list-modes   print registered defenses/noises/attacks and exit
  *   --help         usage
  *
@@ -82,6 +84,8 @@ class HarnessCli
     HarnessCli &defaultSeed(std::uint64_t seed);
     /** Enable --scale with per-bench meaning and default. Chainable. */
     HarnessCli &scaleOption(std::string help, std::uint64_t value);
+    /** Enable --matrix (HarnessOptions::matrix). Chainable. */
+    HarnessCli &matrixOption();
     /** Accept a free-form positional string (e.g. a message). */
     HarnessCli &textArg(std::string help, std::string value);
     /** Default defense registry key (before --mode). Chainable. */
@@ -117,6 +121,7 @@ class HarnessCli
     bool hasScale_ = false;
     std::string scaleHelp_;
     std::uint64_t scale_ = 0;
+    bool hasMatrix_ = false;
     bool hasText_ = false;
     std::string textHelp_;
     std::string text_;

@@ -1,6 +1,5 @@
 #include "harness/session.hh"
 
-#include "attack/cross_core.hh"
 #include "sim/log.hh"
 
 namespace unxpec {
@@ -116,22 +115,6 @@ Session::unxpec()
     if (!unxpec_)
         unxpec_ = std::make_unique<UnxpecAttack>(machine_->core(), cfg);
     return *unxpec_;
-}
-
-CrossCoreAttack &
-Session::crossCore()
-{
-    if (!crossCore_) {
-        if (machine_->numCores() < 2) {
-            fatal("Session::crossCore: the cross-core attack needs "
-                  "spec.cores >= 2 (got ",
-                  machine_->numCores(), ")");
-        }
-        UnxpecConfig cfg = spec_.attackCfg;
-        applyAttackVariant(spec_.attack, cfg);
-        crossCore_ = std::make_unique<CrossCoreAttack>(*machine_, cfg);
-    }
-    return *crossCore_;
 }
 
 } // namespace unxpec

@@ -28,8 +28,6 @@
 
 namespace unxpec {
 
-class CrossCoreAttack;
-
 /**
  * Per-worker-thread cache of Machines keyed by spec index. Not
  * thread-safe — every TrialRunner worker owns its own pool, so there
@@ -117,9 +115,6 @@ class Session
     /** The spec's unXpec attack (variant + attackCfg), built lazily. */
     UnxpecAttack &unxpec();
 
-    /** The cross-core unXpec attack (needs spec.cores >= 2), lazily. */
-    CrossCoreAttack &crossCore();
-
   private:
     ExperimentSpec spec_;
     std::uint64_t seed_;
@@ -130,7 +125,6 @@ class Session
     CorePool *pool_ = nullptr;        //!< set when the Machine is pooled
     std::size_t specIndex_ = 0;
     std::unique_ptr<UnxpecAttack> unxpec_; //!< owned-Machine path only
-    std::unique_ptr<CrossCoreAttack> crossCore_;
 };
 
 } // namespace unxpec

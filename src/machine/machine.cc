@@ -1,7 +1,5 @@
 #include "machine/machine.hh"
 
-#include <algorithm>
-
 #include "sim/rng.hh"
 
 namespace unxpec {
@@ -40,32 +38,6 @@ Machine::Machine(const SystemConfig &cfg) : cfg_((cfg.validate(), cfg))
         if (engine_ != nullptr)
             hier.setCoherence(engine_.get(), i);
     }
-}
-
-RunResult
-Machine::runOn(unsigned index, const Program &program,
-               const RunOptions &options)
-{
-    if (cores_.size() > 1)
-        syncClocks();
-    return cores_[index]->run(program, options);
-}
-
-Cycle
-Machine::latestClock() const
-{
-    Cycle latest = 0;
-    for (const auto &core : cores_)
-        latest = std::max(latest, core->now());
-    return latest;
-}
-
-void
-Machine::syncClocks()
-{
-    const Cycle latest = latestClock();
-    for (auto &core : cores_)
-        core->advanceTo(latest);
 }
 
 void
@@ -112,7 +84,7 @@ Machine::auditInvariants() const
     for (const auto &core : cores_)
         core->auditInvariants();
     if (engine_ != nullptr)
-        engine_->auditInvariants(latestClock());
+        engine_->auditInvariants(cores_[0]->now());
 }
 
 } // namespace unxpec

@@ -2,8 +2,11 @@
  * @file
  * Machine layer: N real Core instances — each with private L1I/L1D —
  * sharing one L2 and one MainMemory (core 0's) through an explicit
- * MESI CoherenceEngine. Programs run one core at a time (runOn), in
- * the order the caller issues them.
+ * MESI CoherenceEngine. Core 0 runs every program; cores 1..N-1 never
+ * run one and never advance their clocks. They are snoop targets:
+ * every L1 miss of core 0 snoops their (empty) private caches through
+ * the engine, which is the coherence traffic a multi-core trial
+ * measures.
  *
  * Determinism rules (DESIGN.md "Machine and coherence"):
  *   - cores are constructed and reset strictly in index order;
@@ -12,10 +15,7 @@
  *     requesting core's access;
  *   - per-core seeds are derived from the machine seed with
  *     Rng::deriveSeed, so results are a pure function of
- *     (config, seed, programs);
- *   - clocks are synchronized (Core::advanceTo, never backwards)
- *     before each run phase so cross-core fillCycle comparisons are
- *     meaningful.
+ *     (config, seed, programs).
  *
  * A Machine with numCores == 1 builds exactly the historical
  * one-Core simulator — no engine is attached and every new code path
@@ -49,19 +49,13 @@ class Machine
         return static_cast<unsigned>(cores_.size());
     }
 
-    /** Core `index` (0 is the primary core owning the shared levels). */
+    /** Core `index`: 0 runs every program and owns the shared levels;
+     *  1..N-1 are snoop targets. */
     Core &core(unsigned index = 0) { return *cores_[index]; }
     const Core &core(unsigned index = 0) const { return *cores_[index]; }
 
     /** The coherence engine; nullptr on a single-core machine. */
     CoherenceEngine *coherence() { return engine_.get(); }
-
-    /**
-     * Run a program on one specific core. Clocks are synchronized
-     * first so the core observes every older remote fill as landed.
-     */
-    RunResult runOn(unsigned index, const Program &program,
-                    const RunOptions &options = {});
 
     /**
      * Machine-wide reset: bit-identical to constructing
@@ -92,12 +86,6 @@ class Machine
     static std::uint64_t coreSeed(std::uint64_t seed, unsigned index);
 
   private:
-    /** The machine-wide maximum of the cores' clocks. */
-    Cycle latestClock() const;
-
-    /** Lift every core's clock to latestClock(). */
-    void syncClocks();
-
     SystemConfig cfg_;
     std::unique_ptr<CoherenceEngine> engine_;
     std::vector<std::unique_ptr<Core>> cores_;

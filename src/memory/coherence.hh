@@ -19,7 +19,7 @@
  *
  * Determinism: the engine holds no clock and draws no randomness; every
  * transaction is applied synchronously inside the requesting core's
- * access, and the Machine steps cores in index order, so transaction
+ * access, and only the Machine's core 0 runs programs, so transaction
  * order is a pure function of (config, seeds, programs).
  */
 

@@ -600,16 +600,6 @@ MemoryHierarchy::dropSpeculativeMark(const MemAccessRecord &record, bool l1,
 }
 
 void
-MemoryHierarchy::resetCaches()
-{
-    l1i_.reset();
-    l1d_.reset();
-    if (ownsShared())
-        l2_->reset();
-    shadow_.clear();
-}
-
-void
 MemoryHierarchy::reseed(std::uint64_t seed)
 {
     cfg_.seed = seed;

@@ -96,8 +96,8 @@ class MemoryHierarchy
     /**
      * `shared` (the Machine layer: cores 1..N-1 pass core 0's
      * hierarchy) supplies the L2 and MainMemory. A hierarchy built
-     * that way owns no L2 of its own, and reseed() and resetCaches()
-     * leave the shared levels to their owner.
+     * that way owns no L2 of its own, and reseed() leaves the shared
+     * levels to their owner.
      */
     MemoryHierarchy(const SystemConfig &cfg, Rng &rng,
                     MemoryHierarchy *shared = nullptr);
@@ -242,10 +242,6 @@ class MemoryHierarchy
     UNXPEC_ROLLBACK("UnsafeBaseline,Cleanup_FOR_L1")
     void dropSpeculativeMark(const MemAccessRecord &record, bool l1,
                              bool l2);
-
-    /** Cold-start every cache (backing store is preserved). */
-    UNXPEC_TRANSITION("reset")
-    void resetCaches();
 
     /**
      * Restore freshly-constructed state for a new seed without

@@ -244,9 +244,20 @@ TEST(CliErrorTest, StrayPositionalAfterScaleIsFatal)
 
 TEST(CliErrorTest, MatrixFlagParses)
 {
-    const HarnessCli cli = makeCli();
+    HarnessCli cli = makeCli();
+    cli.matrixOption();
     EXPECT_FALSE(parseArgs(cli, {"cli_test"}).matrix);
     EXPECT_TRUE(parseArgs(cli, {"cli_test", "--matrix"}).matrix);
+}
+
+TEST(CliErrorTest, UndeclaredMatrixFlagIsFatal)
+{
+    // A program that never sweeps the zoo must not accept --matrix
+    // and then silently run its usual specs.
+    const HarnessCli cli = makeCli();
+    EXPECT_EXIT(parseArgs(cli, {"cli_test", "--matrix"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: unknown argument '--matrix'");
 }
 
 // --- registry listing ---------------------------------------------------

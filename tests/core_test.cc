@@ -297,11 +297,6 @@ TEST_F(CoreTest, MicroarchPersistsAcrossRuns)
     const RunResult warm = core_.run(p);
     EXPECT_GT(cold.reg(4), warm.reg(4));
     EXPECT_LT(warm.reg(4), 20u);
-
-    RunOptions reset;
-    reset.resetMicroarch = true;
-    const RunResult cold_again = core_.run(p, reset);
-    EXPECT_GT(cold_again.reg(4), core_.config().memory.accessLatency);
 }
 
 TEST_F(CoreTest, StatsCountCommitsAndBranches)

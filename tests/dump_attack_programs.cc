@@ -7,12 +7,12 @@
  * change to an instruction or a data address shows up as a diff.
  *
  * Covered: every unxpecVariants() entry at 1 and 8 in-branch loads,
- * the cross-core sender and receiver, ContentionAttack and SpectreV1,
- * each at its default config on the default system.
+ * ContentionAttack and SpectreV1, each at its default config on the
+ * default system.
  *
  * Regenerate after a deliberate program change:
  *
- *   $ build/tests/dump_attack_programs > tests/golden/attack_programs.txt
+ *   $ scripts/regen_artifacts.sh --regen attack_programs.txt
  */
 
 #include <cinttypes>
@@ -20,10 +20,9 @@
 #include <string>
 
 #include "attack/contention.hh"
-#include "attack/cross_core.hh"
 #include "attack/spectre_v1.hh"
 #include "attack/unxpec.hh"
-#include "machine/machine.hh"
+#include "cpu/core.hh"
 #include "memory/main_memory.hh"
 #include "sim/rng.hh"
 
@@ -71,14 +70,6 @@ main()
             Core core(SystemConfig::makeDefault());
             dump(variant.name + suffix, UnxpecAttack(core, cfg).program());
         }
-        UnxpecConfig cfg;
-        cfg.inBranchLoads = loads;
-        SystemConfig sys = SystemConfig::makeDefault();
-        sys.numCores = 2;
-        Machine machine(sys);
-        const CrossCoreAttack cross(machine, cfg);
-        dump("cross-core sender" + suffix, cross.senderProgram());
-        dump("cross-core receiver" + suffix, cross.receiverProgram());
     }
     Core core(SystemConfig::makeDefault());
     dump("contention", ContentionAttack(core).program());

@@ -1,8 +1,7 @@
 /**
  * @file
- * Unit tests for eviction-set construction: direct congruence and the
- * Vila-style group-testing reduction, including its expected failure
- * to minimize against a randomized-replacement cache.
+ * Unit tests for eviction-set construction: direct congruence, and a
+ * direct set evicting its target from an LRU cache.
  */
 
 #include <gtest/gtest.h>
@@ -61,73 +60,6 @@ TEST(EvictionSetTest, DirectSetEvictsTargetInLruCache)
     for (const Addr addr : addrs)
         cache.install(lineAlign(addr), when++, false, kSeqNone);
     EXPECT_EQ(cache.probe(lineAlign(target)), nullptr);
-}
-
-TEST(EvictionSetTest, ModelOracleDetectsEviction)
-{
-    Rng rng(2);
-    Cache proto(l1Config(ReplPolicy::LRU), rng, 0);
-    const auto oracle = EvictionSet::modelOracle(proto, 7);
-    const Addr target = 0x4000;
-    const auto congruent = EvictionSet::direct(
-        target, proto.config().numSets(), proto.config().ways, 0x800000);
-    EXPECT_TRUE(oracle(congruent, target));
-
-    // Addresses in other sets never evict the target.
-    std::vector<Addr> harmless;
-    for (unsigned i = 0; i < 16; ++i)
-        harmless.push_back(0x900000 + (2 * i + 1) * kLineBytes);
-    EXPECT_FALSE(oracle(harmless, target));
-}
-
-TEST(EvictionSetTest, ReduceFindsMinimalSetUnderLru)
-{
-    Rng rng(3);
-    Cache proto(l1Config(ReplPolicy::LRU), rng, 0);
-    const auto oracle = EvictionSet::modelOracle(proto, 11);
-    const Addr target = 0x4000;
-    const unsigned ways = proto.config().ways;
-    const unsigned sets = proto.config().numSets();
-
-    // Large candidate pool: congruent lines mixed with noise lines.
-    std::vector<Addr> pool = EvictionSet::direct(target, sets, ways * 3,
-                                                 0x800000);
-    for (unsigned i = 0; i < 64; ++i)
-        pool.push_back(0xa00000 + i * kLineBytes);
-
-    const auto minimal = EvictionSet::reduce(pool, target, ways, oracle);
-    EXPECT_EQ(minimal.size(), ways);
-    // Every survivor must be congruent with the target.
-    const Addr target_set = lineNumber(lineAlign(target)) % sets;
-    for (const Addr addr : minimal)
-        EXPECT_EQ(lineNumber(addr) % sets, target_set);
-}
-
-TEST(EvictionSetTest, ReduceFailsOnUselessPool)
-{
-    Rng rng(4);
-    Cache proto(l1Config(ReplPolicy::LRU), rng, 0);
-    const auto oracle = EvictionSet::modelOracle(proto, 13);
-    std::vector<Addr> pool;
-    for (unsigned i = 0; i < 8; ++i)
-        pool.push_back(0x900000 + (2 * i + 1) * kLineBytes);
-    EXPECT_TRUE(EvictionSet::reduce(pool, 0x4000, 8, oracle).empty());
-}
-
-TEST(EvictionSetTest, RandomReplacementResistsMinimalReduction)
-{
-    // CleanupSpec's random L1 replacement: a minimal (ways-sized) set
-    // no longer evicts deterministically, so group-testing cannot
-    // shrink that far — the attack instead primes with a direct set.
-    Rng rng(5);
-    Cache proto(l1Config(ReplPolicy::Random), rng, 0);
-    const auto oracle = EvictionSet::modelOracle(proto, 17);
-    const Addr target = 0x4000;
-    const unsigned ways = proto.config().ways;
-    std::vector<Addr> pool = EvictionSet::direct(
-        target, proto.config().numSets(), ways * 4, 0x800000);
-    const auto reduced = EvictionSet::reduce(pool, target, ways, oracle);
-    EXPECT_GT(reduced.size(), ways);
 }
 
 } // namespace

@@ -179,15 +179,6 @@ TEST_F(HierarchyTest, FetchInflightDoesNotDuplicate)
     EXPECT_EQ(copies, 1u);
 }
 
-TEST_F(HierarchyTest, ResetCachesPreservesMemory)
-{
-    hier_.mem().write64(0x10000, 1234);
-    hier_.access(0x10000, 100, false, false, 1);
-    hier_.resetCaches();
-    EXPECT_TRUE(hier_.l1d().residentLines().empty());
-    EXPECT_EQ(hier_.mem().read64(0x10000), 1234u);
-}
-
 TEST_F(HierarchyTest, MshrBackpressureDelaysNewMiss)
 {
     // Saturate the L1 MSHRs with distinct lines.

@@ -2,8 +2,9 @@
  * @file
  * Tests for the Machine layer: single-core equivalence to a bare Core
  * (the byte-identity contract behind tests/golden), deterministic
- * per-core seed derivation, machine-wide reset, clock sync, and
- * CorePool reuse of whole Machines.
+ * per-core seed derivation, machine-wide reset, CorePool reuse of
+ * whole Machines, and the fact a multi-core trial rests on: core 0
+ * runs every program, and cores 1..N-1 only answer its snoops.
  */
 
 #include <gtest/gtest.h>
@@ -49,7 +50,7 @@ TEST(MachineTest, SingleCoreMachineMatchesBareCore)
     const Program program = loopProgram();
 
     Machine machine(cfg);
-    const RunResult via_machine = machine.runOn(0, program);
+    const RunResult via_machine = machine.core(0).run(program);
 
     Core bare(cfg);
     const RunResult via_core = bare.run(program);
@@ -83,63 +84,6 @@ TEST(MachineTest, MultiCoreBuildsEngineAndDerivedSeeds)
     EXPECT_FALSE(machine.core(1).hierarchy().ownsShared());
 }
 
-TEST(MachineTest, RunOnIsDeterministic)
-{
-    SystemConfig cfg = SystemConfig::makeDefault();
-    cfg.seed = 11;
-    cfg.numCores = 2;
-    const Program a = loopProgram();
-    const Program b = loopProgram(kLineBytes);
-
-    auto run_both = [&](Machine &machine) {
-        const RunResult ra = machine.runOn(0, a);
-        const RunResult rb = machine.runOn(1, b);
-        return std::make_pair(ra, rb);
-    };
-
-    Machine first(cfg);
-    Machine second(cfg);
-    const auto [fa, fb] = run_both(first);
-    const auto [sa, sb] = run_both(second);
-    EXPECT_EQ(fa.cycles, sa.cycles);
-    EXPECT_EQ(fb.cycles, sb.cycles);
-    EXPECT_EQ(fa.regs, sa.regs);
-    EXPECT_EQ(fb.regs, sb.regs);
-    EXPECT_TRUE(fb.halted);
-}
-
-TEST(MachineTest, RunOnSyncsTheTargetClock)
-{
-    SystemConfig cfg = SystemConfig::makeDefault();
-    cfg.numCores = 2;
-    const Program program = loopProgram();
-    Machine machine(cfg);
-    machine.runOn(0, program);
-    const Cycle after_first = machine.core(0).now();
-    EXPECT_GT(after_first, 0u);
-    // The second core starts at or after the first core's clock, so
-    // its reads observe every older fill as landed.
-    machine.runOn(1, program);
-    EXPECT_GE(machine.core(1).now(), after_first);
-}
-
-TEST(MachineTest, SyncClocksNeverMovesBackwards)
-{
-    SystemConfig cfg = SystemConfig::makeDefault();
-    cfg.numCores = 2;
-    Machine machine(cfg);
-    machine.runOn(0, loopProgram());
-    const Cycle c0 = machine.core(0).now();
-    machine.runOn(1, loopProgram(kLineBytes));
-    const Cycle c1 = machine.core(1).now();
-    EXPECT_GT(c1, c0);
-    // Core 0 is lifted to the later clock before it runs again, and
-    // the sync leaves core 1 where it stood.
-    const RunResult again = machine.runOn(0, loopProgram());
-    EXPECT_EQ(machine.core(0).now(), c1 + again.cycles);
-    EXPECT_EQ(machine.core(1).now(), c1);
-}
-
 TEST(MachineTest, ResetReproducesFreshConstruction)
 {
     SystemConfig cfg = SystemConfig::makeDefault();
@@ -148,13 +92,12 @@ TEST(MachineTest, ResetReproducesFreshConstruction)
     const Program program = loopProgram();
 
     Machine machine(cfg);
-    machine.runOn(0, program);
-    machine.runOn(1, program);
+    machine.core(0).run(loopProgram(kLineBytes));
     machine.reset(cfg.seed);
-    const RunResult after_reset = machine.runOn(0, program);
+    const RunResult after_reset = machine.core(0).run(program);
 
     Machine fresh(cfg);
-    const RunResult from_fresh = fresh.runOn(0, program);
+    const RunResult from_fresh = fresh.core(0).run(program);
     EXPECT_EQ(after_reset.cycles, from_fresh.cycles);
     EXPECT_EQ(after_reset.regs, from_fresh.regs);
 }
@@ -165,8 +108,7 @@ TEST(MachineTest, WholeMachineAuditPassesAfterSharing)
     cfg.numCores = 2;
     const Program program = loopProgram();
     Machine machine(cfg);
-    machine.runOn(0, program);
-    machine.runOn(1, program);
+    machine.core(0).run(program);
     EXPECT_NO_THROW(machine.auditInvariants());
 }
 
@@ -179,14 +121,14 @@ TEST(MachineTest, CorePoolReusesMachinesBitIdentically)
 
     CorePool pool;
     Machine &first = pool.acquire(0, cfg);
-    const RunResult r1 = first.runOn(0, program);
+    const RunResult r1 = first.core(0).run(program);
     EXPECT_EQ(pool.size(), 1u);
 
     // Same spec, same seed, reacquired: the pooled machine is reset
     // and reproduces the run bit-for-bit.
     Machine &second = pool.acquire(0, cfg);
     EXPECT_EQ(&first, &second);
-    const RunResult r2 = second.runOn(0, program);
+    const RunResult r2 = second.core(0).run(program);
     EXPECT_EQ(r1.cycles, r2.cycles);
     EXPECT_EQ(r1.regs, r2.regs);
 
@@ -195,6 +137,44 @@ TEST(MachineTest, CorePoolReusesMachinesBitIdentically)
     wider.numCores = 4;
     Machine &third = pool.acquire(0, wider);
     EXPECT_EQ(third.numCores(), 4u);
+}
+
+TEST(MachineTest, OnlyCoreZeroRunsAndTheOthersAnswerSnoops)
+{
+    ExperimentSpec spec;
+    spec.defense = "cleanup_l1l2";
+    spec.cores = 4;
+    Session session(spec, 1);
+    UnxpecAttack &attack = session.unxpec();
+    attack.setSecret(0);
+    attack.measureOnce();
+    attack.setSecret(1);
+    attack.measureOnce();
+
+    Machine &machine = session.machine();
+    ASSERT_EQ(machine.numCores(), 4u);
+    EXPECT_GT(machine.core(0).now(), 0u);
+    for (unsigned i = 1; i < machine.numCores(); ++i) {
+        Core &idle = machine.core(i);
+        EXPECT_EQ(idle.now(), 0u) << "core " << i;
+        EXPECT_TRUE(idle.hierarchy().l1i().residentLines().empty())
+            << "core " << i;
+        EXPECT_TRUE(idle.hierarchy().l1d().residentLines().empty())
+            << "core " << i;
+    }
+
+    // Every L1 miss of core 0 snoops the idle cores, and none of them
+    // ever holds a copy to serve, hide or downgrade.
+    const StatGroup &coh = machine.coherence()->stats();
+    auto count = [&](const char *name) -> std::uint64_t {
+        const Counter *counter = coh.findCounter(name);
+        EXPECT_NE(counter, nullptr) << name;
+        return counter == nullptr ? 0 : counter->value();
+    };
+    EXPECT_GT(count("snoops"), 0u);
+    EXPECT_EQ(count("remote_hits"), 0u);
+    EXPECT_EQ(count("dummy_misses"), 0u);
+    EXPECT_EQ(count("delayed_downgrades"), 0u);
 }
 
 } // namespace
