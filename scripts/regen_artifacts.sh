@@ -15,10 +15,13 @@
 #   attack_programs.txt  every attack program's listing and data image
 #   matrix_smoke.json    the reduced matrix, 2 reps on 4 workers
 #   matrix_reps3.json    the reduced matrix, 3 reps on 3 workers
+#   matrix_seed.json     the full matrix (every defense), the nightly run
+#   MATRIX.md            (repo root) that full matrix's report
 #   BENCH_victim.json    (repo root) the victim sweep CI smoke-runs
 #
 # The ctests golden_figures, golden_attack_programs, golden_matrix,
-# golden_matrix_reps3 and golden_victim run this script by name.
+# golden_matrix_reps3, golden_matrix_seed and golden_victim run this
+# script by name.
 #
 # Environment:
 #   BUILD_DIR  build tree with compiled benches and tests: absolute, or
@@ -35,7 +38,8 @@ case "$BUILD_DIR" in
 esac
 BENCH="$BUILD/bench"
 ALL=(fig03_seed.json fig12_seed.json fig13_seed.json attack_programs.txt
-     matrix_smoke.json matrix_reps3.json BENCH_victim.json)
+     matrix_smoke.json matrix_reps3.json matrix_seed.json MATRIX.md
+     BENCH_victim.json)
 
 mode=check
 names=()
@@ -99,6 +103,20 @@ produce() {
             (cd "$dir" && "$BENCH/matrix_campaign" --reps 3 --seed 1 \
                 --threads 3 --scale 12 --json matrix-reps3.json > /dev/null)
             out=$dir/matrix-reps3.json ref=$GOLDEN/$1 how=cmp ;;
+        matrix_seed.json|MATRIX.md)
+            # The nightly full sweep (nightly-matrix.yml, without its
+            # journal): one run writes both the JSON and the report.
+            need "$BENCH/matrix_campaign"
+            (cd "$dir" && "$BENCH/matrix_campaign" --matrix --reps 3 \
+                --scale 24 --seed 1 --threads 4 \
+                --json matrix-nightly-experiment.json \
+                matrix-nightly > /dev/null)
+            case "$1" in
+                matrix_seed.json) out=$dir/matrix-nightly.json
+                                  ref=$GOLDEN/$1 ;;
+                MATRIX.md) out=$dir/matrix-nightly.md ref=$HERE/$1 ;;
+            esac
+            how=cmp ;;
         BENCH_victim.json)
             need "$BENCH/victim_recovery"
             (cd "$dir" && "$BENCH/victim_recovery" --reps 2 --seed 1 \

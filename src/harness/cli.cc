@@ -228,6 +228,8 @@ HarnessCli::parse(int argc, char **argv) const
                       "' (see --list-modes)");
         } else if (arg == "--scale" && hasScale_) {
             options.scale = parseU64(arg, value());
+            if (options.scale == 0)
+                fatal("--scale must be >= 1");
         } else if (arg == "--json") {
             options.jsonPath = value();
         } else if (arg == "--csv") {
@@ -250,6 +252,8 @@ HarnessCli::parse(int argc, char **argv) const
             options.matrix = true;
         } else if (hasScale_ && !sawPositionalInt && isInteger(arg)) {
             options.scale = parseU64("scale", arg);
+            if (options.scale == 0)
+                fatal("--scale must be >= 1");
             sawPositionalInt = true;
         } else if (hasText_ && arg[0] != '-') {
             options.text = arg;

@@ -10,7 +10,7 @@
  *   --cores N      cores per simulated machine (shared L2 + MESI)
  *   --mode NAME    defense registry key overriding the bench default
  *   --noise NAME   noise-profile registry key overriding the default
- *   --scale N      bench-specific size knob (samples, bits, insts...)
+ *   --scale N      bench-specific size knob >= 1 (samples, bits...)
  *   --json PATH    write the machine-readable result as JSON
  *   --csv PATH     write the result as CSV
  *   --trace PATH   capture a Chrome-trace event file (chrome://tracing)

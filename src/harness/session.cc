@@ -5,38 +5,32 @@
 namespace unxpec {
 
 Machine &
-CorePool::acquire(std::size_t spec_index, const SystemConfig &cfg)
+CorePool::acquire(const SystemConfig &cfg)
 {
-    Slot &slot = slots_[spec_index];
-    if (slot.machine != nullptr && equalIgnoringSeed(slot.cfg, cfg)) {
-        slot.machine->reset(cfg.seed);
+    if (machine_ != nullptr && equalIgnoringSeed(machine_->config(), cfg)) {
+        machine_->reset(cfg.seed);
     } else {
-        // The cached attack holds references into the old Machine's
-        // core; rebuilding the Machine invalidates it.
-        slot.attack.reset();
-        slot.machine = std::make_unique<Machine>(cfg);
+        // Free the old Machine, and the attack that references its
+        // core, before building the new one: a worker never holds two.
+        attack_.reset();
+        machine_.reset();
+        machine_ = std::make_unique<Machine>(cfg);
     }
-    slot.cfg = cfg;
-    return *slot.machine;
+    return *machine_;
 }
 
 UnxpecAttack &
-CorePool::unxpecFor(std::size_t spec_index, Machine &machine,
-                    const UnxpecConfig &cfg)
+CorePool::unxpec(const UnxpecConfig &cfg)
 {
-    const auto it = slots_.find(spec_index);
-    if (it == slots_.end() || it->second.machine.get() != &machine)
-        fatal("CorePool::unxpecFor: machine is not this slot's machine");
-    Slot &slot = it->second;
-    if (slot.attack != nullptr && slot.attackCfg == cfg) {
+    if (attack_ != nullptr && attackCfg_ == cfg) {
         // Same (core config, attack config): the program and layout
         // are already correct; clear only the per-trial state.
-        slot.attack->resetTrialState();
+        attack_->resetTrialState();
     } else {
-        slot.attack = std::make_unique<UnxpecAttack>(machine.core(), cfg);
-        slot.attackCfg = cfg;
+        attack_ = std::make_unique<UnxpecAttack>(machine_->core(), cfg);
+        attackCfg_ = cfg;
     }
-    return *slot.attack;
+    return *attack_;
 }
 
 SystemConfig
@@ -77,8 +71,8 @@ Session::Session(const TrialContext &ctx)
                                  : nullptr),
       machine_(ctx.pool == nullptr
                    ? owned_.get()
-                   : &ctx.pool->acquire(ctx.specIndex, cfg_)),
-      pool_(ctx.pool), specIndex_(ctx.specIndex)
+                   : &ctx.pool->acquire(cfg_)),
+      pool_(ctx.pool)
 {
     applyInterruptNoise(spec_, *machine_);
     // After acquire: Machine::reset detaches any previous trial's
@@ -110,7 +104,7 @@ Session::unxpec()
     if (pool_ != nullptr) {
         // Pooled Machine: the attack is cached alongside it, so steady
         // state skips program assembly and layout derivation entirely.
-        return pool_->unxpecFor(specIndex_, *machine_, cfg);
+        return pool_->unxpec(cfg);
     }
     if (!unxpec_)
         unxpec_ = std::make_unique<UnxpecAttack>(machine_->core(), cfg);

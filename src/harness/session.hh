@@ -7,17 +7,17 @@
  * on first use. Each trial owns its own Session — which is what lets
  * the TrialRunner fan trials out across threads with no sharing.
  *
- * The Core itself can come from a per-worker CorePool: instead of
+ * The Machine itself can come from the worker's CorePool: instead of
  * reallocating caches, ROB, and memory pages every trial, the pool
- * keeps one Core per spec and re-seeds it via Core::reset, which is
- * bit-identical to fresh construction with the same seed.
+ * keeps the worker's last Machine and re-seeds it via Machine::reset
+ * when the next trial's config matches, which is bit-identical to
+ * fresh construction with the same seed.
  */
 
 #ifndef UNXPEC_HARNESS_SESSION_HH
 #define UNXPEC_HARNESS_SESSION_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 
 #include "attack/unxpec.hh"
@@ -29,14 +29,14 @@
 namespace unxpec {
 
 /**
- * Per-worker-thread cache of Machines keyed by spec index. Not
- * thread-safe — every TrialRunner worker owns its own pool, so there
- * is no sharing to synchronize. A cached Machine is reused via
- * Machine::reset(seed) when the requested config matches the cached
- * one in everything but the seed; a genuinely different machine (a
- * spec tweak that depends on the seed, say) is rebuilt.
+ * One worker thread's Machine: the last one it built, and its cached
+ * UnxpecAttack. Not thread-safe — every TrialRunner worker owns its
+ * own pool, so there is no sharing to synchronize. The held Machine
+ * is reused via Machine::reset(seed) when the next config matches its
+ * own in everything but the seed; any other config replaces it, so a
+ * worker never holds more than one Machine.
  *
- * Each slot also caches the spec's UnxpecAttack (unxpecFor): attack
+ * The pool also caches the UnxpecAttack built on that Machine: attack
  * construction — program assembly, data layout, eviction-set
  * derivation — is a pure function of (core config, attack config), so
  * a cached attack reset via UnxpecAttack::resetTrialState behaves
@@ -46,36 +46,22 @@ namespace unxpec {
 class CorePool
 {
   public:
-    /** The spec's Machine, reset to cfg.seed (built on first use). */
-    Machine &acquire(std::size_t spec_index, const SystemConfig &cfg);
+    /** A Machine for cfg: the held one reset to cfg.seed, or a new one. */
+    Machine &acquire(const SystemConfig &cfg);
 
     /**
-     * The slot's cached UnxpecAttack on `machine`, reset for a new
-     * trial — rebuilt when the attack config (or the Machine itself)
-     * changed. `machine` must be the Machine acquire() returned for
-     * this spec_index.
+     * The cached UnxpecAttack on the Machine acquire() last returned,
+     * reset for a new trial — rebuilt when the attack config (or the
+     * Machine itself) changed.
      */
-    UnxpecAttack &unxpecFor(std::size_t spec_index, Machine &machine,
-                            const UnxpecConfig &cfg);
-
-    /** Machines currently cached (tests). */
-    std::size_t size() const { return slots_.size(); }
+    UnxpecAttack &unxpec(const UnxpecConfig &cfg);
 
   private:
-    struct Slot
-    {
-        SystemConfig cfg;
-        std::unique_ptr<Machine> machine;
-        /** Cached attack; references machine's core 0, so acquire()
-         *  drops it whenever the Machine is rebuilt. */
-        std::unique_ptr<UnxpecAttack> attack;
-        UnxpecConfig attackCfg;
-    };
-    // Ordered map: spec count is tiny and acquire() runs once per
-    // trial, so lookup cost is irrelevant — and an ordered container
-    // can never grow a nondeterministic walk (scripts/speccheck
-    // forbids unordered iteration across the tree).
-    std::map<std::size_t, Slot> slots_;
+    std::unique_ptr<Machine> machine_;
+    /** Cached attack; references machine_'s core 0, so acquire()
+     *  drops it whenever the Machine is replaced. */
+    std::unique_ptr<UnxpecAttack> attack_;
+    UnxpecConfig attackCfg_;
 };
 
 /** A fully built simulation instance for one trial. */
@@ -86,12 +72,12 @@ class Session
     Session(const ExperimentSpec &spec, std::uint64_t seed);
 
     /**
-     * Build from a TrialContext: draws the Core from ctx.pool when the
-     * runner supplied one (reset to ctx.seed), otherwise owns a fresh
-     * Core exactly like Session(spec, seed). When the runner armed a
-     * watchdog (ctx.control), the Core gets the simulated-cycle budget
-     * and the destructor reports any cycle-limit trip back so the
-     * runner censors the trial.
+     * Build from a TrialContext: draws the Machine from ctx.pool when
+     * the runner supplied one (reset to ctx.seed), otherwise owns a
+     * fresh Machine exactly like Session(spec, seed). When the runner
+     * armed a watchdog (ctx.control), the Machine gets the
+     * simulated-cycle budget and the destructor reports any
+     * cycle-limit trip back so the runner censors the trial.
      */
     explicit Session(const TrialContext &ctx);
 
@@ -123,7 +109,6 @@ class Session
     Machine *machine_;
     TrialControl *control_ = nullptr; //!< runner watchdog, may be null
     CorePool *pool_ = nullptr;        //!< set when the Machine is pooled
-    std::size_t specIndex_ = 0;
     std::unique_ptr<UnxpecAttack> unxpec_; //!< owned-Machine path only
 };
 

@@ -126,7 +126,9 @@ TrialRunner::run(const std::vector<ExperimentSpec> &specs, unsigned reps,
     // A spec's reps are consecutive jobs, so in plain job order a pool
     // would start a memoized cell's reps together, and all but one
     // would wait on the first (matrixTrialFn). Every later job keeps
-    // job order, and with it the CorePool's run of one spec per worker.
+    // job order: a worker whose next trial has the same config (the
+    // same spec, or a spec differing only in its attack) resets its
+    // CorePool Machine instead of building one.
     std::vector<std::size_t> first_rep(specs.size(), reps);
     for (const std::size_t job : pending)
         first_rep[job / reps] = std::min(first_rep[job / reps], job % reps);
@@ -217,8 +219,8 @@ TrialRunner::run(const std::vector<ExperimentSpec> &specs, unsigned reps,
     // seed) and writes a distinct slot, so a bare atomic work counter
     // is all the coordination needed — and results cannot depend on
     // scheduling order. Each worker owns a private CorePool: a reused
-    // Core is reset to the trial's derived seed, so which worker runs
-    // which trial (and in what order) still cannot affect results.
+    // Machine is reset to the trial's derived seed, so which worker
+    // runs which trial (and in what order) still cannot affect results.
     std::atomic<std::size_t> next{0};
     std::vector<std::thread> workers;
     workers.reserve(pool);

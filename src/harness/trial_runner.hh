@@ -63,9 +63,9 @@ struct TrialContext
     std::uint64_t seed = 0;
     std::uint64_t masterSeed = 0;
     /**
-     * This worker thread's Core pool, nullptr outside a TrialRunner.
-     * Session(ctx) draws its Core from here (reset to ctx.seed) instead
-     * of constructing one per trial.
+     * This worker thread's Machine pool, nullptr outside a
+     * TrialRunner. Session(ctx) draws its Machine from here (reset to
+     * ctx.seed) instead of constructing one per trial.
      */
     CorePool *pool = nullptr;
     /**

@@ -86,6 +86,22 @@ TEST(CliErrorTest, NonNumericScaleIsFatal)
                 "fatal: --scale expects a non-negative integer, got 'big'");
 }
 
+TEST(CliErrorTest, ZeroScaleIsFatal)
+{
+    // A zero scale would run no samples: benches print nan rows or die
+    // deep inside a worker, so the parser rejects it up front.
+    const HarnessCli cli = makeCli();
+    EXPECT_EXIT(parseArgs(cli, {"cli_test", "--scale", "0"}),
+                ::testing::ExitedWithCode(1), "fatal: --scale must be >= 1");
+}
+
+TEST(CliErrorTest, ZeroPositionalScaleIsFatal)
+{
+    const HarnessCli cli = makeCli();
+    EXPECT_EXIT(parseArgs(cli, {"cli_test", "0"}),
+                ::testing::ExitedWithCode(1), "fatal: --scale must be >= 1");
+}
+
 TEST(CliErrorTest, UnsignedFlagAboveUintMaxIsFatal)
 {
     // 2^32 + 1 must not wrap to 1 on its way into an unsigned option.

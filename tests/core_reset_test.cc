@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -260,28 +261,99 @@ TEST(CorePoolTest, PooledParallelMatchesFreshSerial)
     }
 }
 
-TEST(CorePoolTest, PoolKeepsOneCorePerSpec)
+/** Heap allocations made by `fn` on this thread. A reused Machine
+ *  allocates nothing, and a build always does: unlike an address, this
+ *  tells a rebuild from a reuse even when the new Machine lands where
+ *  the freed one was. */
+template <typename Fn>
+std::uint64_t
+allocsDuring(Fn &&fn)
+{
+    const AllocStats before = allocGaugeRead();
+    fn();
+    return allocGaugeRead().allocs - before.allocs;
+}
+
+TEST(CorePoolTest, PoolResetsOnNewSeedAndRebuildsOnNewConfig)
 {
     CorePool pool;
     ExperimentSpec spec;
     const SystemConfig a = Session::configFor(spec, 1);
     const SystemConfig b = Session::configFor(spec, 2);
 
-    Machine &first = pool.acquire(0, a);
-    Machine &second = pool.acquire(0, b);
-    EXPECT_EQ(&first, &second); // same machine, new seed: reused
-    EXPECT_EQ(second.core().config().seed, 2u);
-    EXPECT_EQ(pool.size(), 1u);
+    Machine *first = &pool.acquire(a);
+    Machine *second = nullptr;
+    // Same machine, new seed: reset in place.
+    EXPECT_EQ(allocsDuring([&] { second = &pool.acquire(b); }), 0u);
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(second->core().config().seed, 2u);
 
-    // A genuinely different machine rebuilds instead of resetting.
+    // A genuinely different machine replaces the held one.
     SystemConfig bigger = a;
     bigger.l1d.sizeBytes *= 2;
-    Machine &third = pool.acquire(0, bigger);
-    EXPECT_NE(&third, &second);
-    EXPECT_EQ(pool.size(), 1u);
+    Machine *third = nullptr;
+    EXPECT_GT(allocsDuring([&] { third = &pool.acquire(bigger); }), 0u);
+    EXPECT_EQ(third->core().config().l1d.sizeBytes, bigger.l1d.sizeBytes);
+    EXPECT_EQ(third->core().config().seed, 1u);
+}
 
-    pool.acquire(1, a);
-    EXPECT_EQ(pool.size(), 2u);
+TEST(CorePoolTest, InterleavedSpecsMatchFreshSessions)
+{
+    // loads=1 and loads=8 share a SystemConfig and differ only in
+    // their UnxpecConfig; unsafe is a different machine running the
+    // loads=8 attack. One pool runs them interleaved, each trial under
+    // its own seed, and every trial must read exactly what a freshly
+    // built Session reads.
+    std::vector<ExperimentSpec> specs(3);
+    specs[0].attackCfg.inBranchLoads = 1;
+    specs[1].attackCfg.inBranchLoads = 8;
+    specs[2].defense = "unsafe";
+    specs[2].attackCfg.inBranchLoads = 8;
+
+    auto latencies = [](Session &session) {
+        UnxpecAttack &attack = session.unxpec();
+        std::vector<double> trace;
+        for (int secret : {0, 1, 0, 1}) {
+            attack.setSecret(secret);
+            trace.push_back(attack.measureOnce());
+        }
+        return trace;
+    };
+
+    CorePool pool;
+    const std::size_t order[] = {0, 0, 1, 2, 1, 0};
+    std::vector<const Machine *> machines;
+    std::vector<bool> machine_built;
+    std::vector<bool> attack_built;
+    std::uint64_t seed = 100;
+    for (const std::size_t i : order) {
+        ++seed;
+        TrialContext ctx{specs[i], i, 0, seed, 0, &pool};
+        std::vector<double> pooled;
+        {
+            std::optional<Session> session;
+            machine_built.push_back(
+                allocsDuring([&] { session.emplace(ctx); }) > 0);
+            attack_built.push_back(
+                allocsDuring([&] { session->unxpec(); }) > 0);
+            machines.push_back(&session->machine());
+            pooled = latencies(*session);
+        }
+        Session fresh(specs[i], seed);
+        EXPECT_EQ(pooled, latencies(fresh)) << "trial seed " << seed;
+    }
+
+    // The loads specs share one Machine and unsafe replaces it. The
+    // attack is rebuilt whenever its config or its Machine changed:
+    // unsafe's loads=8 attack cannot reuse the one built on the
+    // cleanup_l1l2 Machine, nor the next loads=8 trial unsafe's.
+    EXPECT_EQ(machine_built,
+              (std::vector<bool>{true, false, false, true, true, false}));
+    EXPECT_EQ(attack_built,
+              (std::vector<bool>{true, false, true, true, true, true}));
+    EXPECT_EQ(machines[0], machines[1]);
+    EXPECT_EQ(machines[1], machines[2]);
+    EXPECT_EQ(machines[4], machines[5]);
 }
 
 // --- zero-alloc steady state --------------------------------------------

@@ -120,13 +120,12 @@ TEST(MachineTest, CorePoolReusesMachinesBitIdentically)
     const Program program = loopProgram();
 
     CorePool pool;
-    Machine &first = pool.acquire(0, cfg);
+    Machine &first = pool.acquire(cfg);
     const RunResult r1 = first.core(0).run(program);
-    EXPECT_EQ(pool.size(), 1u);
 
-    // Same spec, same seed, reacquired: the pooled machine is reset
+    // Same config, same seed, reacquired: the pooled machine is reset
     // and reproduces the run bit-for-bit.
-    Machine &second = pool.acquire(0, cfg);
+    Machine &second = pool.acquire(cfg);
     EXPECT_EQ(&first, &second);
     const RunResult r2 = second.core(0).run(program);
     EXPECT_EQ(r1.cycles, r2.cycles);
@@ -135,7 +134,7 @@ TEST(MachineTest, CorePoolReusesMachinesBitIdentically)
     // A different core count is a genuinely different machine.
     SystemConfig wider = cfg;
     wider.numCores = 4;
-    Machine &third = pool.acquire(0, wider);
+    Machine &third = pool.acquire(wider);
     EXPECT_EQ(third.numCores(), 4u);
 }
 
