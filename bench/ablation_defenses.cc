@@ -82,7 +82,6 @@ main(int argc, char **argv)
         {"delay_on_miss", "DelayOnMiss (Invisible)"},
         {"cleanup_l1", "Cleanup_FOR_L1 (Undo)"},
         {"cleanup_l1l2", "Cleanup_FOR_L1L2 (Undo)"},
-        {"cleanup_full", "Cleanup_FULL (hypoth. L2 restore)"},
         {"cleanup_const65", "Cleanup + const-65 rollback"},
         {"cleanup_fuzzy40", "Cleanup + fuzzy<=40 (SVII)"},
     };

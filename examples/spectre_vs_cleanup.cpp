@@ -7,7 +7,7 @@
  * machine comes from the harness registry, so other schemes can be
  * auditioned for Acts 2 and 3:
  *
- *   $ ./spectre_vs_cleanup [--mode cleanup_full]
+ *   $ ./spectre_vs_cleanup [--mode cleanup_l1]
  */
 
 #include <iostream>

@@ -228,10 +228,14 @@ MatrixReport::writeMarkdown(std::ostream &os) const
               "statistics are shown as '-'.\n";
     }
     os << "\nReading guide: the cache-state receiver (unxpec) breaks "
-          "Undo schemes; the contention receiver breaks every defense "
-          "that only hides *cache* state once the multiplier is "
-          "non-pipelined. Only the pipelined-FU column of defenses "
-          "closes both.\n";
+          "Undo schemes. The contention cells run with a non-pipelined "
+          "multiplier, a hazard no cache defense touches, so the "
+          "contention receiver breaks every defense that only hides "
+          "*cache* state and no row closes both receivers. `noisy_host` "
+          "is a machine profile, not a defense "
+          "(`SystemConfig::makeNoisyHost`: 170-cycle memory, 26-cycle "
+          "L2): its overhead is the slower memory, not the cost of a "
+          "defense.\n";
 }
 
 } // namespace unxpec

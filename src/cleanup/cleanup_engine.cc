@@ -37,10 +37,9 @@ CleanupEngine::CleanupEngine(CleanupMode mode, const CleanupTiming &timing,
 
 double
 CleanupEngine::rollbackDuration(unsigned l1_inv, unsigned l2_inv,
-                                unsigned restores,
-                                unsigned l2_restores) const
+                                unsigned restores) const
 {
-    if (l1_inv == 0 && l2_inv == 0 && restores == 0 && l2_restores == 0)
+    if (l1_inv == 0 && l2_inv == 0 && restores == 0)
         return 0.0;
 
     double duration = timing_.mshrCleanCost;
@@ -60,12 +59,6 @@ CleanupEngine::rollbackDuration(unsigned l1_inv, unsigned l2_inv,
     if (restores > 0) {
         duration += timing_.restoreFirst +
                     (restores - 1) * timing_.restoreNext;
-    }
-    // Cleanup_FULL: L2 restorations refill from memory — the cost that
-    // made CleanupSpec reject L2 restoration outright.
-    if (l2_restores > 0) {
-        duration += timing_.restoreL2First +
-                    (l2_restores - 1) * timing_.restoreL2Next;
     }
     return duration;
 }
@@ -142,9 +135,7 @@ CleanupEngine::rollback(MemoryHierarchy &hierarchy, const CleanupJob &job,
     // SpecBox labels live in both levels; its flash-clear drops them
     // everywhere (the timing shortcut below is what makes it free).
     const bool invalidate_l2 = mode_ == CleanupMode::Cleanup_FOR_L1L2 ||
-                               mode_ == CleanupMode::Cleanup_FULL ||
                                mode_ == CleanupMode::SpecBox;
-    const bool restore_l2 = mode_ == CleanupMode::Cleanup_FULL;
     unsigned l1_inv = 0;
     unsigned l2_inv = 0;
     for (const auto &record : job.landed) {
@@ -189,20 +180,6 @@ CleanupEngine::rollback(MemoryHierarchy &hierarchy, const CleanupJob &job,
                                kTraceFlagL1);
         }
     }
-    unsigned restored_l2 = 0;
-    if (restore_l2) {
-        for (const auto &record : job.landed) {
-            if (record.l2Installed && record.l2VictimValid) {
-                hierarchy.cleanupRestoreL2(record, squash);
-                ++restored_l2;
-                if (tracing) {
-                    tracer_->instantAt(squash, TraceKind::RollbackRestore,
-                                       record.seq, record.l2Victim, 0, 0,
-                                       kTraceFlagL2);
-                }
-            }
-        }
-    }
 
     invalidationsL1_ += l1_inv;
     invalidationsL2_ += l2_inv;
@@ -226,11 +203,10 @@ CleanupEngine::rollback(MemoryHierarchy &hierarchy, const CleanupJob &job,
     // --- timing --------------------------------------------------------
     Cycle start = squash;
     // T4: wait out inflight correct-path loads before touching state.
-    if (l1_inv + l2_inv + restored + restored_l2 > 0)
+    if (l1_inv + l2_inv + restored > 0)
         start = std::max(start, older_drain);
 
-    double duration = rollbackDuration(
-        l1_inv, invalidate_l2 ? l2_inv : 0, restored, restored_l2);
+    double duration = rollbackDuration(l1_inv, l2_inv, restored);
     if (duration == 0.0 && !job.inflight.empty())
         duration = timing_.mshrCleanCost;
     Cycle stall_until =
@@ -239,8 +215,7 @@ CleanupEngine::rollback(MemoryHierarchy &hierarchy, const CleanupJob &job,
     // The countermeasures below only make sense for Undo schemes:
     // Invisible squashes have no rollback whose timing could leak.
     const bool undo_scheme = mode_ == CleanupMode::Cleanup_FOR_L1 ||
-                             mode_ == CleanupMode::Cleanup_FOR_L1L2 ||
-                             mode_ == CleanupMode::Cleanup_FULL;
+                             mode_ == CleanupMode::Cleanup_FOR_L1L2;
 
     // Relaxed constant-time rollback: stall at least the constant,
     // longer when the real rollback needs it (§VI-E).
@@ -268,7 +243,7 @@ CleanupEngine::rollback(MemoryHierarchy &hierarchy, const CleanupJob &job,
             // timing channel, now visible.
             tracer_->span(TraceKind::RollbackEnd, stall_until,
                           stall_until - squash, kSeqNone, kAddrInvalid,
-                          l1_inv + l2_inv + restored + restored_l2);
+                          l1_inv + l2_inv + restored);
         }
     }
     lastStall_ = stall_until - squash;

@@ -72,13 +72,12 @@ class CleanupEngine
 
     /**
      * Pure timing query: rollback duration (cycles beyond the squash)
-     * for a footprint of k1 L1 installs, k2 L2 installs, m L1 restores
-     * (and, under Cleanup_FULL, m2 L2 restores from memory).
-     * Exposed for calibration tests and the analytical benches.
+     * for a footprint of k1 L1 installs, k2 L2 installs and m L1
+     * restores. Exposed for calibration tests and the analytical
+     * benches.
      */
     double rollbackDuration(unsigned l1_inv, unsigned l2_inv,
-                            unsigned restores,
-                            unsigned l2_restores = 0) const;
+                            unsigned restores) const;
 
     StatGroup &stats() { return stats_; }
 

@@ -39,6 +39,10 @@ parseU64(const std::string &flag, const std::string &value,
     return parsed;
 }
 
+/** Largest --threads: a trial pool starts one OS thread per worker,
+ *  so an unbounded width could ask for tens of thousands at once. */
+constexpr unsigned kMaxThreads = 1024;
+
 unsigned
 parseUnsigned(const std::string &flag, const std::string &value)
 {
@@ -142,8 +146,8 @@ HarnessCli::usage(std::ostream &os) const
        << "  --seed S       master seed; per-trial seeds derive from it "
           "(default "
        << seed_ << ")\n"
-       << "  --threads T    trial-pool width; 0 = hardware concurrency "
-          "(default 0)\n"
+       << "  --threads T    trial-pool width, at most " << kMaxThreads
+       << "; 0 = hardware concurrency (default 0)\n"
        << "  --cores N      cores per simulated machine, sharing one L2 "
           "through MESI (default 1)\n"
        << "  --mode NAME    defense (default " << mode_ << ")\n"
@@ -211,7 +215,8 @@ HarnessCli::parse(int argc, char **argv) const
         } else if (arg == "--seed") {
             options.seed = parseU64(arg, value());
         } else if (arg == "--threads") {
-            options.threads = parseUnsigned(arg, value());
+            options.threads =
+                static_cast<unsigned>(parseU64(arg, value(), kMaxThreads));
         } else if (arg == "--cores") {
             options.cores = parseUnsigned(arg, value());
             if (options.cores == 0 || options.cores > 16)

@@ -6,7 +6,7 @@
  *
  *   --reps N       replications per experiment point
  *   --seed S       master seed (per-trial seeds derive from it)
- *   --threads T    trial-pool width (0 or omitted = hardware)
+ *   --threads T    trial-pool width <= 1024 (0 or omitted = hardware)
  *   --cores N      cores per simulated machine (shared L2 + MESI)
  *   --mode NAME    defense registry key overriding the bench default
  *   --noise NAME   noise-profile registry key overriding the default

@@ -99,13 +99,6 @@ defenses()
         registry.add("cleanup_l1l2",
                      "CleanupSpec, L1+L2 invalidation (paper Table I)",
                      [] { return SystemConfig::makeDefault(); });
-        registry.add("cleanup_full",
-                     "hypothetical CleanupSpec with L2 restoration",
-                     [] {
-                         SystemConfig cfg = SystemConfig::makeDefault();
-                         cfg.cleanupMode = CleanupMode::Cleanup_FULL;
-                         return cfg;
-                     });
         registry.add("invisispec",
                      "InvisiSpec-style Invisible defense (MICRO'18)",
                      [] { return SystemConfig::makeInvisiSpec(); });

@@ -8,26 +8,6 @@
 
 namespace unxpec {
 
-namespace {
-
-/** Allowed-way mask for one domain; pure function of the config. */
-std::uint64_t
-computeAllowedMask(const CacheConfig &cfg, unsigned domain)
-{
-    const unsigned usable = cfg.ways - cfg.nomoReservedWays;
-    const std::uint64_t all =
-        cfg.ways >= 64 ? ~0ull : ((1ull << cfg.ways) - 1);
-    if (cfg.nomoReservedWays == 0)
-        return all;
-    const std::uint64_t own =
-        usable >= 64 ? ~0ull : ((1ull << usable) - 1);
-    // Domain 0 owns the low ways; the SMT sibling (domain 1) owns the
-    // NoMo-reserved high ways.
-    return domain == 0 ? own : (all & ~own);
-}
-
-} // namespace
-
 Cache::Cache(const CacheConfig &cfg, Rng &rng, std::uint64_t index_key)
     : cfg_(cfg),
       numSets_(cfg.numSets()),
@@ -37,7 +17,6 @@ Cache::Cache(const CacheConfig &cfg, Rng &rng, std::uint64_t index_key)
       repl_(cfg.repl, cfg.numSets() + 1, cfg.ways, rng),
       index_(cfg.index, cfg.numSets(), index_key),
       mshr_(cfg.mshrs),
-      allowedMask_{computeAllowedMask(cfg, 0), computeAllowedMask(cfg, 1)},
       stats_(cfg.name),
       hits_(stats_.counter("hits", "demand hits")),
       misses_(stats_.counter("misses", "demand misses")),
@@ -48,8 +27,6 @@ Cache::Cache(const CacheConfig &cfg, Rng &rng, std::uint64_t index_key)
 {
     if (cfg.ways == 0 || cfg.ways > 64)
         fatal("cache ", cfg.name, ": ways must be in [1, 64]");
-    if (cfg.nomoReservedWays >= cfg.ways)
-        fatal("cache ", cfg.name, ": NoMo reservation leaves no usable way");
     // lint-ok(steady-alloc): one-time construction sizing
     touchedSets_.reserve(numSets_);
 }
@@ -62,27 +39,26 @@ Cache::line(unsigned set, unsigned way)
 
 FillResult
 Cache::install(Addr line_addr, Cycle fill_cycle, bool speculative,
-               SeqNum installer, unsigned domain)
+               SeqNum installer)
 {
     const unsigned set = index_.set(line_addr);
     const unsigned row = claimRow(set);
     const std::size_t base = static_cast<std::size_t>(row) * cfg_.ways;
-    const std::uint64_t mask = allowedMask_[domain == 0 ? 0 : 1];
 
     FillResult result;
     result.set = set;
 
-    // Prefer an invalid allowed way.
+    // Prefer an invalid way.
     Addr *tags = tags_.data() + base;
     unsigned chosen = cfg_.ways;
     for (unsigned way = 0; way < cfg_.ways; ++way) {
-        if ((mask & (1ull << way)) && tags[way] == kEmptyTag) {
+        if (tags[way] == kEmptyTag) {
             chosen = way;
             break;
         }
     }
     if (chosen == cfg_.ways) {
-        chosen = repl_.victim(row, mask);
+        chosen = repl_.victim(row);
         const CacheLine &victim = lines_[base + chosen];
         result.victimLine = ~tags[chosen];
         result.victimValid = true;

@@ -3,9 +3,8 @@
  * Set-associative cache array (tags + state only; data is functional
  * and lives in MainMemory). Supports the mechanisms CleanupSpec needs:
  * speculative-install marking, targeted invalidation, restoration of a
- * victim into the exact way a transient fill displaced it from, NoMo
- * way partitioning, random replacement, and randomized (CEASER-style)
- * indexing.
+ * victim into the exact way a transient fill displaced it from, random
+ * replacement, and randomized (CEASER-style) indexing.
  *
  * Hot-path layout: tags live in their own contiguous array (SoA) so
  * probe() scans one cache line of simulator memory per set instead of
@@ -133,21 +132,15 @@ class Cache
             repl_.touch(rowOf_[set], static_cast<unsigned>(way));
     }
 
-    /**
-     * Install a line, evicting a victim if every allowed way is valid.
-     * Invalid ways are preferred; the NoMo partition restricts the
-     * candidate ways per security domain: domain 0 (the owning
-     * thread) may not touch the reserved ways, which belong to
-     * domain 1 (the SMT sibling). With no reservation both domains
-     * share every way.
-     */
+    /** Install a line into an invalid way, or evict the replacement
+     *  policy's victim when every way is valid. */
     UNXPEC_TRANSITION("spec@UnsafeBaseline,Cleanup_FOR_L1,Cleanup_FOR_L1L2,"
-                      "Cleanup_FULL,SpecBox")
+                      "SpecBox")
     FillResult install(Addr line_addr, Cycle fill_cycle, bool speculative,
-                       SeqNum installer, unsigned domain = 0);
+                       SeqNum installer);
 
     /** Place a line into a specific way (restoration / inflight undo). */
-    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,Cleanup_FULL,SpecBox")
+    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,SpecBox")
     void installAt(unsigned set, unsigned way, Addr line_addr, bool dirty,
                    Cycle fill_cycle);
 
@@ -155,12 +148,12 @@ class Cache
      *  (shared-L2 back-invalidation, remote write invalidation) and the
      *  cleanup walks, hence the dual registration. */
     UNXPEC_TRANSITION("spec@UnsafeBaseline,Cleanup_FOR_L1,Cleanup_FOR_L1L2,"
-                      "Cleanup_FULL,SpecBox")
-    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,Cleanup_FULL,SpecBox")
+                      "SpecBox")
+    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,SpecBox")
     bool invalidate(Addr line_addr);
 
     /** Invalidate the line in a specific way if it still matches. */
-    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,Cleanup_FULL,SpecBox")
+    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,SpecBox")
     bool invalidateAt(unsigned set, unsigned way, Addr line_addr);
 
     /** Mark a resident line dirty (write hit; stores are committed). */
@@ -304,8 +297,6 @@ class Cache
     /** Sets written since the last reset, in the order they claimed
      *  rows 1, 2, ... (reserved to numSets_ at construction). */
     std::vector<unsigned> touchedSets_;
-    /** Allowed-way masks per security domain (depends only on config). */
-    std::uint64_t allowedMask_[2];
     Tracer *tracer_ = nullptr;
     std::uint8_t traceLevel_ = 0;
 

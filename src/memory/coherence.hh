@@ -46,7 +46,7 @@ namespace coh {
 
 /** Clean demand fill: sole copy, not yet written. */
 UNXPEC_TRANSITION("spec@UnsafeBaseline,Cleanup_FOR_L1,Cleanup_FOR_L1L2,"
-                  "Cleanup_FULL,SpecBox")
+                  "SpecBox")
 inline void
 onFill(CacheLine &slot)
 {
@@ -56,7 +56,7 @@ onFill(CacheLine &slot)
 
 /** Victim restoration / inflight undo: the line returns with the
  *  dirtiness it left with. */
-UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,Cleanup_FULL,SpecBox")
+UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,SpecBox")
 inline void
 onRestore(CacheLine &slot, bool dirty)
 {
@@ -75,7 +75,7 @@ onLocalWrite(CacheLine &slot)
 
 /** A fill served by a remote core's cache: both copies become S. */
 UNXPEC_TRANSITION("spec@UnsafeBaseline,Cleanup_FOR_L1,Cleanup_FOR_L1L2,"
-                  "Cleanup_FULL,SpecBox")
+                  "SpecBox")
 inline void
 onSharedFill(CacheLine &slot)
 {
@@ -86,7 +86,7 @@ onSharedFill(CacheLine &slot)
 /** Remote read hit on a committed copy: M/E degrade to S (a dirty M
  *  copy is considered written back to the shared level). */
 UNXPEC_TRANSITION("spec@UnsafeBaseline,Cleanup_FOR_L1,Cleanup_FOR_L1L2,"
-                  "Cleanup_FULL,SpecBox")
+                  "SpecBox")
 inline void
 onRemoteRead(CacheLine &slot)
 {
@@ -99,7 +99,7 @@ onRemoteRead(CacheLine &slot)
  *  Only M/E have anywhere to downgrade to — an already-Shared
  *  speculative copy defers nothing. */
 UNXPEC_TRANSITION("spec@UnsafeBaseline,Cleanup_FOR_L1,Cleanup_FOR_L1L2,"
-                  "Cleanup_FULL,SpecBox")
+                  "SpecBox")
 inline void
 onDelayedDowngrade(CacheLine &slot)
 {
@@ -121,7 +121,7 @@ onCommit(CacheLine &slot)
 
 /** Undo of a squashed speculative access's remote downgrade: the owner
  *  gets its pre-snoop state back (CleanupSpec coherence rollback). */
-UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,Cleanup_FULL,SpecBox")
+UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,SpecBox")
 inline void
 onDowngradeUndo(CacheLine &slot, CohState previous)
 {
@@ -183,7 +183,7 @@ class CoherenceEngine
      * information into `record` when the requester is speculative.
      */
     UNXPEC_TRANSITION("spec@UnsafeBaseline,Cleanup_FOR_L1,Cleanup_FOR_L1L2,"
-                      "Cleanup_FULL,SpecBox")
+                      "SpecBox")
     SnoopResult snoop(unsigned requester, Addr line, Cycle now, bool write,
                       bool speculative, MemAccessRecord &record);
 
@@ -209,7 +209,7 @@ class CoherenceEngine
      * L1 (subset) L2 inclusion holds machine-wide.
      */
     UNXPEC_TRANSITION("spec@UnsafeBaseline,Cleanup_FOR_L1,Cleanup_FOR_L1L2,"
-                      "Cleanup_FULL,SpecBox")
+                      "SpecBox")
     void backInvalidate(Addr victim);
 
     /**
@@ -221,7 +221,7 @@ class CoherenceEngine
      * memory latency).
      */
     UNXPEC_TRANSITION("spec@UnsafeBaseline,Cleanup_FOR_L1,Cleanup_FOR_L1L2,"
-                      "Cleanup_FULL,SpecBox")
+                      "SpecBox")
     bool hideSharedSpeculative(CacheLine &slot, Addr line, Cycle now);
 
     /**
@@ -230,7 +230,7 @@ class CoherenceEngine
      * undo): if the shared L2 no longer holds it, install it there,
      * back-invalidating whatever that displaces.
      */
-    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,Cleanup_FULL,SpecBox")
+    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,SpecBox")
     void ensureInclusion(Addr line, Cycle now);
 
     /** clflush semantics across the machine: drop every core's copy.
@@ -244,7 +244,7 @@ class CoherenceEngine
      * snooped a remote committed M/E copy down to S — give the owner
      * its pre-snoop state back (record.snoopOwner/snoopPrevState).
      */
-    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,Cleanup_FULL,SpecBox")
+    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,SpecBox")
     void undoSnoopDowngrade(const MemAccessRecord &record);
 
     /**

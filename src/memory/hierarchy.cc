@@ -574,14 +574,6 @@ MemoryHierarchy::undoSnoopDowngrade(const MemAccessRecord &record)
 }
 
 void
-MemoryHierarchy::cleanupRestoreL2(const MemAccessRecord &record, Cycle now)
-{
-    l2p_->installAt(record.l2Set, record.l2Way, record.l2Victim, false,
-                    now);
-    ++l2p_->stats().counter("restores");
-}
-
-void
 MemoryHierarchy::dropSpeculativeMark(const MemAccessRecord &record, bool l1,
                                      bool l2)
 {

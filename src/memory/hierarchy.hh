@@ -112,7 +112,7 @@ class MemoryHierarchy
      * listed modes can reach an install speculatively through here.
      */
     UNXPEC_TRANSITION("spec@UnsafeBaseline,Cleanup_FOR_L1,Cleanup_FOR_L1L2,"
-                      "Cleanup_FULL,SpecBox")
+                      "SpecBox")
     MemAccessRecord access(Addr addr, Cycle now, bool write,
                            bool speculative, SeqNum seq);
 
@@ -213,23 +213,18 @@ class MemoryHierarchy
      * line silently never arrives and its victim never left (models
      * CleanupSpec's T3 MSHR purge of inflight transient loads).
      */
-    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,Cleanup_FULL,SpecBox")
+    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,SpecBox")
     void undoInflight(const MemAccessRecord &record);
 
     /** CleanupSpec T5a: invalidate a transiently installed line. */
-    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,Cleanup_FULL,SpecBox")
+    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,SpecBox")
     bool cleanupInvalidateL1(const MemAccessRecord &record);
-    UNXPEC_ROLLBACK("Cleanup_FOR_L1L2,Cleanup_FULL,SpecBox")
+    UNXPEC_ROLLBACK("Cleanup_FOR_L1L2,SpecBox")
     bool cleanupInvalidateL2(const MemAccessRecord &record);
 
     /** CleanupSpec T5b: restore the L1 victim a transient fill evicted. */
-    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,Cleanup_FULL,SpecBox")
+    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,SpecBox")
     void cleanupRestoreL1(const MemAccessRecord &record, Cycle now);
-
-    /** Cleanup_FULL only: restore the L2 victim as well (CleanupSpec
-     *  itself never does this — too costly; see CleanupMode). */
-    UNXPEC_ROLLBACK("Cleanup_FULL")
-    void cleanupRestoreL2(const MemAccessRecord &record, Cycle now);
 
     /**
      * Drop a squashed installer's speculative marking without touching
@@ -278,7 +273,7 @@ class MemoryHierarchy
      * a squashed speculative access performed (no-op without an
      * engine or when the record carries no downgrade).
      */
-    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,Cleanup_FULL,SpecBox")
+    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,SpecBox")
     void undoSnoopDowngrade(const MemAccessRecord &record);
 
     /** Audit all three caches (sim/audit.hh). Throws AuditError. */

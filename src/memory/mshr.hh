@@ -59,12 +59,12 @@ class MshrFile
 
     /** Allocate a new entry; the file must not be full. */
     UNXPEC_TRANSITION("spec@UnsafeBaseline,Cleanup_FOR_L1,Cleanup_FOR_L1L2,"
-                      "Cleanup_FULL,SpecBox,CacheSquash")
+                      "SpecBox,CacheSquash")
     MshrEntry &allocate(Addr line_addr, Cycle ready, bool speculative,
                         SeqNum installer);
 
     /** Drop the entry for a line (CleanupSpec T3 inflight purge). */
-    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,Cleanup_FULL,SpecBox")
+    UNXPEC_ROLLBACK("Cleanup_FOR_L1,Cleanup_FOR_L1L2,SpecBox")
     bool squash(Addr line_addr);
 
     /**

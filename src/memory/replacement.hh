@@ -3,8 +3,6 @@
  * Replacement policies. CleanupSpec mandates *random* replacement in
  * the L1 D-cache (hiding replacement-metadata side channels exploited
  * by speculative interference attacks); other levels default to LRU.
- * NoMo-style way partitioning is expressed through an allowed-way mask
- * supplied by the cache.
  *
  * ReplacementState is the one implementation: a concrete
  * enum-dispatched class whose touch/fill (Cache::touch on every hit,
@@ -28,7 +26,7 @@ namespace unxpec {
  * Replacement metadata for one cache: LRU timestamps or the shared Rng
  * for uniformly random victims, selected by a two-value enum.
  * Invalid ways are always preferred as victims by the cache itself;
- * victim() is consulted only when every allowed way is valid. State is
+ * victim() is consulted only when every way is valid. State is
  * kept per storage row, the cache's place for a set's ways (see
  * Cache).
  */
@@ -55,11 +53,9 @@ class ReplacementState
     /** Record a fill into (row, way). */
     void fill(unsigned row, unsigned way) { touch(row, way); }
 
-    /**
-     * Choose a victim way within `row` among ways whose bit is set in
-     * `allowed_mask` (never zero).
-     */
-    unsigned victim(unsigned row, std::uint64_t allowed_mask);
+    /** Choose a victim way within `row`: the least recently used way,
+     *  or one uniformly random draw over every way. */
+    unsigned victim(unsigned row);
 
     /** Forget the history of `count` rows from `first` on (a cache
      *  reset of the rows it wrote). */

@@ -14,7 +14,6 @@ toString(CleanupMode mode)
       case CleanupMode::UnsafeBaseline:   return "UnsafeBaseline";
       case CleanupMode::Cleanup_FOR_L1:   return "Cleanup_FOR_L1";
       case CleanupMode::Cleanup_FOR_L1L2: return "Cleanup_FOR_L1L2";
-      case CleanupMode::Cleanup_FULL:     return "Cleanup_FULL";
       case CleanupMode::InvisiSpec:       return "InvisiSpec";
       case CleanupMode::DelayOnMiss:      return "DelayOnMiss";
       case CleanupMode::SafeSpec:         return "SafeSpec";
@@ -142,9 +141,6 @@ SystemConfig::validate() const
         }
         if (c.mshrs == 0)
             fatal("cache ", c.name, ": need at least one MSHR");
-        if (c.nomoReservedWays >= c.ways)
-            fatal("cache ", c.name,
-                  ": NoMo reservation leaves no usable way");
     };
     check_cache(l1i);
     check_cache(l1d);

@@ -43,11 +43,6 @@ enum class CleanupMode
     UnsafeBaseline,    //!< no rollback: transient installs persist
     Cleanup_FOR_L1,    //!< invalidate/restore in the L1 D-cache only
     Cleanup_FOR_L1L2,  //!< additionally invalidate L2 installs (paper cfg)
-    Cleanup_FULL,      //!< hypothetical: restore L2 victims as well.
-                       //!< CleanupSpec rejects this for cost (§III-A);
-                       //!< it also *widens* the unXpec channel — more
-                       //!< rollback work means more secret-dependent
-                       //!< time (our ablation)
     InvisiSpec,        //!< Invisible: buffer speculative fills, expose
                        //!< and validate at commit
     DelayOnMiss,       //!< Invisible: serve speculative L1 hits, delay
@@ -79,9 +74,6 @@ struct CacheConfig
     unsigned mshrs = 16;           //!< outstanding-miss registers
     ReplPolicy repl = ReplPolicy::LRU;
     IndexPolicy index = IndexPolicy::Modulo;
-    /** NoMo way partitioning: ways reserved away from this security
-     *  domain (0 disables partitioning). */
-    unsigned nomoReservedWays = 0;
 
     unsigned numSets() const { return sizeBytes / (ways * kLineBytes); }
 
@@ -108,9 +100,6 @@ struct CleanupTiming
     double invNextL2 = 0.5;       //!< each further L2 invalidation
     double restoreFirst = 10.0;   //!< first L1 restoration (refill from L2)
     double restoreNext = 4.2;     //!< each further restoration
-    double restoreL2First = 30.0; //!< first L2 restoration (from memory;
-                                  //!< Cleanup_FULL only)
-    double restoreL2Next = 12.0;  //!< each further L2 restoration
     /** Constant-time rollback: stall at least this many cycles on every
      *  squash (0 disables the countermeasure). Implements the paper's
      *  "relaxed" strategy: stall = max(actual, constant). */

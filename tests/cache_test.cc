@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the cache array: install/evict/invalidate/restore,
- * speculative marking, NoMo partitioning, occupancy invariants, and
+ * speculative marking, occupancy invariants, and
  * the touched-set reset.
  */
 
@@ -159,22 +159,6 @@ TEST_F(CacheTest, ResetEmptiesCache)
     EXPECT_EQ(cache_.mshr().inflight(), 0u);
 }
 
-TEST(CacheNomoTest, ReservedWaysNeverUsed)
-{
-    CacheConfig cfg = smallConfig();
-    cfg.nomoReservedWays = 2; // only ways 0-1 usable
-    Rng rng(2);
-    Cache cache(cfg, rng, 0);
-    const unsigned sets = cfg.numSets();
-    for (unsigned i = 0; i < 8; ++i) {
-        const FillResult fill =
-            cache.install(0x4000 + i * sets * kLineBytes, 0, false,
-                          kSeqNone);
-        EXPECT_LT(fill.way, 2u);
-    }
-    EXPECT_EQ(cache.setOccupancy(cache.setOf(0x4000)), 2u);
-}
-
 TEST(CacheRandomTest, RandomPolicyEvictsVariedWays)
 {
     CacheConfig cfg = smallConfig();
@@ -226,8 +210,7 @@ randomMix(Cache &cache, Rng &ops, unsigned steps,
           case 0: {
             const FillResult fill =
                 cache.install(line, ops.range(50), ops.chance(0.5),
-                              ops.range(100),
-                              static_cast<unsigned>(ops.range(2)));
+                              ops.range(100));
             trace.insert(trace.end(), {fill.set, fill.way, fill.victimLine,
                                        fill.victimValid});
             break;
@@ -291,16 +274,6 @@ TEST(CacheResetTest, ReseedMatchesFreshUnderRandom)
     CacheConfig cfg = smallConfig();
     cfg.name = "random";
     cfg.repl = ReplPolicy::Random;
-    expectReseedMatchesFresh(cfg);
-}
-
-TEST(CacheResetTest, ReseedMatchesFreshUnderNomo)
-{
-    CacheConfig cfg = smallConfig();
-    cfg.name = "nomo";
-    cfg.ways = 8;
-    cfg.sizeBytes = 8 * 1024; // 16 sets x 8 ways
-    cfg.nomoReservedWays = 2;
     expectReseedMatchesFresh(cfg);
 }
 

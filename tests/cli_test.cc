@@ -135,6 +135,21 @@ TEST(CliErrorTest, UnsignedFlagAcceptsUintMax)
     EXPECT_EQ(options.seed, 18446744073709551615ull);
 }
 
+TEST(CliErrorTest, ThreadsAboveBoundIsFatal)
+{
+    // Parse only: the bound rejects the width before any pool exists.
+    const HarnessCli cli = makeCli();
+    EXPECT_EQ(parseArgs(cli, {"cli_test", "--threads", "1024"}).threads,
+              1024u);
+    EXPECT_EXIT(parseArgs(cli, {"cli_test", "--threads", "1025"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --threads value '1025' is out of range \\(max "
+                "1024\\)");
+    EXPECT_EXIT(parseArgs(cli, {"cli_test", "--threads", "100000"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --threads value '100000' is out of range");
+}
+
 // --- registry lookups ---------------------------------------------------
 
 TEST(CliErrorTest, UnknownModeIsFatal)

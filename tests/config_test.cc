@@ -96,10 +96,6 @@ TEST(ConfigDeathTest, ValidateRejectsBadGeometry)
     bad_size.l2.sizeBytes = 1000; // not a multiple of ways x 64
     EXPECT_DEATH({ bad_size.validate(); }, "multiple");
 
-    SystemConfig bad_nomo = SystemConfig::makeDefault();
-    bad_nomo.l1d.nomoReservedWays = 8;
-    EXPECT_DEATH({ bad_nomo.validate(); }, "NoMo");
-
     SystemConfig bad_width = SystemConfig::makeDefault();
     bad_width.core.issueWidth = 0;
     EXPECT_DEATH({ bad_width.validate(); }, "width");
@@ -119,11 +115,10 @@ TEST(ConfigTest, EqualIgnoringSeedComparesEverythingButTheSeed)
     const Tweak tweaks[] = {
         [](SystemConfig &c) { c.clockGHz = 3.0; },
         [](SystemConfig &c) { c.numCores = 2; },
-        [](SystemConfig &c) { c.cleanupMode = CleanupMode::Cleanup_FULL; },
+        [](SystemConfig &c) { c.cleanupMode = CleanupMode::Cleanup_FOR_L1; },
         [](SystemConfig &c) { c.core.decodeDepth += 1; },
         [](SystemConfig &c) { c.core.mulPipelined = false; },
         [](SystemConfig &c) { c.l1i.hitLatency += 1; },
-        [](SystemConfig &c) { c.l1d.nomoReservedWays = 2; },
         [](SystemConfig &c) { c.l2.index = IndexPolicy::Modulo; },
         [](SystemConfig &c) { c.memory.jitterSigma = 1.5; },
         [](SystemConfig &c) { c.cleanupTiming.fuzzyMaxCycles = 40; },

@@ -266,10 +266,9 @@ expectSame(const Observed &skip, const Observed &step)
 
 constexpr CleanupMode kModes[] = {
     CleanupMode::UnsafeBaseline, CleanupMode::Cleanup_FOR_L1,
-    CleanupMode::Cleanup_FOR_L1L2, CleanupMode::Cleanup_FULL,
-    CleanupMode::InvisiSpec, CleanupMode::DelayOnMiss,
-    CleanupMode::SafeSpec, CleanupMode::SpecBox,
-    CleanupMode::CacheSquash,
+    CleanupMode::Cleanup_FOR_L1L2, CleanupMode::InvisiSpec,
+    CleanupMode::DelayOnMiss, CleanupMode::SafeSpec,
+    CleanupMode::SpecBox, CleanupMode::CacheSquash,
 };
 
 TEST(CoreSkipTest, RunMatchesSteppingInEveryMode)

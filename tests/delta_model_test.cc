@@ -4,7 +4,7 @@
  * CleanupTiming formula, not an emergent pipeline effect. Under the
  * `quiet` profile with the default timing, every Fig. 3 row (plain
  * unXpec, n = 1..8 squashed loads) and every Fig. 6 row (eviction
- * sets, n = 1..8) measures Δ = llround(rollbackDuration(n, n, r, 0))
+ * sets, n = 1..8) measures Δ = llround(rollbackDuration(n, n, r))
  * cycles, where r is the round's restores (0 without eviction sets, n
  * with them), and every squash a Fig. 3 round logs stalls for exactly
  * its T4 wait plus the formula of its own counts.
@@ -43,7 +43,7 @@ duration(unsigned l1_inv, unsigned l2_inv, unsigned restores)
     Rng unused(1);
     const CleanupEngine model(CleanupMode::Cleanup_FOR_L1L2, CleanupTiming{},
                               unused);
-    return model.rollbackDuration(l1_inv, l2_inv, restores, 0);
+    return model.rollbackDuration(l1_inv, l2_inv, restores);
 }
 
 Cycle

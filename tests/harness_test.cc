@@ -58,8 +58,8 @@ TEST(DeriveSeedTest, DistinctAcrossStreamsAndMasters)
 TEST(RegistryTest, KnownDefenses)
 {
     for (const char *name :
-         {"unsafe", "cleanup_l1", "cleanup_l1l2", "cleanup_full",
-          "invisispec", "delay_on_miss", "noisy_host", "cleanup_const65",
+         {"unsafe", "cleanup_l1", "cleanup_l1l2", "invisispec",
+          "delay_on_miss", "noisy_host", "cleanup_const65",
           "cleanup_fuzzy40"}) {
         EXPECT_TRUE(knownDefense(name)) << name;
     }

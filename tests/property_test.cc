@@ -139,8 +139,7 @@ TEST_P(InvisibleFootprintTest, NoSecretDependentState)
 
 INSTANTIATE_TEST_SUITE_P(Schemes, InvisibleFootprintTest,
                          ::testing::Values(CleanupMode::InvisiSpec,
-                                           CleanupMode::DelayOnMiss,
-                                           CleanupMode::Cleanup_FULL));
+                                           CleanupMode::DelayOnMiss));
 
 // --------------------------------------------------------------------
 // Constant-time floor: with an XX-cycle constant, every logged squash

@@ -1,7 +1,6 @@
 /**
  * @file
- * Unit tests for ReplacementState: LRU and Random replacement,
- * including the NoMo-style allowed-way masking.
+ * Unit tests for ReplacementState: LRU and Random replacement.
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +30,7 @@ TEST(LruTest, EvictsLeastRecentlyUsed)
     for (unsigned way = 0; way < 4; ++way)
         lru.state.fill(0, way);
     lru.state.touch(0, 0); // way 1 becomes the oldest
-    EXPECT_EQ(lru.state.victim(0, 0xF), 1u);
+    EXPECT_EQ(lru.state.victim(0), 1u);
 }
 
 TEST(LruTest, FillCountsAsUse)
@@ -41,7 +40,7 @@ TEST(LruTest, FillCountsAsUse)
     lru.state.fill(0, 1);
     lru.state.fill(0, 2);
     lru.state.fill(0, 0); // refreshed
-    EXPECT_EQ(lru.state.victim(0, 0x7), 1u);
+    EXPECT_EQ(lru.state.victim(0), 1u);
 }
 
 TEST(LruTest, SetsAreIndependent)
@@ -51,19 +50,8 @@ TEST(LruTest, SetsAreIndependent)
     lru.state.fill(0, 1);
     lru.state.fill(1, 1);
     lru.state.fill(1, 0);
-    EXPECT_EQ(lru.state.victim(0, 0x3), 0u);
-    EXPECT_EQ(lru.state.victim(1, 0x3), 1u);
-}
-
-TEST(LruTest, RespectsAllowedMask)
-{
-    Lru lru(1, 4);
-    lru.state.fill(0, 0);
-    lru.state.fill(0, 1);
-    lru.state.fill(0, 2);
-    lru.state.fill(0, 3);
-    // Way 0 is the LRU way but not allowed.
-    EXPECT_EQ(lru.state.victim(0, 0b1110), 1u);
+    EXPECT_EQ(lru.state.victim(0), 0u);
+    EXPECT_EQ(lru.state.victim(1), 1u);
 }
 
 TEST(LruTest, ClearRowsAndRestartClockForgetHistory)
@@ -76,30 +64,30 @@ TEST(LruTest, ClearRowsAndRestartClockForgetHistory)
     lru.state.restartClock();
     EXPECT_EQ(lru.state.auditTick(), 0u);
     EXPECT_EQ(lru.state.auditStamp(0, 1), 0u);
-    // All stamps of row 0 tie at zero again: the lowest allowed way
-    // wins. Row 1 keeps its history.
-    EXPECT_EQ(lru.state.victim(0, 0xF), 0u);
+    // All stamps of row 0 tie at zero again: the lowest way wins.
+    // Row 1 keeps its history.
+    EXPECT_EQ(lru.state.victim(0), 0u);
     EXPECT_EQ(lru.state.auditStamp(1, 2), 3u);
 }
 
-TEST(RandomTest, OnlyPicksAllowedWays)
+TEST(RandomTest, DrawsEqualRngRangeOverEveryWay)
 {
+    // Each eviction is exactly one Rng::range(ways) draw, so a seeded
+    // run's victim sequence is the Rng's own sequence.
     Rng rng(1);
-    ReplacementState random(ReplPolicy::Random, 1, 8, rng);
-    for (int i = 0; i < 200; ++i) {
-        const unsigned way = random.victim(0, 0b00111100);
-        EXPECT_GE(way, 2u);
-        EXPECT_LE(way, 5u);
-    }
+    Rng expected(1);
+    ReplacementState random(ReplPolicy::Random, 2, 8, rng);
+    for (int i = 0; i < 200; ++i)
+        EXPECT_EQ(random.victim(i % 2), expected.range(8)) << "draw " << i;
 }
 
-TEST(RandomTest, CoversAllAllowedWays)
+TEST(RandomTest, CoversAllWays)
 {
     Rng rng(2);
     ReplacementState random(ReplPolicy::Random, 1, 8, rng);
     std::set<unsigned> seen;
     for (int i = 0; i < 500; ++i)
-        seen.insert(random.victim(0, 0xFF));
+        seen.insert(random.victim(0));
     EXPECT_EQ(seen.size(), 8u);
 }
 
@@ -110,7 +98,7 @@ TEST(RandomTest, RoughlyUniform)
     unsigned counts[4] = {0, 0, 0, 0};
     const int trials = 8000;
     for (int i = 0; i < trials; ++i)
-        ++counts[random.victim(0, 0xF)];
+        ++counts[random.victim(0)];
     for (const unsigned count : counts)
         EXPECT_NEAR(count, trials / 4.0, trials * 0.05);
 }
