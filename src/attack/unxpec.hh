@@ -58,19 +58,11 @@ struct UnxpecConfig
      * the figure benches measure the bare rollback window.
      */
     bool probePersistence = false;
-};
 
-/** Field-wise equality (CorePool attack-cache validity check). */
-inline bool
-operator==(const UnxpecConfig &a, const UnxpecConfig &b)
-{
-    return a.inBranchLoads == b.inBranchLoads &&
-           a.conditionAccesses == b.conditionAccesses &&
-           a.conditionPadding == b.conditionPadding &&
-           a.useEvictionSets == b.useEvictionSets &&
-           a.mistrainIterations == b.mistrainIterations &&
-           a.probePersistence == b.probePersistence;
-}
+    /** Every field takes part: CorePool's attack cache and the matrix
+     *  trial memo key on it. */
+    bool operator==(const UnxpecConfig &) const = default;
+};
 
 /**
  * Named preset of the attack, registered for selection by name from

@@ -16,7 +16,7 @@ constexpr std::array<std::uint8_t, 8> kPlaintexts = {
 } // namespace
 
 VictimAttack::VictimAttack(Core &core, const VictimAttackConfig &cfg)
-    : core_(core), cfg_(cfg), listing_(buildVictim(cfg.victim))
+    : core_(core), cfg_(cfg), listing_(victimListing(cfg.victim))
 {
     if (cfg_.plaintexts == 0 || cfg_.plaintexts > kPlaintexts.size())
         fatal("VictimAttack: plaintexts must be in [1, ",

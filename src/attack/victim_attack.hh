@@ -21,7 +21,10 @@
  * Like ContentionAttack, this object is built fresh by each trial
  * function (never cached in the Session or its CorePool), so it needs
  * no reset: every trial derives its state deterministically from the
- * spec + seed.
+ * spec + seed. The listing it runs is not its own: victimListing()
+ * builds it once per process and every VictimAttack with an equal
+ * VictimConfig reads the same immutable copy. All pokes go to the
+ * Core's memory.
  */
 
 #ifndef UNXPEC_ATTACK_VICTIM_ATTACK_HH
@@ -84,6 +87,9 @@ class VictimAttack
      *  FU-contention receiver. */
     RsaRecoveryResult recoverExponent(bool contention_receiver);
 
+    /** The shared, immutable listing this attack runs. */
+    const VictimListing &listing() const { return listing_; }
+
     std::uint64_t totalCycles() const { return totalCycles_; }
     /** Mean simulated cycles per victim run. */
     double cyclesPerSample() const;
@@ -97,7 +103,7 @@ class VictimAttack
 
     Core &core_;
     VictimAttackConfig cfg_;
-    VictimListing listing_;
+    const VictimListing &listing_; //!< victimListing()'s shared copy
     std::uint64_t oobIndex_ = 0; //!< secret base - training base
     bool dataLoaded_ = false;
     unsigned totalRuns_ = 0;

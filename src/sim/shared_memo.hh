@@ -1,9 +1,14 @@
 /**
  * @file
- * Compute-once-per-key memo shared between threads. The overhead memo
- * (workload/synth_spec.hh, OverheadClaim) and the matrix-trial memo
- * (harness/matrix.hh, matrixTrialFn) both use it: each caches a
- * simulation whose result does not depend on the seed it ran with.
+ * Compute-once-per-key memo shared between threads. Three users:
+ *  - the overhead memo (workload/synth_spec.hh, OverheadClaim) and
+ *  - the matrix-trial memo (harness/matrix.hh, matrixTrialFn) each
+ *    cache a simulation whose result does not depend on the seed it
+ *    ran with;
+ *  - the victim-listing memo (victim/victim.hh, victimListing) is a
+ *    build cache of a seedless pure function, VictimConfig -> listing.
+ *    It holds no simulation result, so retiring the first two (once
+ *    deterministic cells run a single trial) leaves it in place.
  */
 
 #ifndef UNXPEC_SIM_SHARED_MEMO_HH

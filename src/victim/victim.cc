@@ -4,6 +4,7 @@
 
 #include "cpu/assembler.hh"
 #include "sim/log.hh"
+#include "sim/shared_memo.hh"
 
 namespace unxpec {
 
@@ -407,6 +408,15 @@ buildVictim(const VictimConfig &cfg)
     listing.program = Assembler::assemble(listing.source,
                                           listing.symbols);
     return listing;
+}
+
+const VictimListing &
+victimListing(const VictimConfig &cfg)
+{
+    static SharedMemo<VictimConfig, VictimListing> memo;
+    // The memo keeps the shared state, so the reference outlives the
+    // returned future.
+    return memo.claim(cfg, [&cfg] { return buildVictim(cfg); }).get();
 }
 
 } // namespace unxpec

@@ -68,18 +68,16 @@ struct VictimConfig
     /** RSA: dependent multiplies in the contention probe. */
     unsigned probeMuls = 4;
 
-    bool operator==(const VictimConfig &o) const
-    {
-        return kind == o.kind &&
-               mistrainIterations == o.mistrainIterations &&
-               conditionAccesses == o.conditionAccesses &&
-               conditionPadding == o.conditionPadding &&
-               transientMuls == o.transientMuls &&
-               probeMuls == o.probeMuls;
-    }
+    /** Every field takes part: victimListing()'s memo keys on it. */
+    bool operator==(const VictimConfig &) const = default;
 };
 
-/** A generated victim: listing text plus the assembled program. */
+/**
+ * A generated victim: listing text plus the assembled program. A
+ * listing is never written after buildVictim() returns: the harness
+ * pokes its runtime parameters into the Core's memory, not here, so
+ * one listing serves every Core (victimListing()).
+ */
 struct VictimListing
 {
     std::string source;                  //!< assembler text
@@ -125,6 +123,14 @@ std::uint32_t aesTtableEntry(unsigned table, unsigned index);
 
 /** Build (and assemble) the configured victim listing. */
 VictimListing buildVictim(const VictimConfig &cfg);
+
+/**
+ * The configured victim listing, built by buildVictim() on the
+ * config's first claim in this process and shared read-only by every
+ * later one (sim/shared_memo.hh). The reference stays valid until the
+ * process exits. Thread-safe.
+ */
+const VictimListing &victimListing(const VictimConfig &cfg);
 
 } // namespace unxpec
 

@@ -5,14 +5,24 @@
  * text assembler, a planted AES key is recovered in full under the
  * unsafe baseline, undo defenses degrade the recovery, and the
  * FU-contention receiver re-opens the RSA channel under cache-hiding
- * defenses. Everything must be deterministic for a given seed.
+ * defenses. Everything must be deterministic for a given seed. A
+ * listing is a pure function of its VictimConfig, built once per
+ * process and shared read-only, also by threads that attack at once.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <latch>
+#include <limits>
+#include <thread>
+#include <vector>
+
 #include "attack/victim_attack.hh"
 #include "cpu/core.hh"
+#include "memory/main_memory.hh"
 #include "sim/config.hh"
+#include "sim/rng.hh"
 
 namespace unxpec {
 namespace {
@@ -45,12 +55,11 @@ correctExponentBits(std::uint64_t guess)
 }
 
 AesRecoveryResult
-recoverAes(const SystemConfig &base)
+recoverAes(const SystemConfig &base, const VictimAttackConfig &vcfg = {})
 {
     SystemConfig cfg = base;
     cfg.seed = 1;
     Core core(cfg);
-    VictimAttackConfig vcfg;
     VictimAttack attack(core, vcfg);
     attack.setKey(kDemoKey);
     return attack.recoverAesKey();
@@ -91,6 +100,75 @@ TEST(VictimListingTest, BothListingsAssemble)
           kRsaContentionOutSym, kIdxTabSym}) {
         EXPECT_NO_FATAL_FAILURE(rsa.symbol(sym)) << sym;
     }
+}
+
+/** Builds `cfg` twice and expects equal listings; returns the count of
+ *  nonzero 64-bit words in the initial-data image. */
+unsigned
+expectPureBuild(const VictimConfig &cfg)
+{
+    const VictimListing a = buildVictim(cfg);
+    const VictimListing b = buildVictim(cfg);
+    EXPECT_EQ(a.source, b.source);
+    EXPECT_EQ(a.trials, b.trials);
+    EXPECT_EQ(a.symbols, b.symbols);
+    EXPECT_EQ(a.program.listing(), b.program.listing());
+
+    // The data image: load each build into its own fresh memory and
+    // compare every word from the lowest symbol to the T-tables' size
+    // past the highest, the largest span one symbol covers.
+    const MemoryConfig memCfg;
+    Rng rngA, rngB;
+    MainMemory memA(memCfg, rngA);
+    MainMemory memB(memCfg, rngB);
+    a.program.loadInitialData(memA);
+    b.program.loadInitialData(memB);
+    Addr lo = std::numeric_limits<Addr>::max();
+    Addr hi = 0;
+    for (const auto &[name, addr] : a.symbols) {
+        lo = std::min(lo, addr);
+        hi = std::max(hi, addr);
+    }
+    hi += kAesNumTables * aesTableBytes();
+    unsigned dataMismatches = 0;
+    unsigned nonzero = 0;
+    for (Addr addr = lo; addr < hi; addr += 8) {
+        dataMismatches += memA.read64(addr) != memB.read64(addr);
+        nonzero += memA.read64(addr) != 0;
+    }
+    EXPECT_EQ(dataMismatches, 0u);
+    return nonzero;
+}
+
+TEST(VictimListingTest, BuildIsPure)
+{
+    VictimConfig cfg;
+    // The AES image holds the T-tables, one entry per line; each table
+    // has one zero entry, at the index where the S-box reads 0.
+    EXPECT_GE(expectPureBuild(cfg),
+              kAesNumTables * (kAesTableEntries - 1));
+    cfg.kind = VictimKind::RsaSqMul;
+    expectPureBuild(cfg);
+}
+
+TEST(VictimListingTest, EqualConfigsShareOneListing)
+{
+    SystemConfig cfg = SystemConfig::makeUnsafeBaseline();
+    cfg.seed = 1;
+    Core first(cfg);
+    Core second(cfg);
+    VictimAttackConfig vcfg;
+    const VictimAttack a(first, vcfg);
+    const VictimAttack b(second, vcfg);
+    EXPECT_EQ(&a.listing(), &b.listing());
+    EXPECT_EQ(&a.listing(), &victimListing(vcfg.victim));
+
+    VictimAttackConfig shorter = vcfg;
+    shorter.victim.mistrainIterations = 8;
+    const VictimAttack c(first, shorter);
+    EXPECT_NE(&c.listing(), &a.listing());
+    EXPECT_EQ(c.listing().trials, 9u);
+    EXPECT_EQ(&c.listing(), &victimListing(shorter.victim));
 }
 
 TEST(VictimListingTest, TtablesDeriveFromTheSbox)
@@ -162,6 +240,44 @@ TEST(VictimRecoveryTest, RecoveryIsDeterministic)
         recoverRsa(SystemConfig::makeUnsafeBaseline(), false);
     EXPECT_EQ(r1.guess, r2.guess);
     EXPECT_EQ(r1.stats, r2.stats);
+}
+
+TEST(VictimConcurrencyTest, SimultaneousAttacksRecoverTheSerialKey)
+{
+    // A config no other test claims, so the threads race on its first
+    // build as well as on the shared listing.
+    VictimAttackConfig vcfg;
+    vcfg.plaintexts = 1;
+    vcfg.victim.mistrainIterations = 12;
+    constexpr unsigned kThreads = 3;
+    std::latch start(kThreads);
+    std::vector<AesRecoveryResult> results(kThreads);
+    std::vector<const VictimListing *> listings(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            SystemConfig cfg = SystemConfig::makeUnsafeBaseline();
+            cfg.seed = 1;
+            Core core(cfg);
+            start.arrive_and_wait();
+            VictimAttack attack(core, vcfg);
+            listings[t] = &attack.listing();
+            attack.setKey(kDemoKey);
+            results[t] = attack.recoverAesKey();
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    const AesRecoveryResult serial =
+        recoverAes(SystemConfig::makeUnsafeBaseline(), vcfg);
+    EXPECT_EQ(correctBytes(serial), 16u);
+    for (unsigned t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(listings[t], &victimListing(vcfg.victim)) << t;
+        EXPECT_EQ(results[t].guess, serial.guess) << t;
+        EXPECT_EQ(results[t].margin, serial.margin) << t;
+        EXPECT_EQ(results[t].confident, serial.confident) << t;
+    }
 }
 
 } // namespace
