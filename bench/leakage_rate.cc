@@ -59,11 +59,7 @@ main(int argc, char **argv)
 
     TextTable table({"variant", "mistrain iters", "cycles/sample",
                      "samples/s", "Kbps (1 sample/bit)"});
-    unsigned censored = 0;
     for (const ResultRow &row : result.rows) {
-        censored += row.censoredTrials;
-        // A row can lose every trial to censoring; its metrics are
-        // then absent, not zero.
         const MetricSeries *cycles = row.metric("cycles_per_sample");
         const MetricSeries *rate = row.metric("samples_per_sec");
         table.addRow(
@@ -74,9 +70,6 @@ main(int argc, char **argv)
              rate ? TextTable::num(rate->summary.mean / 1000.0) : "n/a"});
     }
     table.print(std::cout);
-    if (censored > 0)
-        std::cout << "\n(" << censored
-                  << " censored trials excluded from the means)\n";
 
     std::cout << "\nBoth variants sample at the same rate (priming is "
                  "amortized: rollback re-primes the sets).\n"

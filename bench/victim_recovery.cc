@@ -18,8 +18,7 @@
  * recovered_bits_per_sec field per cell; BENCH_victim.json is a
  * checked-in copy CI diffs) and <out>.md. The sweep rides the
  * ordinary harness: --matrix sweeps the whole defense zoo, and
- * --threads / --campaign / --resume work because the campaign is just
- * a labeled spec sweep.
+ * --threads works because the campaign is just a labeled spec sweep.
  */
 
 #include <fstream>

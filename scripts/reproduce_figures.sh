@@ -6,18 +6,14 @@
 #   $ scripts/reproduce_figures.sh            # full-size runs
 #   $ SCALE=quick scripts/reproduce_figures.sh  # ~1 min smoke version
 #
-# Every bench journals its trials to OUT_DIR/<name>.campaign.jsonl;
-# if the script is killed, rerun with RESUME=1 to pick up each figure
-# where it left off (finished figures recompute nothing).
+# Every run is deterministic: if the script is killed, rerun it and
+# the artifacts come out bit-identical.
 #
 # Environment:
 #   BUILD_DIR  build tree with compiled benches (default: build)
 #   OUT_DIR    artifact directory               (default: results)
 #   THREADS    trial-pool width, 0 = hardware   (default: 0)
 #   SCALE      "full" (paper sizes) or "quick"  (default: full)
-#   CAMPAIGN   1 = journal each bench's trials  (default: 1)
-#   RESUME     1 = resume from existing journals (default: 0)
-#   RETRIES    retry budget for censored trials (default: 2)
 
 set -euo pipefail
 
@@ -25,9 +21,6 @@ BUILD_DIR=${BUILD_DIR:-build}
 OUT_DIR=${OUT_DIR:-results}
 THREADS=${THREADS:-0}
 SCALE=${SCALE:-full}
-CAMPAIGN=${CAMPAIGN:-1}
-RESUME=${RESUME:-0}
-RETRIES=${RETRIES:-2}
 
 BENCH="$BUILD_DIR/bench"
 if [ ! -x "$BENCH/fig03_timing_difference" ]; then
@@ -36,21 +29,12 @@ if [ ! -x "$BENCH/fig03_timing_difference" ]; then
 fi
 mkdir -p "$OUT_DIR"
 
-# run <name> [extra args...] — one harness bench to text + JSON + CSV,
-# journaled to a per-figure campaign manifest when CAMPAIGN=1.
+# run <name> [extra args...] — one harness bench to text + JSON + CSV.
 run() {
     local name=$1
     shift
-    local args=("$@" --threads "$THREADS" --retries "$RETRIES"
+    local args=("$@" --threads "$THREADS"
                 --json "$OUT_DIR/$name.json" --csv "$OUT_DIR/$name.csv")
-    if [ "$CAMPAIGN" = 1 ]; then
-        local manifest="$OUT_DIR/$name.campaign.jsonl"
-        if [ "$RESUME" = 1 ] && [ -f "$manifest" ]; then
-            args+=(--resume "$manifest")
-        else
-            args+=(--campaign "$manifest")
-        fi
-    fi
     echo "==> $name $*"
     "$BENCH/$name" "${args[@]}" | tee "$OUT_DIR/$name.txt"
     echo

@@ -8,15 +8,15 @@
  * TextTable output, so every figure produces an artifact that later
  * runs and CI can diff and track.
  *
- * Schema v2 (fault-tolerant campaigns) extends v1 with trial
- * accounting: a top-level "incomplete" flag, per-row "trials" /
+ * Schema v2 extends v1 with trial accounting: a top-level "incomplete" flag, per-row "trials" /
  * "censored_trials" / "retried_trials" / "missing_trials" counts, and
  * a per-metric "nonfinite" count of NaN/Inf samples the summary
  * statistics skipped. v1 consumers that index rows[].metrics by name
- * keep working unchanged — v2 only adds fields. The campaign runner
- * finishes every trial it starts (a killed run is finished with
- * --resume), so "incomplete" is always false and "missing_trials"
- * always 0; both keys stay for the schema's existing readers.
+ * keep working unchanged — v2 only adds fields. The runner runs every
+ * trial once and a trial that hits the cycle ceiling aborts the run,
+ * so "incomplete" is always false and the censored, retried and
+ * missing counts always 0; the keys stay for the schema's existing
+ * readers.
  */
 
 #ifndef UNXPEC_ANALYSIS_RESULT_SINK_HH
@@ -53,8 +53,8 @@ struct ResultRow
     // Trial accounting (schema v2): how many of the row's planned
     // trials actually contributed to the metrics above.
     unsigned trials = 0;         //!< completed and contributing
-    unsigned censoredTrials = 0; //!< timed out / truncated, excluded
-    unsigned retriedTrials = 0;  //!< contributing trials that needed a retry
+    unsigned censoredTrials = 0; //!< always 0; kept for the v2 schema
+    unsigned retriedTrials = 0;  //!< always 0; kept for the v2 schema
     unsigned missingTrials = 0;  //!< always 0; kept for the v2 schema
 
     /** Metric by name; nullptr when absent. */

@@ -67,9 +67,6 @@ Core::reset(std::uint64_t seed)
     interruptProb_ = 0.0;
     interruptMin_ = 0;
     interruptMax_ = 0;
-    budgetSet_ = false;
-    budgetRemaining_ = 0;
-    budgetWarned_ = false;
     limitTripped_ = false;
     trace_ = nullptr;
     setEventTrace(nullptr);
@@ -81,14 +78,6 @@ Core::reset(std::uint64_t seed)
         const audit::HookScope scope;
         hier_.auditFresh(now_);
     }
-}
-
-void
-Core::setCycleBudget(std::uint64_t cycles)
-{
-    budgetSet_ = cycles > 0;
-    budgetRemaining_ = cycles;
-    budgetWarned_ = false;
 }
 
 void
@@ -142,14 +131,6 @@ Core::runBegin(const Program &program, const RunOptions &options)
     fetchResumeCycle_ = now_;
 
     runResult_ = RunResult{};
-
-    // The effective per-run limit is the tighter of the per-run safety
-    // valve and what remains of the trial's cycle budget (watchdog).
-    runMaxCycles_ = budgetSet_
-        ? std::min(options.maxCycles, budgetRemaining_)
-        : options.maxCycles;
-    runBudgetBinding_ = budgetSet_ && budgetRemaining_ <
-        options.maxCycles;
 }
 
 bool
@@ -158,25 +139,16 @@ Core::runStep()
     // Loop-head conditions of the historical run() loop, in order.
     if (halted_ || committed_ >= runOptions_.maxInstructions)
         return false;
-    if (now_ - runStart_ >= runMaxCycles_) {
+    if (now_ - runStart_ >= runOptions_.maxCycles) {
         runResult_.cycleLimitReached = true;
         limitTripped_ = true;
-        if (runBudgetBinding_) {
-            if (!budgetWarned_) {
-                budgetWarned_ = true;
-                warn("Core::run: trial cycle budget exhausted with ",
-                     committed_, " instructions committed in this "
-                     "run; the trial will be censored");
-            }
-        } else {
-            warn("Core::run: cycle budget exhausted after ",
-                 runOptions_.maxCycles, " cycles with only ", committed_,
-                 " of ", runOptions_.maxInstructions,
-                 " instructions committed (no HALT reached); "
-                 "returning a partial RunResult — raise "
-                 "RunOptions::maxCycles if the program legitimately "
-                 "runs this long");
-        }
+        warn("Core::run: cycle budget exhausted after ",
+             runOptions_.maxCycles, " cycles with only ", committed_,
+             " of ", runOptions_.maxInstructions,
+             " instructions committed (no HALT reached); "
+             "returning a partial RunResult — raise "
+             "RunOptions::maxCycles if the program legitimately "
+             "runs this long");
         return false;
     }
     ++now_;
@@ -236,8 +208,6 @@ Core::runFinish()
     runResult_.instructions = committed_;
     runResult_.halted = halted_;
     runResult_.regs = regs_;
-    if (budgetSet_)
-        budgetRemaining_ -= std::min(budgetRemaining_, runResult_.cycles);
     program_ = nullptr;
     return runResult_;
 }
@@ -277,9 +247,9 @@ Core::skipIdle()
 
     // Skip up to `last`, so that the next runStep runs the first cycle
     // that may act. runStep trips the cycle limit once now_ - runStart_
-    // reaches runMaxCycles_, so the skip stops there; in audit builds
-    // it also stops before the next periodic audit.
-    Cycle cap = now_ + (runMaxCycles_ - (now_ - runStart_));
+    // reaches RunOptions::maxCycles, so the skip stops there; in audit
+    // builds it also stops before the next periodic audit.
+    Cycle cap = now_ + (runOptions_.maxCycles - (now_ - runStart_));
     if (cap < now_)
         cap = kCycleNever; // no limit within the clock's range
     if constexpr (kAuditEnabled) {

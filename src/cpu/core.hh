@@ -48,9 +48,10 @@ struct RunOptions
     bool loadData = true;
     /**
      * Safety valve against runaway programs (infinite loops, missing
-     * HALT). When the budget trips, run() warns with the committed
+     * HALT). When it trips, run() warns with the committed
      * instruction count and sets RunResult::cycleLimitReached so
-     * callers can tell a partial result from a finished one.
+     * callers can tell a partial result from a finished one; a
+     * Session then aborts the process (see Session::~Session).
      */
     static constexpr std::uint64_t kDefaultMaxCycles = 1ull << 32;
     std::uint64_t maxCycles = kDefaultMaxCycles;
@@ -124,23 +125,11 @@ class Core
     Cycle now() const { return now_; }
 
     /**
-     * Whole-trial simulated-cycle watchdog: a budget shared by every
-     * subsequent run() call. Each run consumes its cycles from the
-     * budget and trips RunResult::cycleLimitReached (and the
-     * limitTripped() latch) once it is exhausted, so a wedged trial is
-     * bounded no matter how many run() rounds it issues. 0 disables.
-     * Core::reset clears the budget along with the latch.
-     */
-    void setCycleBudget(std::uint64_t cycles);
-    /** Remaining cycles of the trial budget (0 when none set). */
-    std::uint64_t cycleBudgetRemaining() const { return budgetRemaining_; }
-
-    /**
-     * True when any run() since construction/reset stopped on a cycle
-     * limit (the per-run RunOptions::maxCycles safety valve or the
-     * trial budget): the metrics computed from those runs are
-     * truncated, and the harness marks the trial *censored* instead of
-     * folding partial timings into aggregates.
+     * True when any run() since construction/reset stopped on the
+     * per-run RunOptions::maxCycles safety valve: the metrics computed
+     * from those runs are truncated, so the harness stops the process
+     * (Session::~Session) instead of folding partial timings into
+     * aggregates.
      */
     bool limitTripped() const { return limitTripped_; }
 
@@ -271,18 +260,12 @@ class Core
     unsigned interruptMin_ = 0;
     unsigned interruptMax_ = 0;
 
-    // Trial-level cycle watchdog (setCycleBudget).
-    bool budgetSet_ = false;
-    std::uint64_t budgetRemaining_ = 0;
-    bool budgetWarned_ = false;
-    bool limitTripped_ = false;
+    bool limitTripped_ = false; //!< see limitTripped()
 
     // Stepped-execution state (runBegin/runStep/runFinish).
     RunOptions runOptions_;
     RunResult runResult_;
     Cycle runStart_ = 0;
-    std::uint64_t runMaxCycles_ = 0;
-    bool runBudgetBinding_ = false;
 
     // Squash scratch (reused per misprediction; capacity persists
     // after warm-up so the squash path stays allocation-free).

@@ -165,17 +165,7 @@ HarnessCli::usage(std::ostream &os) const
           "                 comma list of cpu, cache, cleanup, branch, "
           "coherence, or all (default all)\n"
        << "  --trace-split  write one trace file per trial "
-          "(PATH.s<spec>.r<rep>.json) instead of one merged file\n"
-       << "  --campaign PATH\n"
-          "                 journal every completed trial to a "
-          "crash-consistent manifest\n"
-       << "  --resume PATH  skip trials already journaled in PATH "
-          "(implies --campaign PATH)\n"
-       << "  --trial-timeout-cycles N\n"
-          "                 censor trials whose simulation exceeds N "
-          "simulated cycles\n"
-       << "  --retries N    retry budget for censored trials "
-          "(default 0)\n";
+          "(PATH.s<spec>.r<rep>.json) instead of one merged file\n";
     if (hasMatrix_) {
         os << "  --matrix       sweep every registered defense instead "
               "of the default subset\n";
@@ -245,14 +235,6 @@ HarnessCli::parse(int argc, char **argv) const
             options.traceCategories = parseTraceCategories(value());
         } else if (arg == "--trace-split") {
             options.traceSplit = true;
-        } else if (arg == "--campaign") {
-            options.campaignPath = value();
-        } else if (arg == "--resume") {
-            options.resumePath = value();
-        } else if (arg == "--trial-timeout-cycles") {
-            options.trialTimeoutCycles = parseU64(arg, value());
-        } else if (arg == "--retries") {
-            options.retries = parseUnsigned(arg, value());
         } else if (arg == "--matrix" && hasMatrix_) {
             options.matrix = true;
         } else if (hasScale_ && !sawPositionalInt && isInteger(arg)) {
@@ -267,10 +249,6 @@ HarnessCli::parse(int argc, char **argv) const
             fatal("unknown argument '", arg, "'");
         }
     }
-    // --resume without --campaign keeps journaling to the same
-    // manifest, so a resumed-then-killed campaign can resume again.
-    if (options.campaignPath.empty() && !options.resumePath.empty())
-        options.campaignPath = options.resumePath;
     return options;
 }
 
@@ -293,13 +271,6 @@ runExperiment(const HarnessCli &cli, const HarnessOptions &options,
         runner.setTrace({options.tracePath, options.traceCategories,
                          options.traceSplit});
     }
-    CampaignConfig campaign;
-    campaign.manifestPath = options.campaignPath;
-    campaign.resumePath = options.resumePath;
-    campaign.experiment = cli.name();
-    campaign.trialTimeoutCycles = options.trialTimeoutCycles;
-    campaign.retries = options.retries;
-    runner.setCampaign(std::move(campaign));
     return runner.runAll(cli.name(), cli.description(), specs, options.reps,
                          options.seed, fn);
 }

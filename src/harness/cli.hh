@@ -17,13 +17,6 @@
  *   --trace-categories LIST  categories to record (cpu,cache,cleanup,
  *                  branch,coherence or all; default all)
  *   --trace-split  one trace file per trial instead of one merged file
- *   --campaign PATH          journal every completed trial to a
- *                  crash-consistent manifest (campaign.jsonl)
- *   --resume PATH  skip trials already journaled in PATH (implies
- *                  --campaign PATH unless one was given)
- *   --trial-timeout-cycles N censor trials whose simulation exceeds N
- *                  simulated cycles
- *   --retries N    retry budget for censored trials
  *   --matrix       sweep every registered defense (matrix campaigns)
  *   --list-modes   print registered defenses/noises/attacks and exit
  *   --help         usage
@@ -62,11 +55,6 @@ struct HarnessOptions
     std::uint32_t traceCategories = kTraceCatAll;
     bool traceSplit = false;   //!< one trace file per trial
 
-    // Fault-tolerant campaign flags (see campaign.hh).
-    std::string campaignPath;  //!< empty = no trial journal
-    std::string resumePath;    //!< empty = fresh campaign
-    std::uint64_t trialTimeoutCycles = 0; //!< 0 = no simulated budget
-    unsigned retries = 0;
     /** Matrix campaign: sweep every registered defense x receiver
      *  family instead of the curated default subset. */
     bool matrix = false;

@@ -57,28 +57,19 @@ struct TrialKey
     bool operator==(const TrialKey &) const = default;
 };
 
-/** One simulated matrix trial. */
-struct MemoTrial
-{
-    TrialOutput output;
-    /** Some run stopped on a cycle limit (Machine::limitTripped). */
-    bool limitTripped = false;
-};
-
-using TrialMemo = SharedMemo<TrialKey, MemoTrial>;
+using TrialMemo = SharedMemo<TrialKey, TrialOutput>;
 
 /**
  * True when a matrix trial's output is a function of its key alone: no
- * seed consumer is on (seedFree, and no interrupt noise), it records no
- * trace, and no cycle budget can cut it short.
+ * seed consumer is on (seedFree, and no interrupt noise) and it records
+ * no trace.
  */
 bool
 memoEligible(const TrialContext &ctx, const SystemConfig &cfg)
 {
     return seedFree(cfg) &&
            noiseProfile(ctx.spec.noise).interruptProbPerCycle == 0.0 &&
-           ctx.tracer == nullptr &&
-           (ctx.control == nullptr || ctx.control->timeoutCycles == 0);
+           ctx.tracer == nullptr;
 }
 
 /**
@@ -87,7 +78,7 @@ memoEligible(const TrialContext &ctx, const SystemConfig &cfg)
  * Machine::reset put it: a draw means a seed consumer memoEligible()
  * does not know, and the memo would publish one seed's trial for all.
  */
-MemoTrial
+TrialOutput
 simulateMatrixTrial(const TrialContext &ctx, unsigned samples_per_class,
                     bool guard)
 {
@@ -96,7 +87,6 @@ simulateMatrixTrial(const TrialContext &ctx, unsigned samples_per_class,
         ctx.spec.label.find("/contention") != std::string::npos;
     OverheadClaim overhead = claimWorkloadCycles(ctx);
 
-    MemoTrial trial;
     std::vector<double> zeros;
     std::vector<double> ones;
     double cycles_per_sample = 0.0;
@@ -114,7 +104,6 @@ simulateMatrixTrial(const TrialContext &ctx, unsigned samples_per_class,
             cycles_per_sample = attack.cyclesPerSample();
         }
         Machine &machine = session.machine();
-        trial.limitTripped = machine.limitTripped();
         for (unsigned i = 0; guard && i < machine.numCores(); ++i) {
             if (!(machine.core(i).rng() ==
                   Rng(Machine::coreSeed(ctx.seed, i))))
@@ -123,7 +112,7 @@ simulateMatrixTrial(const TrialContext &ctx, unsigned samples_per_class,
         }
     }
 
-    TrialOutput &out = trial.output;
+    TrialOutput out;
     // Folded AUC = separability: a receiver can always flip its
     // decision rule, so a channel where secret=1 reads *faster*
     // (the unsafe baseline's persistence probe) is just as open.
@@ -134,7 +123,7 @@ simulateMatrixTrial(const TrialContext &ctx, unsigned samples_per_class,
     out.metric("workload_cycles", overhead.cycles());
     out.samples("latency0", std::move(zeros));
     out.samples("latency1", std::move(ones));
-    return trial;
+    return out;
 }
 
 } // namespace
@@ -202,23 +191,15 @@ matrixTrialFn(unsigned samples_per_class)
     return [samples_per_class, memo](const TrialContext &ctx) {
         SystemConfig cfg = Session::configFor(ctx.spec, ctx.seed);
         if (!memoEligible(ctx, cfg))
-            return simulateMatrixTrial(ctx, samples_per_class, false).output;
+            return simulateMatrixTrial(ctx, samples_per_class, false);
         cfg.seed = 0;
         TrialKey key{std::move(cfg), ctx.spec.label, ctx.spec.attack,
                      ctx.spec.noise, ctx.spec.attackCfg};
-        const std::shared_future<MemoTrial> shared =
+        const std::shared_future<TrialOutput> shared =
             memo->claim(std::move(key), [&] {
                 return simulateMatrixTrial(ctx, samples_per_class, true);
             });
-        const MemoTrial &trial = shared.get();
-        // Replay the first claimant's cycle-limit trip, as its Session
-        // reported it, so every claimant is censored alike.
-        if (trial.limitTripped && ctx.control != nullptr) {
-            ctx.control->censored = true;
-            if (ctx.control->censorReason.empty())
-                ctx.control->censorReason = "cycle-limit";
-        }
-        return trial.output;
+        return shared.get();
     };
 }
 

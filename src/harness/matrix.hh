@@ -9,8 +9,8 @@
  * and MatrixReport::fromResult distills the rows into the Table-I-style
  * matrix artifact (analysis/matrix_report.hh).
  *
- * The campaign rides the ordinary harness machinery — journaling,
- * --resume, --threads all work — because the matrix is just an
+ * The campaign rides the ordinary harness machinery — --threads,
+ * --json, --trace all work — because the matrix is just an
  * ExperimentSpec sweep with a label convention.
  */
 
@@ -60,11 +60,10 @@ std::vector<ExperimentSpec> matrixSpecs(const ExperimentSpec &base,
  * Session::configFor's config without its seed plus the spec's label,
  * attack, noise and attackCfg. A trial uses it only when its output
  * cannot depend on the seed: the config is seedFree(), the noise
- * profile has no interrupts, no tracer records it and no cycle budget
- * can cut it short. The key's first claimant simulates and panics if
- * any core drew from its Rng; later claimants (the spec's other reps)
- * copy its output, waiting only while it is in flight. Any other trial
- * simulates on every call.
+ * profile has no interrupts and no tracer records it. The key's first
+ * claimant simulates and panics if any core drew from its Rng; later
+ * claimants (the spec's other reps) copy its output, waiting only while
+ * it is in flight. Any other trial simulates on every call.
  */
 TrialFn matrixTrialFn(unsigned samples_per_class);
 

@@ -1,5 +1,7 @@
 #include "harness/session.hh"
 
+#include <string>
+
 #include "sim/log.hh"
 
 namespace unxpec {
@@ -72,28 +74,29 @@ Session::Session(const TrialContext &ctx)
       machine_(ctx.pool == nullptr
                    ? owned_.get()
                    : &ctx.pool->acquire(cfg_)),
-      pool_(ctx.pool)
+      pool_(ctx.pool), fromTrial_(true), specIndex_(ctx.specIndex),
+      rep_(ctx.rep)
 {
     applyInterruptNoise(spec_, *machine_);
     // After acquire: Machine::reset detaches any previous trial's
     // tracer before this trial's is installed.
     if (ctx.tracer != nullptr)
         machine_->setEventTrace(ctx.tracer);
-    control_ = ctx.control;
-    if (control_ != nullptr && control_->timeoutCycles > 0)
-        machine_->setCycleBudget(control_->timeoutCycles);
 }
 
 Session::~Session()
 {
-    // Report a cycle-limit trip (campaign budget or RunOptions::
-    // maxCycles) back to the runner: the trial's measurements were
-    // truncated mid-flight and must be censored, not averaged.
-    if (control_ != nullptr && machine_->limitTripped()) {
-        control_->censored = true;
-        if (control_->censorReason.empty())
-            control_->censorReason = "cycle-limit";
-    }
+    // panic, not fatal: fatal's std::exit would run static destructors
+    // under the TrialRunner's other workers.
+    if (!machine_->limitTripped())
+        return;
+    const std::string where = fromTrial_
+        ? " (spec " + std::to_string(specIndex_) + ", rep " +
+            std::to_string(rep_) + ")"
+        : "";
+    panic("trial '", spec_.label, "'", where, " seed ", seed_,
+          " stopped on the RunOptions::maxCycles cycle ceiling; its "
+          "measurements are truncated (a simulator or attack bug)");
 }
 
 UnxpecAttack &

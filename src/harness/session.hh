@@ -12,6 +12,11 @@
  * keeps the worker's last Machine and re-seeds it via Machine::reset
  * when the next trial's config matches, which is bit-identical to
  * fresh construction with the same seed.
+ *
+ * A Session whose Machine stopped a run on the RunOptions::maxCycles
+ * ceiling aborts the process when it is destroyed: the trial's
+ * measurements are truncated, which is a simulator or attack bug, not
+ * a sample to average or to redraw under another seed.
  */
 
 #ifndef UNXPEC_HARNESS_SESSION_HH
@@ -74,13 +79,13 @@ class Session
     /**
      * Build from a TrialContext: draws the Machine from ctx.pool when
      * the runner supplied one (reset to ctx.seed), otherwise owns a
-     * fresh Machine exactly like Session(spec, seed). When the runner
-     * armed a watchdog (ctx.control), the Machine gets the
-     * simulated-cycle budget and the destructor reports any
-     * cycle-limit trip back so the runner censors the trial.
+     * fresh Machine exactly like Session(spec, seed). A cycle-limit
+     * panic then also names ctx.specIndex and ctx.rep.
      */
     explicit Session(const TrialContext &ctx);
 
+    /** Panics if any run of the Machine tripped a cycle limit,
+     *  naming the spec label and seed. */
     ~Session();
 
     /**
@@ -107,8 +112,10 @@ class Session
     SystemConfig cfg_;
     std::unique_ptr<Machine> owned_; //!< empty when pooled
     Machine *machine_;
-    TrialControl *control_ = nullptr; //!< runner watchdog, may be null
     CorePool *pool_ = nullptr;        //!< set when the Machine is pooled
+    bool fromTrial_ = false;          //!< built from a TrialContext
+    std::size_t specIndex_ = 0;       //!< ctx.specIndex when fromTrial_
+    unsigned rep_ = 0;                //!< ctx.rep when fromTrial_
     std::unique_ptr<UnxpecAttack> unxpec_; //!< owned-Machine path only
 };
 

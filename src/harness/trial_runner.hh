@@ -9,13 +9,10 @@
  * slot, so the aggregated output is bit-identical whether the pool has
  * one thread or sixteen.
  *
- * setCampaign() layers fault tolerance on top (see campaign.hh):
- * journaling every completed trial to a crash-consistent manifest,
- * resuming a killed campaign without recomputing journaled trials,
- * and censoring trials that blow a simulated-cycle budget (with
- * deterministic-seed retries). There is one campaign process; a run
- * killed from outside (OOM, preemption, Ctrl-C) is finished with
- * --resume.
+ * Every trial runs once. A trial whose simulation trips the
+ * RunOptions::maxCycles ceiling is a simulator or attack bug, and
+ * Session(ctx) aborts the process naming its spec and seed; a run
+ * killed from outside is simply rerun, bit-identical by construction.
  */
 
 #ifndef UNXPEC_HARNESS_TRIAL_RUNNER_HH
@@ -29,29 +26,12 @@
 #include <vector>
 
 #include "analysis/result_sink.hh"
-#include "harness/campaign.hh"
 #include "harness/spec.hh"
 #include "sim/trace.hh"
 
 namespace unxpec {
 
 class CorePool;
-
-/**
- * Watchdog channel between the runner and one trial's simulation.
- * Session(ctx) arms every Core it builds with `timeoutCycles` (a
- * budget of simulated cycles shared by all of that Session's run()
- * calls) and raises `censored` when any run stopped on a cycle limit —
- * whether the campaign budget or RunOptions::maxCycles. The runner
- * then excludes the trial from aggregation and, retry budget
- * permitting, re-runs it under a fresh derived seed.
- */
-struct TrialControl
-{
-    std::uint64_t timeoutCycles = 0; //!< simulated-cycle budget; 0 = off
-    bool censored = false;
-    std::string censorReason;
-};
 
 /** Everything one trial needs to build and run its simulation. */
 struct TrialContext
@@ -74,12 +54,6 @@ struct TrialContext
      * Tracer so parallel trials never share a ring buffer.
      */
     Tracer *tracer = nullptr;
-    /**
-     * Watchdog channel for this trial, owned by the runner; nullptr
-     * when the trial runs outside a TrialRunner. Session(ctx) wires it
-     * to the Core's cycle budget.
-     */
-    TrialControl *control = nullptr;
 };
 
 /** Event-trace capture settings for a run (TrialRunner::setTrace). */
@@ -116,12 +90,6 @@ struct TrialOutput
     std::vector<std::pair<std::string, double>> metrics;
     std::vector<std::pair<std::string, std::vector<double>>> series;
 
-    // Campaign bookkeeping, filled by the runner (not the trial fn).
-    bool censored = false;       //!< finished but hit a watchdog budget
-    std::string censorReason;    //!< e.g. "cycle-limit"
-    unsigned attempt = 0;        //!< retry attempt that produced this
-    std::uint64_t seedUsed = 0;  //!< seed of that attempt
-
     /** Record a scalar metric (one value per trial). */
     void metric(const std::string &name, double value);
     /** Record a sample vector (concatenated across trials in order). */
@@ -152,23 +120,10 @@ class TrialRunner
     const TraceConfig &trace() const { return trace_; }
 
     /**
-     * Arm the fault-tolerant campaign machinery (journaling, resume,
-     * the cycle-budget censor, retries — see campaign.hh). The default
-     * (empty) config preserves the plain in-process behaviour exactly.
-     */
-    void setCampaign(CampaignConfig campaign)
-    {
-        campaign_ = std::move(campaign);
-    }
-    const CampaignConfig &campaign() const { return campaign_; }
-
-    /**
      * Run `reps` trials of every spec. Returns outputs[specIndex][rep],
-     * identical for any thread count. Under a campaign config, trials
-     * journaled in the resume manifest are spliced in without
-     * recomputation. Trials start in job order (spec-major), except
-     * that the first pending rep of every spec is dispatched before
-     * all others.
+     * identical for any thread count. Trials start in job order
+     * (spec-major), except that the first rep of every spec is
+     * dispatched before all others.
      */
     std::vector<std::vector<TrialOutput>>
     run(const std::vector<ExperimentSpec> &specs, unsigned reps,
@@ -178,8 +133,6 @@ class TrialRunner
      * run() + aggregation: one ResultRow per spec, whose metrics carry
      * the per-rep values (scalar metrics) or the in-order
      * concatenation of all reps' samples (series), each summarized.
-     * Censored trials are excluded from the metrics and surfaced
-     * through the row's trial counts.
      */
     ExperimentResult
     runAll(const std::string &experiment, const std::string &description,
@@ -188,14 +141,12 @@ class TrialRunner
 
   private:
     void writeTraces(const std::vector<ExperimentSpec> &specs,
-                     unsigned reps,
-                     const std::vector<std::vector<TrialOutput>> &outputs,
+                     unsigned reps, std::uint64_t master_seed,
                      const std::vector<std::unique_ptr<Tracer>> &tracers)
         const;
 
     unsigned threads_;
     TraceConfig trace_;
-    CampaignConfig campaign_;
 };
 
 } // namespace unxpec

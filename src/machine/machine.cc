@@ -52,13 +52,6 @@ Machine::reset(std::uint64_t seed)
         engine_->resetStats();
 }
 
-void
-Machine::setCycleBudget(std::uint64_t cycles)
-{
-    for (auto &core : cores_)
-        core->setCycleBudget(cycles);
-}
-
 bool
 Machine::limitTripped() const
 {

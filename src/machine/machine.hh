@@ -64,10 +64,7 @@ class Machine
      */
     void reset(std::uint64_t seed);
 
-    /** Trial cycle watchdog, applied to every core (Session). */
-    void setCycleBudget(std::uint64_t cycles);
-
-    /** True when any core tripped a cycle limit (censoring). */
+    /** True when any core tripped RunOptions::maxCycles. */
     bool limitTripped() const;
 
     /** Attach an event tracer to every core (and the engine). */

@@ -38,21 +38,6 @@ Rng::deriveSeed(std::uint64_t master, std::uint64_t stream)
     return splitMix64(x);
 }
 
-std::uint64_t
-Rng::deriveRetrySeed(std::uint64_t master, std::uint64_t stream,
-                     unsigned attempt)
-{
-    const std::uint64_t base = deriveSeed(master, stream);
-    if (attempt == 0)
-        return base;
-    // Salted re-derivation: the retry namespace is keyed off the
-    // trial's own first-attempt seed, so retry streams are decorrelated
-    // from every (master, stream) first-attempt seed while remaining a
-    // pure function of (master, stream, attempt) — a resumed campaign
-    // recomputes the exact same retry seeds.
-    return deriveSeed(base ^ 0xc2b2ae3d27d4eb4full, attempt);
-}
-
 void
 Rng::seed(std::uint64_t s)
 {

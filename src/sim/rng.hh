@@ -52,18 +52,6 @@ class Rng
     static std::uint64_t deriveSeed(std::uint64_t master,
                                     std::uint64_t stream);
 
-    /**
-     * Seed for retry `attempt` of a trial stream. Attempt 0 is exactly
-     * deriveSeed(master, stream), so campaigns without retries are
-     * bit-identical to the pre-retry harness; attempt k > 0 derives a
-     * fresh stream from the trial's own seed in a salted namespace that
-     * cannot collide with any first-attempt stream of the same master.
-     * Deterministic: resuming a campaign re-derives the same sequence.
-     */
-    static std::uint64_t deriveRetrySeed(std::uint64_t master,
-                                         std::uint64_t stream,
-                                         unsigned attempt);
-
     /** Next raw 64-bit value. */
     std::uint64_t next();
 

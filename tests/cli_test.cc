@@ -129,9 +129,9 @@ TEST(CliErrorTest, UnsignedFlagAcceptsUintMax)
 {
     const HarnessCli cli = makeCli();
     const HarnessOptions options = parseArgs(
-        cli, {"cli_test", "--retries", "4294967295", "--seed",
+        cli, {"cli_test", "--reps", "4294967295", "--seed",
               "18446744073709551615"});
-    EXPECT_EQ(options.retries, 4294967295u);
+    EXPECT_EQ(options.reps, 4294967295u);
     EXPECT_EQ(options.seed, 18446744073709551615ull);
 }
 
@@ -243,8 +243,7 @@ TEST(CliErrorTest, UnknownArgumentIsFatal)
 
 TEST(CliErrorTest, HostWallClockTimeoutIsGone)
 {
-    // Censoring by host milliseconds made results depend on host speed;
-    // only the simulated-cycle budget (--trial-timeout-cycles) remains.
+    // Censoring by host milliseconds made results depend on host speed.
     const HarnessCli cli = makeCli();
     EXPECT_EXIT(parseArgs(cli, {"cli_test", "--trial-timeout-ms", "5"}),
                 ::testing::ExitedWithCode(1),
@@ -253,12 +252,25 @@ TEST(CliErrorTest, HostWallClockTimeoutIsGone)
 
 TEST(CliErrorTest, SubprocessShardsAreGone)
 {
-    // A campaign is one process; a run killed from outside is finished
-    // with --resume, so there is no worker-count flag.
+    // A run is one process; there is no worker-count flag.
     const HarnessCli cli = makeCli();
     EXPECT_EXIT(parseArgs(cli, {"cli_test", "--shards", "2"}),
                 ::testing::ExitedWithCode(1),
                 "fatal: unknown argument '--shards'");
+}
+
+TEST(CliErrorTest, CampaignFlagsAreGone)
+{
+    // No journal, resume, trial cycle budget or retries: a trial that
+    // hits the cycle ceiling aborts the run, and a killed run is rerun.
+    const HarnessCli cli = makeCli();
+    for (const char *flag : {"--campaign", "--resume",
+                             "--trial-timeout-cycles", "--retries"}) {
+        EXPECT_EXIT(parseArgs(cli, {"cli_test", flag, "1"}),
+                    ::testing::ExitedWithCode(1),
+                    std::string("fatal: unknown argument '") + flag + "'")
+            << flag;
+    }
 }
 
 TEST(CliErrorTest, StrayPositionalAfterScaleIsFatal)

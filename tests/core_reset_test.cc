@@ -365,18 +365,16 @@ TEST(CorePoolTest, SteadyStateTrialsAreHeapAllocFree)
     // not touch the heap: every per-cycle structure lives in storage
     // reserved when the Core was built. The envelope measured here is
     // the attack execution on a warm pooled Machine; per-trial
-    // bookkeeping outside it (spec copies, result slots, journals) is
-    // the runner's and is bounded per trial, not per cycle.
+    // bookkeeping outside it (spec copies, result slots) is the
+    // runner's and is bounded per trial, not per cycle.
     ExperimentSpec spec;
     spec.noise = "evaluation";
     CorePool pool;
-    TrialControl control;
 
     auto runTrial = [&](std::uint64_t seed) {
         TrialContext ctx{spec};
         ctx.seed = seed;
         ctx.pool = &pool;
-        ctx.control = &control;
         Session session(ctx);
         UnxpecAttack &attack = session.unxpec();
         attack.setSecret(1);

@@ -133,7 +133,6 @@ struct Scenario
     /** Far above any program here: a skip that wedges the core trips
      *  it in milliseconds and fails, instead of idling to 2^32. */
     std::uint64_t maxCycles = std::uint64_t{1} << 20;
-    std::uint64_t budget = 0;
     unsigned rounds = 3;
 };
 
@@ -152,7 +151,6 @@ struct Observed
     std::string warnings;
     Cycle now = 0;
     bool limitTripped = false;
-    std::uint64_t budgetLeft = 0;
     std::uint64_t rngNext = 0;
     std::uint64_t skipped = 0;
 };
@@ -183,8 +181,6 @@ drive(Core &core, const Scenario &sc, const Program &program, bool skip)
     core.setTrace(&commits);
     if (sc.noise)
         core.setInterruptNoise(0.004, 5, 120);
-    if (sc.budget > 0)
-        core.setCycleBudget(sc.budget);
 
     Observed obs;
     testing::internal::CaptureStderr();
@@ -226,7 +222,6 @@ drive(Core &core, const Scenario &sc, const Program &program, bool skip)
     obs.commits = commits.str();
     obs.now = core.now();
     obs.limitTripped = core.limitTripped();
-    obs.budgetLeft = core.cycleBudgetRemaining();
     obs.rngNext = core.rng().next();
     obs.skipped = skippedCycles(core);
     core.setEventTrace(nullptr);
@@ -259,7 +254,6 @@ expectSame(const Observed &skip, const Observed &step)
     EXPECT_EQ(skip.warnings, step.warnings);
     EXPECT_EQ(skip.now, step.now);
     EXPECT_EQ(skip.limitTripped, step.limitTripped);
-    EXPECT_EQ(skip.budgetLeft, step.budgetLeft);
     EXPECT_EQ(skip.rngNext, step.rngNext);
     EXPECT_EQ(step.skipped, 0u);
 }
@@ -297,8 +291,7 @@ TEST(CoreSkipTest, RunMatchesSteppingInEveryMode)
 }
 
 /**
- * Every per-run limit and every trial budget from 1 to 300 cycles on
- * the miss chain, whose run idles on a DRAM miss: the skip must stop
+ * Every per-run limit from 1 to 300 cycles on the miss chain, whose run idles on a DRAM miss: the skip must stop
  * on the limit's cycle with the same warning. A limit that lands
  * inside a skipped stretch shows as one more skipped cycle than the
  * limit one cycle shorter.
@@ -307,30 +300,27 @@ TEST(CoreSkipTest, CycleLimitsTripInsideSkippedStretches)
 {
     const Program program = Assembler::assemble(kMissChain);
     Core core(SystemConfig::makeDefault());
-    for (const bool budget : {false, true}) {
-        std::uint64_t prev_skipped = 0;
-        unsigned inside = 0;
-        for (std::uint64_t limit = 1; limit <= 300; ++limit) {
-            Scenario sc;
-            sc.rounds = 1;
-            (budget ? sc.budget : sc.maxCycles) = limit;
-            SCOPED_TRACE((budget ? "budget " : "maxCycles ") +
-                         std::to_string(limit));
-            const Observed skip = drive(core, sc, program, true);
-            expectSame(skip, drive(core, sc, program, false));
-            if (skip.results[0].cycleLimitReached &&
-                skip.skipped == prev_skipped + 1)
-                ++inside;
-            prev_skipped = skip.skipped;
+    std::uint64_t prev_skipped = 0;
+    unsigned inside = 0;
+    for (std::uint64_t limit = 1; limit <= 300; ++limit) {
+        Scenario sc;
+        sc.rounds = 1;
+        sc.maxCycles = limit;
+        SCOPED_TRACE("maxCycles " + std::to_string(limit));
+        const Observed skip = drive(core, sc, program, true);
+        expectSame(skip, drive(core, sc, program, false));
+        if (skip.results[0].cycleLimitReached &&
+            skip.skipped == prev_skipped + 1)
+            ++inside;
+        prev_skipped = skip.skipped;
 
-            // Noise, and a second run that starts on a spent budget.
-            sc.noise = true;
-            sc.rounds = 2;
-            expectSame(drive(core, sc, program, true),
-                       drive(core, sc, program, false));
-        }
-        EXPECT_GT(inside, 100u);
+        // Noise, and a second run under the same limit.
+        sc.noise = true;
+        sc.rounds = 2;
+        expectSame(drive(core, sc, program, true),
+                   drive(core, sc, program, false));
     }
+    EXPECT_GT(inside, 100u);
 }
 
 /**

@@ -241,24 +241,46 @@ TEST(TrialRunnerTest, AggregatesSeriesInRepOrder)
 
 // --- cycle-limit safety valve -------------------------------------------
 
-TEST(RunOptionsTest, CycleLimitDiagnostic)
-{
-    // An infinite loop must trip the cycle budget and come back with
-    // the partial-result flag set instead of hanging or dying.
-    Core core(makeDefense("unsafe"));
-    const Program program = Assembler::assemble(R"(
+/** A loop without exit: only the cycle limit stops it. */
+constexpr const char *kInfiniteLoop = R"(
         li r2, 0
         li r3, 1
     loop:
         blt r2, r3, loop
         halt
-    )");
+    )";
+
+TEST(RunOptionsTest, CycleLimitDiagnostic)
+{
+    // An infinite loop on a bare Core must trip the cycle limit and
+    // come back with the partial-result flag set instead of hanging.
+    Core core(makeDefense("unsafe"));
+    const Program program = Assembler::assemble(kInfiniteLoop);
     RunOptions options;
     options.maxCycles = 5000;
     const RunResult result = core.run(program, options);
     EXPECT_TRUE(result.cycleLimitReached);
     EXPECT_GE(result.cycles, 5000u);
     EXPECT_EQ(RunOptions{}.maxCycles, RunOptions::kDefaultMaxCycles);
+}
+
+TEST(RunOptionsDeathTest, CycleLimitTripInATrialStopsTheRun)
+{
+    // A truncated trial is a simulator or attack bug: the run dies
+    // naming the trial, instead of averaging or redrawing it.
+    ExperimentSpec spec;
+    spec.label = "runaway-cell";
+    const TrialFn runaway = [](const TrialContext &ctx) {
+        Session session(ctx);
+        RunOptions options;
+        options.maxCycles = 5000;
+        session.core().run(Assembler::assemble(kInfiniteLoop), options);
+        return TrialOutput{};
+    };
+    const std::string seed = std::to_string(Rng::deriveSeed(7, 0));
+    EXPECT_DEATH(TrialRunner(1).run({spec}, 1, 7, runaway),
+                 "panic: trial 'runaway-cell' \\(spec 0, rep 0\\) seed " +
+                     seed + " stopped on the RunOptions::maxCycles");
 }
 
 // --- CLI ----------------------------------------------------------------

@@ -6,15 +6,12 @@
  * seed, each ineligibility alone makes every claim simulate,
  * concurrent claimants of one key share a single simulation, and the
  * TrialRunner dispatches every spec's first rep before the rest
- * without changing any output or manifest byte.
+ * without changing any output at any thread count.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,12 +50,10 @@ cellSpec(const std::string &defense, const std::string &receiver,
 /** Run `fn` on `spec` as rep `rep` with `seed`, outside a runner. */
 TrialOutput
 runTrial(const TrialFn &fn, const ExperimentSpec &spec, std::uint64_t seed,
-         unsigned rep = 0, Tracer *tracer = nullptr,
-         TrialControl *control = nullptr)
+         unsigned rep = 0, Tracer *tracer = nullptr)
 {
     TrialContext ctx{spec, 0, rep, seed, 1, nullptr};
     ctx.tracer = tracer;
-    ctx.control = control;
     return fn(ctx);
 }
 
@@ -158,17 +153,12 @@ TEST(TrialMemoTest, KeyHoldsEveryInputButTheSeed)
 
 /** Simulations of two claims (seeds 1 and 2) of `spec` on one memo. */
 std::uint64_t
-simulationsOfTwoClaims(const ExperimentSpec &spec, Tracer *tracer = nullptr,
-                       std::uint64_t timeout_cycles = 0)
+simulationsOfTwoClaims(const ExperimentSpec &spec, Tracer *tracer = nullptr)
 {
     const TrialFn fn = matrixTrialFn(kSamples);
     const std::uint64_t before = matrixTrialSimulations();
-    for (const std::uint64_t seed : {1ull, 2ull}) {
-        TrialControl control;
-        control.timeoutCycles = timeout_cycles;
-        runTrial(fn, spec, seed, 0, tracer, &control);
-        EXPECT_FALSE(control.censored);
-    }
+    for (const std::uint64_t seed : {1ull, 2ull})
+        runTrial(fn, spec, seed, 0, tracer);
     return matrixTrialSimulations() - before;
 }
 
@@ -180,8 +170,6 @@ TEST(TrialMemoTest, EachIneligibilityAloneSimulatesEveryClaim)
 
     Tracer tracer;
     EXPECT_EQ(simulationsOfTwoClaims(base, &tracer), 2u) << "tracer";
-    EXPECT_EQ(simulationsOfTwoClaims(base, nullptr, 1ull << 40), 2u)
-        << "cycle budget";
 
     // Interrupts alone: a seed-free config under a profile whose only
     // noise is the Core's interrupt draw.
@@ -234,7 +222,7 @@ TEST(TrialRunnerOrderTest, FirstRepOfEverySpecStartsFirst)
 {
     std::vector<ExperimentSpec> specs(5);
     for (std::size_t i = 0; i < specs.size(); ++i)
-        specs[i].label = "s" + std::to_string(i);
+        specs[i].label.append("s").append(std::to_string(i));
     constexpr unsigned reps = 3;
 
     // One worker starts trials in dispatch order.
@@ -257,56 +245,29 @@ TEST(TrialRunnerOrderTest, FirstRepOfEverySpecStartsFirst)
     }
 }
 
-std::string
-fileText(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
-TEST(TrialRunnerOrderTest, MatrixOutputsAndManifestMatchAtAnyThreadCount)
+TEST(TrialRunnerOrderTest, MatrixOutputsMatchAtAnyThreadCount)
 {
     const std::vector<ExperimentSpec> specs =
         matrixSpecs(ExperimentSpec{}, false);
     constexpr unsigned reps = 3;
     std::vector<std::vector<TrialOutput>> reference;
-    std::string reference_manifest;
     for (const unsigned threads : {1u, 3u, 4u}) {
-        const std::string manifest = "/tmp/unxpec_trial_memo_test_t" +
-            std::to_string(threads) + ".jsonl";
-        std::remove(manifest.c_str());
-        TrialRunner runner(threads);
-        CampaignConfig config;
-        config.manifestPath = manifest;
-        config.experiment = "matrix_campaign";
-        runner.setCampaign(config);
         const auto outputs =
-            runner.run(specs, reps, 1, matrixTrialFn(kSamples));
-        const std::string text = fileText(manifest);
-        std::remove(manifest.c_str());
+            TrialRunner(threads).run(specs, reps, 1, matrixTrialFn(kSamples));
         if (threads == 1) {
             reference = outputs;
-            reference_manifest = text;
             continue;
         }
-        EXPECT_EQ(text, reference_manifest) << threads << " threads";
         for (std::size_t s = 0; s < specs.size(); ++s) {
             for (unsigned rep = 0; rep < reps; ++rep) {
-                const TrialOutput &a = outputs[s][rep];
-                const TrialOutput &b = reference[s][rep];
                 const std::string what = specs[s].label + " rep " +
                     std::to_string(rep) + " at " +
                     std::to_string(threads) + " threads";
-                expectSameMeasurements(a, b, what);
-                EXPECT_EQ(a.seedUsed, b.seedUsed) << what;
-                EXPECT_EQ(a.attempt, b.attempt) << what;
+                expectSameMeasurements(outputs[s][rep], reference[s][rep],
+                                       what);
             }
         }
     }
-    // Each rep journals its own seed, memo hit or not.
-    EXPECT_NE(reference[0][0].seedUsed, reference[0][1].seedUsed);
 }
 
 } // namespace
