@@ -10,8 +10,8 @@ are always fatal — they encode the paper's leakage taxonomy, not runner
 noise. --assert-cell is the generalized form, a hard bound on any
 numeric cell field (e.g. the victim matrix's recovered_bits_per_sec); a
 null/absent field fails the assertion, and so does a cell the matrix
-lacks. Cells whose auc is null (every trial censored) are accepted by
-the loader and skipped by the drift diff.
+lacks. Cells whose auc is null (their row had no auc metric) are
+accepted by the loader and skipped by the drift diff.
 
   $ python3 scripts/check_bench.py matrix.json \\
         --assert-auc 'unsafe/unxpec>=0.95' --assert-auc 'safespec/unxpec<=0.6'
@@ -48,7 +48,7 @@ def load_matrix(path, parser):
             if field not in cell:
                 parser.error(f"{path}: cell missing '{field}': {cell}")
         auc = cell["auc"]
-        # null = an incomplete cell (every trial censored or missing);
+        # null = an incomplete cell (its row had no auc metric);
         # the cell is kept so assertions against it fail loudly rather
         # than reading as "not in the matrix".
         if auc is not None and (not isinstance(auc, (int, float))
@@ -109,7 +109,7 @@ def run_matrix(args, parser):
             continue
         value = cell.get(field)
         if not isinstance(value, (int, float)):
-            # Absent field or a null from an incomplete (censored) cell.
+            # Absent field or a null from an incomplete cell.
             print(f"FAIL {defense}/{receiver}: {field} is "
                   f"{value!r}, cannot check {op} {bound:g}")
             failures += 1

@@ -17,11 +17,13 @@
 #   matrix_reps3.json    the reduced matrix, 3 reps on 3 workers
 #   matrix_seed.json     the full matrix (every defense), the nightly run
 #   MATRIX.md            (repo root) that full matrix's report
-#   BENCH_victim.json    (repo root) the victim sweep CI smoke-runs
+#   BENCH_victim.json    (repo root) the tracked victim sweep
+#   bench_stdout.txt     every harness bench's --help and default run
+#                        at 4 workers, and table1_config's report
 #
 # The ctests golden_figures, golden_attack_programs, golden_matrix,
-# golden_matrix_reps3, golden_matrix_seed and golden_victim run this
-# script by name.
+# golden_matrix_reps3, golden_matrix_seed, golden_victim and
+# golden_bench_stdout run this script by name.
 #
 # Environment:
 #   BUILD_DIR  build tree with compiled benches and tests: absolute, or
@@ -39,7 +41,14 @@ esac
 BENCH="$BUILD/bench"
 ALL=(fig03_seed.json fig12_seed.json fig13_seed.json attack_programs.txt
      matrix_smoke.json matrix_reps3.json matrix_seed.json MATRIX.md
-     BENCH_victim.json)
+     BENCH_victim.json bench_stdout.txt)
+# The harness benches, one per registered experiment.
+BENCHES=(fig02_branch_resolution fig03_timing_difference
+         fig06_timing_difference_evset fig07_pdf_no_evset fig08_pdf_evset
+         fig09_secret_bits fig10_leak_no_evset fig11_leak_evset
+         fig12_const_rollback_overhead fig13_noisy_host leakage_rate
+         ablation_defenses robustness_noise attack_tuning matrix_campaign
+         victim_recovery)
 
 mode=check
 names=()
@@ -123,6 +132,21 @@ produce() {
                 --threads 4 --json victim-smoke-experiment.json \
                 victim-smoke > /dev/null)
             out=$dir/victim-smoke.json ref=$HERE/$1 how=cmp ;;
+        bench_stdout.txt)
+            # The default runs write matrix.* and victim.* into $dir.
+            local bench
+            for bench in "${BENCHES[@]}" table1_config; do
+                need "$BENCH/$bench"
+            done
+            (cd "$dir" && for bench in "${BENCHES[@]}"; do
+                echo "### $bench --help"
+                "$BENCH/$bench" --help
+                echo "### $bench --threads 4"
+                "$BENCH/$bench" --threads 4
+            done
+            echo "### table1_config"
+            "$BENCH/table1_config") > "$dir/$1"
+            out=$dir/$1 ref=$GOLDEN/$1 how=diff ;;
         *)
             echo "error: unknown artifact '$1' (one of: ${ALL[*]})" >&2
             exit 2 ;;

@@ -17,7 +17,7 @@ appendUnique(std::vector<std::string> &names, const std::string &name)
         names.push_back(name);
 }
 
-/** A row statistic that tolerates a censored (metric-less) row. */
+/** A row statistic, NaN when the row lacks the metric. */
 double
 meanOrNaN(const ResultRow &row, const std::string &name)
 {
@@ -96,9 +96,9 @@ MatrixReport::fromResult(const ExperimentResult &result)
     report.masterSeed = result.masterSeed;
     report.reps = result.reps;
 
-    // Pass 1: the unsafe baselines' workload cycles, per receiver. A
-    // censored or absent baseline poisons the column's overhead (NaN),
-    // never the other statistics.
+    // Pass 1: the unsafe baselines' workload cycles, per receiver. An
+    // absent baseline poisons the column's overhead (NaN), never the
+    // other statistics.
     auto unsafeCycles = [&result](const std::string &receiver) {
         for (const ResultRow &row : result.rows) {
             if (row.label == "unsafe/" + receiver &&
@@ -116,9 +116,9 @@ MatrixReport::fromResult(const ExperimentResult &result)
         MatrixCell cell;
         cell.defense = row.label.substr(0, slash);
         cell.receiver = row.label.substr(slash + 1);
-        // A fully-censored row reports every trial but no metrics:
-        // keep the cell (the matrix shape is part of the artifact) and
-        // let the statistics read as missing instead of fatal'ing.
+        // A row without a metric keeps its cell (the matrix shape is
+        // part of the artifact); the statistic reads as missing
+        // instead of fatal'ing.
         cell.auc = meanOrNaN(row, "auc");
         cell.deltaCycles = meanOrNaN(row, "delta_cycles");
         cell.cyclesPerSample = meanOrNaN(row, "cycles_per_sample");
@@ -224,7 +224,7 @@ MatrixReport::writeMarkdown(std::ostream &os) const
     const unsigned incomplete = incompleteCells();
     if (incomplete > 0) {
         os << "\nNote: " << incomplete << " cell(s) incomplete — "
-              "censored trials or a missing unsafe baseline; missing "
+              "a missing unsafe baseline; missing "
               "statistics are shown as '-'.\n";
     }
     os << "\nReading guide: the cache-state receiver (unxpec) breaks "

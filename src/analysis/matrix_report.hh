@@ -14,13 +14,13 @@
  * report time against the same receiver's "unsafe" row, so trials never
  * need to run their own baselines.
  *
- * Rows may be incomplete: a fully-censored cell has no metrics at all,
- * and a censored or absent unsafe row leaves the whole column without
- * an overhead baseline. Missing statistics become NaN in the cell
- * (JSON null, markdown "-") rather than fabricated zeros, and
+ * Rows may be incomplete: a row may lack a metric (its trials never
+ * recorded it), and an absent unsafe row leaves the whole column
+ * without an overhead baseline. Missing statistics become NaN in the
+ * cell (JSON null, markdown "-") rather than fabricated zeros, and
  * incompleteCells() counts them for the artifact's note.
  *
- * Victim rows (the real-secret campaign, bench/victim_recovery.cc)
+ * Victim rows (the real-secret campaign, victim_recovery)
  * additionally carry "recovered_bits_per_sec"; the field is optional
  * per cell and omitted from the JSON when absent, so classic matrix
  * artifacts are byte-identical to before it existed.
@@ -39,8 +39,9 @@
 
 namespace unxpec {
 
-/** One (defense, receiver) cell of the matrix. Statistics the trial
- *  could not supply (censored rows, missing baselines) are NaN. */
+/** One (defense, receiver) cell of the matrix. Statistics the row
+ *  could not supply (a metric it lacks, a missing unsafe baseline)
+ *  are NaN. */
 struct MatrixCell
 {
     std::string defense;  //!< defense registry key

@@ -13,7 +13,7 @@ namespace unxpec {
 
 /**
  * Summary statistics of a sample vector. Non-finite samples (NaN/Inf
- * — e.g. a metric computed from a censored or degenerate trial) are
+ * — e.g. a metric computed from a degenerate trial) are
  * skipped rather than poisoning every moment: the statistics cover the
  * finite subset, `count` is the number of finite samples, and
  * `nonfinite` reports how many were skipped. A vector with samples but

@@ -1,8 +1,9 @@
 /**
  * @file
  * Covert-channel calibration and decoding. The receiver classifies
- * each latency measurement against a threshold (paper §VI-A picks 178
- * without and 183 with eviction sets from the observed distributions).
+ * each latency measurement against a threshold (paper §VI-A picks one
+ * per variant from the observed distributions; the Fig. 7/8 entries of
+ * src/experiments/ carry the paper's values).
  */
 
 #ifndef UNXPEC_ATTACK_CHANNEL_HH

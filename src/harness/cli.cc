@@ -136,8 +136,6 @@ HarnessCli::usage(std::ostream &os) const
 {
     os << name_ << " — " << description_ << "\n\n"
        << "usage: " << name_ << " [options]";
-    if (hasScale_)
-        os << " [scale]";
     if (hasText_)
         os << " [" << textHelp_ << "]";
     os << "\n\n"
@@ -184,7 +182,6 @@ HarnessCli::parse(int argc, char **argv) const
     options.scale = scale_;
     options.text = text_;
 
-    bool sawPositionalInt = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> std::string {
@@ -237,11 +234,6 @@ HarnessCli::parse(int argc, char **argv) const
             options.traceSplit = true;
         } else if (arg == "--matrix" && hasMatrix_) {
             options.matrix = true;
-        } else if (hasScale_ && !sawPositionalInt && isInteger(arg)) {
-            options.scale = parseU64("scale", arg);
-            if (options.scale == 0)
-                fatal("--scale must be >= 1");
-            sawPositionalInt = true;
         } else if (hasText_ && arg[0] != '-') {
             options.text = arg;
         } else {

@@ -21,8 +21,9 @@
  *   --list-modes   print registered defenses/noises/attacks and exit
  *   --help         usage
  *
- * A bare positional integer is accepted as an alias for --scale,
- * preserving the seed benches' `fig07 1000` style invocations.
+ * A program that declares a text argument (textArg), e.g. an output
+ * base path, takes a bare word as it (the last one given wins);
+ * elsewhere a bare word is an unknown argument.
  */
 
 #ifndef UNXPEC_HARNESS_CLI_HH

@@ -73,7 +73,7 @@ std::uint64_t matrixTrialSimulations();
 
 /**
  * Receiver families of the real-secret victim campaign
- * (bench/victim_recovery.cc): "victim-aes" (AES-128 T-table first
+ * (victim_recovery): "victim-aes" (AES-128 T-table first
  * round through the Flush+Reload probe), "victim-rsa" (square-and-
  * multiply exponent bits through the multiplier-line reload), and
  * "victim-rsa-fu" (the same victim read through the SpectreRewind

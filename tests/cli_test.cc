@@ -95,13 +95,6 @@ TEST(CliErrorTest, ZeroScaleIsFatal)
                 ::testing::ExitedWithCode(1), "fatal: --scale must be >= 1");
 }
 
-TEST(CliErrorTest, ZeroPositionalScaleIsFatal)
-{
-    const HarnessCli cli = makeCli();
-    EXPECT_EXIT(parseArgs(cli, {"cli_test", "0"}),
-                ::testing::ExitedWithCode(1), "fatal: --scale must be >= 1");
-}
-
 TEST(CliErrorTest, UnsignedFlagAboveUintMaxIsFatal)
 {
     // 2^32 + 1 must not wrap to 1 on its way into an unsigned option.
@@ -273,14 +266,21 @@ TEST(CliErrorTest, CampaignFlagsAreGone)
     }
 }
 
-TEST(CliErrorTest, StrayPositionalAfterScaleIsFatal)
+TEST(CliErrorTest, BareNumberIsTextNeverScale)
 {
-    // Only one positional scale is accepted; a second one is an error,
-    // not a silent overwrite.
+    // --scale is the one way to set the scale: a bare number is the
+    // text argument where one is declared (an output name "3" stays
+    // "3"), and an unknown argument where none is.
     const HarnessCli cli = makeCli();
-    EXPECT_EXIT(parseArgs(cli, {"cli_test", "42", "43"}),
+    EXPECT_EXIT(parseArgs(cli, {"cli_test", "3"}),
                 ::testing::ExitedWithCode(1),
-                "fatal: unknown argument '43'");
+                "fatal: unknown argument '3'");
+
+    HarnessCli with_text = makeCli();
+    with_text.textArg("output base path", "out");
+    const HarnessOptions opt = parseArgs(with_text, {"cli_test", "3"});
+    EXPECT_EQ(opt.text, "3");
+    EXPECT_EQ(opt.scale, 16u);
 }
 
 // --- matrix flag --------------------------------------------------------

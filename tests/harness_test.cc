@@ -291,7 +291,8 @@ TEST(HarnessCliTest, ParsesSharedFlags)
     cli.scaleOption("size", 10);
     const char *argv[] = {"test",     "--reps", "7",      "--seed",
                           "99",       "--threads", "3",   "--mode",
-                          "unsafe",   "--json", "/tmp/x.json", "42"};
+                          "unsafe",   "--json", "/tmp/x.json", "--scale",
+                          "42"};
     const HarnessOptions opt =
         cli.parse(static_cast<int>(std::size(argv)),
                   const_cast<char **>(argv));

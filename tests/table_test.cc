@@ -201,18 +201,18 @@ TEST(MatrixReportTest, MarkdownListsEveryDefenseRow)
     EXPECT_EQ(sampleMatrix().incompleteCells(), 0u);
 }
 
-TEST(MatrixReportTest, CensoredRowSurvivesAsNullNotFatal)
+TEST(MatrixReportTest, MetricLessRowSurvivesAsNullNotFatal)
 {
-    // A fully-censored cell reports trial accounting but no metrics.
-    // fromResult must keep the cell with missing statistics instead of
-    // fatal'ing on the absent metric (the old row.mean() crash).
+    // A row whose trials recorded no metrics. fromResult must keep the
+    // cell with missing statistics instead of fatal'ing on the absent
+    // metric (the old row.mean() crash).
     ExperimentResult result;
     result.experiment = "matrix_campaign";
     result.rows.push_back(matrixRow("unsafe/unxpec", 1.0, 1000.0));
-    ResultRow censored;
-    censored.label = "safespec/unxpec";
-    censored.censoredTrials = 3;
-    result.rows.push_back(censored);
+    ResultRow bare;
+    bare.label = "safespec/unxpec";
+    bare.trials = 3;
+    result.rows.push_back(bare);
 
     const MatrixReport report = MatrixReport::fromResult(result);
     ASSERT_EQ(report.cells.size(), 2u);
